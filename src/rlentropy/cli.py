@@ -5,7 +5,7 @@ effective parameters, versions); reports are deterministic byte-for-byte
 for identical manifests, so no wall-clock data is included unless asked.
 
 Exit codes: 0 success, 1 domain failure (assumptions or requested
-computation inapplicable), 2 input error.
+computation inapplicable, or out of memory), 2 input error.
 """
 from __future__ import annotations
 
@@ -327,6 +327,10 @@ def main(argv=None):
     except (AssumptionError, genfun.NonConvergenceError,
             genfun.SingularSystemError) as exc:
         print(f"domain failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"domain failure: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import qr
+from scipy.sparse import csr_matrix
 
 from .model import AssumptionError
 from .cones import limit_words
@@ -16,6 +18,7 @@ LOG = math.log
 
 SANDWICH_BUDGET = 5_000_000
 INEQ_SLACK = 1e-9
+SPAN_RTOL = 1e-9      # marginal check: relative residual of a new direction
 
 
 # -- the enriched state space -------------------------------------------------
@@ -36,11 +39,6 @@ def hidden_symbol(atlas, prev_state, next_state):
     if next_state.source_type == i:
         return (i, next_state.slot_type, next_state.slot_index)
     return (i, next_state.slot_type, 1)
-
-
-def project_pi(atlas, prev, nxt):
-    """Alias of hidden_symbol with the argument order (atlas, prev, next)."""
-    return hidden_symbol(atlas, prev, nxt)
 
 
 class HiddenChain:
@@ -66,28 +64,29 @@ class HiddenChain:
                         self.index[st] = len(self.states)
                         self.states.append(st)
 
-        self.trans = []       # per state: {symbol: [(target idx, prob), ...]}
+        # A step depends on a state only through its two-letter suffix, so
+        # each suffix's row is built once and shared by the states ending in it
+        targets = {}          # suffix -> [(target idx, prob), ...]
+        for sfx in {w[-2:] for w in class_words}:
+            i, row = atlas.type_of[sfx], chain.suffix_rows[sfx]
+            slots = [chain.slot_of[(i, y)] for y in row.targets]
+            targets[sfx] = [
+                (self.index[WState(i, s.type_id, s.local_index, y)], float(p))
+                for s, y, p in zip(slots, row.targets, row.probs)]
+        shared = {}
         for st in self.states:
-            i = atlas.type_of[st.word[-2:]]
-            row = chain.suffix_rows[st.word[-2:]]
-            by_symbol = {}
-            for y, p in zip(row.targets, row.probs):
-                slot = chain.slot_of[(i, y)]
-                tgt = WState(i, slot.type_id, slot.local_index, y)
-                sym = (i, slot.type_id, slot.local_index)
-                by_symbol.setdefault(sym, []).append((self.index[tgt], float(p)))
-            self.trans.append(by_symbol)
-
-        nu = np.zeros(len(self.states))
+            if st.word[-2:] not in shared:
+                by_symbol = shared[st.word[-2:]] = {}
+                for k, p in targets[st.word[-2:]]:
+                    sym = hidden_symbol(atlas, st, self.states[k])
+                    by_symbol.setdefault(sym, []).append((k, p))
+        # per state: {symbol: [(target idx, prob), ...]}
+        self.trans = [shared[st.word[-2:]] for st in self.states]
+        self.nu = np.zeros(len(self.states))
         for w, mass in self.nu0.items():
-            i = atlas.type_of[w[-2:]]
-            row = chain.suffix_rows[w[-2:]]
-            for y, p in zip(row.targets, row.probs):
-                slot = chain.slot_of[(i, y)]
-                nu[self.index[WState(i, slot.type_id, slot.local_index, y)]] \
-                    += mass * float(p)
-        self.nu = nu
-        self.symbols = sorted({s for t in self.trans for s in t})
+            for k, p in targets[w[-2:]]:
+                self.nu[k] += mass * p
+        self.symbols = sorted({s for t in shared.values() for s in t})
 
     def initial_mu1(self):
         """Law of the first enriched state restricted to this class."""
@@ -433,114 +432,165 @@ class ModifiedChain:
 def build_qhat(chain, cls):
     """Transition table over the enriched states whose rows spread entries
     into first slots across all coverings, splitting the mass evenly; the
-    projected hidden process keeps the law of the original one."""
+    projected hidden process keeps the law of the original one.  Rows are
+    computed once per state suffix, over all targets at a time."""
     hidden = HiddenChain(chain, cls)
     atlas = chain.atlas
     class_types = sorted(cls.types)
 
     n_slots = {(m, j): atlas.coverings[m].n_of_type(j)
                for m in class_types for j in class_types}
-    fold_counts = {}
+    first_slot_word = {(m, slot.type_id, w[-2:]): w for m in class_types
+                       for slot in atlas.coverings[m].slots
+                       if slot.local_index == 1
+                       for w in atlas.boundary_words(slot)}
 
-    def count(i, j, ab):
-        key = (i, j, ab)
-        if key not in fold_counts:
-            fold_counts[key] = sum(
-                n_slots[(s, j)] for s in class_types if s != i)
-        return fold_counts[key]
-
-    first_slot_word = {}
-    for m in class_types:
-        for slot in atlas.coverings[m].slots:
-            if slot.local_index == 1:
-                for w in atlas.boundary_words(slot):
-                    first_slot_word[(m, slot.type_id, w[-2:])] = w
-
-    rows = []
-    for st in hidden.states:
-        i = atlas.type_of[st.word[-2:]]
-        row = chain.suffix_rows[st.word[-2:]]
-        qrow = dict(zip(row.targets, map(float, row.probs)))
-        out = {}
-        for tgt_state, k in hidden.index.items():
-            m, j = tgt_state.source_type, tgt_state.slot_type
-            y = tgt_state.word
-            ab = y[-2:]
-            if m == i and tgt_state.slot_index >= 2:
-                p = qrow.get(y, 0.0)
-            elif m == i and tgt_state.slot_index == 1:
-                p = qrow.get(y, 0.0) / (count(i, j, ab) + 1)
-            elif n_slots[(i, j)] == 0:
-                # the covering of type i has no type-j slot (single-child
-                # coverings): no mass to split into this fold target
-                p = 0.0
-            else:
-                ybar = first_slot_word.get((i, j, ab))
-                if ybar is None:
+    # per target: covering, first-slot flag, (slot type, suffix) key index
+    states = hidden.states
+    source = np.array([st.source_type for st in states])
+    first = np.array([st.slot_index == 1 for st in states])
+    keys = sorted({(st.slot_type, st.word[-2:]) for st in states})
+    key_of = np.array([keys.index((st.slot_type, st.word[-2:]))
+                       for st in states])
+    fold_counts, rows, shared = {}, [], {}
+    for st in states:
+        sfx = st.word[-2:]
+        if sfx not in shared:
+            i, row = atlas.type_of[sfx], chain.suffix_rows[sfx]
+            qrow = dict(zip(row.targets, map(float, row.probs)))
+            # a foreign target takes the mass of the local first slot with
+            # its type and suffix; own first slots and foreign targets split
+            # their mass with the type-j slots of the other coverings
+            ybar, count, can_fold = zip(*[
+                (first_slot_word.get((i, j, ab)),
+                 sum(n_slots[(m, j)] for m in class_types if m != i),
+                 n_slots[(i, j)] > 0) for j, ab in keys])
+            own = source == i
+            fold = ~own & np.array(can_fold)[key_of]
+            split = fold | (own & first)
+            for a in np.unique(key_of[fold]):
+                if ybar[a] is None:
                     raise AssumptionError(
-                        f"no first slot of type {j} with boundary {ab} in the "
-                        f"covering of type {i}")
-                p = qrow.get(ybar, 0.0) / (count(i, j, ab) + 1)
-            if p > 0:
-                out[k] = p
-        total = sum(out.values())
-        if abs(total - 1.0) > 1e-12:
-            raise AssumptionError(
-                f"modified row for {st} sums to {total!r}, not 1 +- 1e-12")
-        rows.append(sorted(out.items()))
+                        "no first slot of type {} with boundary {} in the "
+                        "covering of type {}".format(*keys[a], i))
+            for a in np.unique(key_of[split]):
+                fold_counts[(i, *keys[a])] = count[a]
+            q = np.array([qrow.get(t.word, 0.0) for t in states])
+            q_bar = np.array([qrow.get(y, 0.0) for y in ybar])[key_of]
+            p = np.where(own, q, np.where(fold, q_bar, 0.0))
+            p = np.where(split, p / (np.array(count)[key_of] + 1), p)
+            nz = np.flatnonzero(p > 0)
+            total = sum(p[nz].tolist())
+            if abs(total - 1.0) > 1e-12:
+                raise AssumptionError(
+                    f"modified row for {st} sums to {total!r}, not 1 +- 1e-12")
+            shared[sfx] = list(zip(nz.tolist(), p[nz].tolist()))
+        rows.append(shared[sfx])
     return ModifiedChain(hidden, rows, fold_counts)
 
 
-def check_marginal_equality(chain, cls, modified, max_len=3):
-    """Compare the finite-dimensional hidden-symbol laws of the original and
-    modified chains, both started from the first-state law; returns the
-    maximum absolute difference over all sequences up to ``max_len``."""
+def _symbol_steps(hidden, modified):
+    """One-step matrices of the original chain (M_s) and of Q-hat (N_s),
+    each side stacked as [A_s1 | A_s2 | ...] in one n x (S n) CSR matrix so
+    that u @ A holds u's successor under every symbol s; and per s, the
+    sorted pair-vector coordinates its successors occupy."""
+    n = len(hidden.states)
+    sym_id = {s: a for a, s in enumerate(hidden.symbols)}
+
+    def coo(state_rows, entries):
+        # states of one suffix that share a row object share one conversion
+        groups = {}
+        for idx, (st, row) in enumerate(zip(hidden.states, state_rows)):
+            groups.setdefault((st.word[-2:], id(row)), []).append(idx)
+        data, rows, cols = [], [], []
+        for idxs in groups.values():
+            sym, tgt, prob = zip(*entries(idxs[0]))
+            col = n * np.array([sym_id.setdefault(s, len(sym_id))
+                                for s in sym]) + tgt
+            rows.append(np.repeat(idxs, len(col)))
+            cols.append(np.tile(col, len(idxs)))
+            data.append(np.tile(prob, len(idxs)))
+        return np.concatenate(data), (np.concatenate(rows),
+                                      np.concatenate(cols))
+
+    orig = coo(hidden.trans, lambda idx: [
+        (s, j, p) for s, ts in hidden.trans[idx].items() for j, p in ts])
+    mod = coo(modified.rows, lambda idx: [
+        (hidden_symbol(hidden.atlas, hidden.states[idx], hidden.states[j]),
+         j, p) for j, p in modified.rows[idx]])
+    cu, cv = np.unique(orig[1][1]), np.unique(mod[1][1])
+    sym, col = np.r_[cu // n, cv // n], np.r_[cu % n, n + cv % n]
+    order = np.lexsort((col, sym))
+    columns = np.split(col[order],
+                       np.searchsorted(sym[order], np.arange(1, len(sym_id))))
+    shape = (n, len(sym_id) * n)
+    return csr_matrix(orig, shape=shape), csr_matrix(mod, shape=shape), columns
+
+
+def _extend(frontier, step_m, step_q):
+    """Every nonzero successor (u M_s, v N_s) of every frontier row (u, v),
+    as the rows of one CSR matrix sorted by s, and the symbol s per row."""
+    k, n = frontier.shape[0], step_m.shape[0]
+    parts = [(frontier[:, :n] @ step_m).tocoo(),
+             (frontier[:, n:] @ step_q).tocoo()]
+    word = np.concatenate([p.col.astype(np.int64) // n * k + p.row
+                           for p in parts])
+    col = np.concatenate([p.col % n + side * n
+                          for side, p in enumerate(parts)])
+    data = np.concatenate([p.data for p in parts])
+    keep = data != 0                  # products that underflowed
+    word, row = np.unique(word[keep], return_inverse=True)
+    succ = csr_matrix((data[keep], (row, col[keep])), shape=(len(word), 2 * n))
+    return succ, word // k
+
+
+def _new_directions(bases, s, rows):
+    """Positions of the rows whose residual off the span of ``bases[s]``,
+    relative to their norm, exceeds SPAN_RTOL; ``bases[s]`` (orthonormal
+    rows) grows to span them."""
+    x = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    basis = bases.get(s, np.empty((0, rows.shape[1])))
+    for _ in range(2):                 # project out the basis, then again
+        x -= (x @ basis.T) @ basis
+    if not np.linalg.norm(x, axis=1).max() > SPAN_RTOL:
+        return np.empty(0, dtype=np.int64)
+    q, r, piv = qr(x.T, mode="economic", pivoting=True)
+    new = piv[:np.count_nonzero(np.abs(np.diag(r)) > SPAN_RTOL)]
+    bases[s] = np.vstack([basis, q[:, :len(new)].T])
+    return new
+
+
+def check_marginal_equality(chain, cls, modified, max_len=None):
+    """Largest |P(w) - P-hat(w)| between the hidden-symbol laws of the
+    original chain and of Q-hat, both started from the first-state law,
+    over the basis words of a breadth-first forward-span construction on
+    the pair automaton (Tzeng, SIAM J. Comput. 21, 1992) and their
+    one-symbol extensions.  The pair vector of w is (mu1 M_w, mu1 N_w), and
+    P(w) - P-hat(w) is linear in it.  Each level extends the newest basis
+    words by every symbol and keeps the extensions by s that leave the span
+    of the basis words ending in s (relative residual above SPAN_RTOL after
+    projecting that span out twice).  Once a level keeps nothing the span
+    is closed under every symbol, so the laws agree at every length iff
+    they agree on the basis words.  ``max_len=None`` runs to closure; an
+    integer stops after words of that length."""
     hidden = modified.hidden
-    atlas = chain.atlas
+    n = len(hidden.states)
+    step_m, step_q, columns = _symbol_steps(hidden, modified)
     mu1 = hidden.initial_mu1()
-
-    def y_marginals(step_fn):
-        vec0 = {i: m for i, m in enumerate(mu1) if m > 0}
-        out = {}
-        frontier = [((), vec0)]
-        for _ in range(max_len):
-            nxt = []
-            for seq, vec in frontier:
-                for sym, d in step_fn(vec).items():
-                    p = sum(d.values())
-                    if p > 0:
-                        out[seq + (sym,)] = p
-                        nxt.append((seq + (sym,), d))
-            frontier = nxt
-        return out
-
-    def orig_step(vec):
-        succ = {}
-        for idx, mass in vec.items():
-            for sym, targets in hidden.trans[idx].items():
-                d = succ.setdefault(sym, {})
-                for j, p in targets:
-                    d[j] = d.get(j, 0.0) + mass * p
-        return succ
-
-    def mod_step(vec):
-        succ = {}
-        for idx, mass in vec.items():
-            src = hidden.states[idx]
-            i = atlas.type_of[src.word[-2:]]
-            for j, p in modified.rows[idx]:
-                tgt = hidden.states[j]
-                if tgt.source_type == i:
-                    sym = (i, tgt.slot_type, tgt.slot_index)
-                else:
-                    sym = (i, tgt.slot_type, 1)
-                d = succ.setdefault(sym, {})
-                d[j] = d.get(j, 0.0) + mass * p
-        return succ
-
-    a = y_marginals(orig_step)
-    b = y_marginals(mod_step)
-    return max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
+    frontier = csr_matrix(np.concatenate([mu1, mu1])[None, :])
+    bases = {}         # symbol -> orthonormal rows over columns[symbol]
+    worst, depth = 0.0, 0
+    while frontier.shape[0] and (max_len is None or depth < max_len):
+        depth += 1
+        succ, sym = _extend(frontier, step_m, step_q)
+        diff = succ @ np.r_[np.ones(n), -np.ones(n)]    # P(w) - P-hat(w)
+        worst = max(worst, float(np.abs(diff).max(initial=0.0)))
+        starts = np.flatnonzero(np.diff(sym, prepend=-1))
+        new = [a + _new_directions(bases, sym[a],
+                                   succ[a:b][:, columns[sym[a]]].toarray())
+               for a, b in zip(starts, np.r_[starts[1:], len(sym)])]
+        frontier = succ[np.concatenate([np.empty(0, np.int64), *new])]
+    return worst
 
 
 # -- report ---------------------------------------------------------------------
@@ -616,7 +666,10 @@ def assemble_report(model, gf, atlas=None, chain=None, n_max=16, gap_tol=1e-6,
             classes.append(ClassReport(cls.weight, False, cls.lambda_,
                                        cls.ell, 0.0, 0.0, None, None, 0.0))
             continue
-        hidden = HiddenChain(chain, cls)
+        # the checked class's hidden chain comes with its Q-hat
+        checked = check_marginals and marginal is None
+        modified = build_qhat(chain, cls) if checked else None
+        hidden = modified.hidden if checked else HiddenChain(chain, cls)
         bounds = sandwich_bounds(hidden, n_max=n_max, gap_tol=gap_tol,
                                  budget=budget)
         try:
@@ -634,8 +687,7 @@ def assemble_report(model, gf, atlas=None, chain=None, n_max=16, gap_tol=1e-6,
                                    bounds.value, bounds.gap, bounds.n_final,
                                    hy_exact, h_cls))
         h_total += cls.weight * h_cls
-        if check_marginals and marginal is None:
-            modified = build_qhat(chain, cls)
+        if checked:
             marginal = check_marginal_equality(chain, cls, modified)
 
     if len(classes) == 1:

@@ -365,27 +365,3 @@ def stationary_power(q, tol=1e-14, max_iter=200000):
             return nv
         v = nv
     return v
-
-
-def compute_lambda(nu0, words):
-    return float(sum(nu0[i] * (len(w) - 2) for i, w in enumerate(words)))
-
-
-def compute_ell(chain):
-    """Rate of escape as mean level gain per increment over mean time per
-    increment, weighted over essential classes.
-
-    The value is reported unverified until a Monte Carlo cross-check
-    (simulate.verify_ell) has seen it within tolerance.
-    """
-    if chain.ell is None:
-        raise AssumptionError(
-            "derivative tables unavailable; the drift needs the Monte Carlo "
-            "fallback")
-    return chain.ell
-
-
-def essential_classes(chain):
-    """Decomposition report of the increment chain: one entry per closed
-    communicating class with its absorption weight and stationary data."""
-    return list(chain.classes)

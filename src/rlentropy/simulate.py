@@ -4,27 +4,18 @@ tables.
 Reproducibility contract: trajectory ``i`` of a run with seed ``s`` uses a
 Philox counter-based generator keyed with ``(s << 64) + i``; pooled results
 are merged in trajectory-index order, so identical configurations produce
-byte-identical reports regardless of worker scheduling.
+byte-identical reports.
 """
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .genfun import LWordEvaluator
-
-
-def worker_count():
-    try:
-        return max(1, int(os.environ.get("RLE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -139,18 +130,10 @@ def _run_one(model, gf, cfg, index, early_steps):
 
 
 def run_trajectories(model, cfg, gf=None, early_steps=()):
-    """Sample trajectories exactly per the rule table; embarrassingly
-    parallel over trajectories with deterministic index-order merge."""
-    workers = worker_count()
+    """Sample trajectories exactly per the rule table, in index order."""
     early_steps = frozenset(early_steps)
-    if workers == 1:
-        trajs = [_run_one(model, gf, cfg, i, early_steps)
-                 for i in range(cfg.trajectories)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_run_one, model, gf, cfg, i, early_steps)
-                    for i in range(cfg.trajectories)]
-            trajs = [f.result() for f in futs]
+    trajs = [_run_one(model, gf, cfg, i, early_steps)
+             for i in range(cfg.trajectories)]
 
     speeds = np.array([tr.series[-1][1] / tr.series[-1][0] for tr in trajs])
 

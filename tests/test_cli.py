@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rlentropy import cli
+from rlentropy import cli, pipeline
 
 from conftest import fixture_path
 
@@ -129,3 +129,13 @@ def test_report_embeds_manifest_and_replays(capsys):
               "--budget", str(params["budget"]))
     code, out2 = run_cli(capsys, *replay)
     assert out1 == out2
+
+
+def test_out_of_memory_is_domain_failure(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+    monkeypatch.setattr(pipeline, "analyze", exhausted)
+    code = cli.main(["entropy", str(fixture_path("fg2"))])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.strip() == "domain failure: out of memory"

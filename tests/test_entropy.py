@@ -11,7 +11,10 @@ from rlentropy.entropy import (HiddenChain, WState, build_qhat,
                                sandwich_bounds, unambiguous_exact)
 from rlentropy.model import AssumptionError
 
+from rlentropy.entropy import ModifiedChain
+
 from conftest import get_analysis, get_atlas, get_chain, get_gf, get_model
+from marginal_oracle import enumerated_marginal_diff
 
 
 def _single_class(name):
@@ -333,3 +336,61 @@ def test_randomized_models_full_pipeline():
             assert 0 < rep.ell <= 1
             for row in res.chain.suffix_rows.values():
                 assert abs(row.probs.sum() - 1.0) <= 1e-10
+
+
+def test_marginal_check_agrees_with_enumeration():
+    for name, tol in (("t3", 1e-12), ("ne", 1e-15), ("twotype", 1e-12)):
+        chain, cls = _single_class(name)
+        modified = build_qhat(chain, cls)
+        assert check_marginal_equality(chain, cls, modified) < tol, name
+        assert check_marginal_equality(chain, cls, modified, max_len=3) < tol
+        assert enumerated_marginal_diff(chain, cls, modified, 3) < tol, name
+
+
+def _moved_mass(modified, idx, src, dst, eps=1e-3):
+    """Q-hat with mass eps moved from target src to target dst in the row of
+    state idx; every other row is shared with the input."""
+    row = dict(modified.rows[idx])
+    row[src] -= eps
+    row[dst] = row.get(dst, 0.0) + eps
+    rows = list(modified.rows)
+    rows[idx] = sorted(row.items())
+    return ModifiedChain(modified.hidden, rows, modified.fold_counts)
+
+
+def _twotype_targets():
+    """twotype's Q-hat, and the targets of state 0 (which the first-state law
+    charges) grouped by the hidden symbol of the step into them."""
+    chain, cls = _single_class("twotype")
+    modified = build_qhat(chain, cls)
+    hidden = modified.hidden
+    assert hidden.initial_mu1()[0] > 0
+    by_symbol = {}
+    for j, p in modified.rows[0]:
+        sym = hidden_symbol(chain.atlas, hidden.states[0], hidden.states[j])
+        by_symbol.setdefault(sym, []).append(j)
+    return chain, cls, modified, by_symbol
+
+
+def test_marginal_check_detects_moved_symbol_mass():
+    chain, cls, modified, by_symbol = _twotype_targets()
+    (a, *_), (b, *_) = list(by_symbol.values())[:2]
+    bad = _moved_mass(modified, 0, a, b)
+    found = check_marginal_equality(chain, cls, bad, max_len=3)
+    oracle = enumerated_marginal_diff(chain, cls, bad, 3)
+    assert 1e-6 < found <= oracle + 1e-15
+
+
+def test_marginal_check_covers_lengths_beyond_one():
+    # Moving mass between two targets of one symbol leaves every length-1
+    # law intact; the targets end in different suffixes, so later symbols
+    # tell them apart.
+    chain, cls, modified, by_symbol = _twotype_targets()
+    hidden = modified.hidden
+    a, b = next(ts[:2] for ts in by_symbol.values() if len(ts) > 1)
+    assert hidden.states[a].word[-2:] != hidden.states[b].word[-2:]
+    bad = _moved_mass(modified, 0, a, b)
+    assert enumerated_marginal_diff(chain, cls, bad, 1) < 1e-12
+    assert enumerated_marginal_diff(chain, cls, bad, 3) > 1e-6
+    assert check_marginal_equality(chain, cls, bad, max_len=1) < 1e-12
+    assert check_marginal_equality(chain, cls, bad) > 1e-6
