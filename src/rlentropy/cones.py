@@ -49,6 +49,21 @@ class ReachRelation:
         self.reach22 = self._saturate_reach22(nP)
         self.reach_ge2 = self._saturate_reach_ge2()
 
+        # membership automaton: a state is a bitmask of pairs at one level;
+        # ``closure[p]`` is the reach22 row of p, ``up_step[p][c]`` the
+        # pairs reached from p by an ascent freezing c, then reach22;
+        # ``class_of[p]`` labels p's class of mutually reachable pairs
+        self.closure = [sum(1 << int(j) for j in np.flatnonzero(row))
+                        for row in self.reach22]
+        self.up_step = [{} for _ in range(nP)]
+        for i, c, de in up:
+            step, letter = self.up_step[i], A[c]
+            step[letter] = step.get(letter, 0) | self.closure[de]
+        self._advance = {}
+        mutual = self.reach22 & self.reach22.T
+        self.class_of = {p: int(np.argmax(mutual[i]))
+                         for p, i in self.pair_index.items()}
+
     def _pair_of(self, letter_i, letter_j):
         return letter_i * len(self.letter_index) + letter_j
 
@@ -86,25 +101,36 @@ class ReachRelation:
             edge[i, de] = True
         return _transitive_closure(edge)
 
+    def pairs_of(self, mask):
+        """The pairs of a bitmask, in pair-index order."""
+        return [self.pairs[i] for i in _bits(mask)]
+
+    def advance(self, mask, letter):
+        """Automaton step: the pairs reached from those in ``mask`` by an
+        ascent that freezes ``letter``, closed under reach22."""
+        key = (mask, letter)
+        if key not in self._advance:
+            self._advance[key] = 0
+            for i in _bits(mask):
+                self._advance[key] |= self.up_step[i].get(letter, 0)
+        return self._advance[key]
+
     # string-keyed accessors
     def h_supported(self, pair, letter):
         return bool(self.supp_h[self.pair_index[pair], self.letter_index[letter]])
-
-    def reaches22(self, p, q):
-        return bool(self.reach22[self.pair_index[p], self.pair_index[q]])
 
     def reaches_ge2(self, p, q):
         return bool(self.reach_ge2[self.pair_index[p], self.pair_index[q]])
 
     def supp_gbar(self, p, q):
-        return self.reaches22(p, q)
+        return bool(self.reach22[self.pair_index[p], self.pair_index[q]])
 
-    def supp_lbar(self, p, rhs3):
-        i = self.pair_index[p]
-        for uv, k in self.pair_index.items():
-            if self.reach22[i, k] and self.model.prob(uv, rhs3) > 0:
-                return True
-        return False
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _transitive_closure(edge):
@@ -200,18 +226,12 @@ def reachable_sets(model):
 def tail_reachable(rel, pair, tail):
     """Is the relative word ``tail`` (len >= 2) reachable from 2-letter root
     ``pair`` through words of relative length >= 2?"""
-    P = rel.pair_index
-    cur = rel.reach22[P[pair]].copy()
-    for i in range(len(tail) - 2):
-        nxt = np.zeros_like(cur)
-        for uv in np.flatnonzero(cur):
-            for rhs, _ in rel.model.up_rules.get(rel.pairs[uv], ()):
-                if rhs[0] == tail[i]:
-                    nxt |= rel.reach22[P[rhs[1:]]]
-        cur = nxt
-        if not cur.any():
+    mask = rel.closure[rel.pair_index[pair]]
+    for ch in tail[:-2]:
+        mask = rel.advance(mask, ch)
+        if not mask:
             return False
-    return bool(cur[P[tail[-2:]]])
+    return bool(mask >> rel.pair_index[tail[-2:]] & 1)
 
 
 def in_cone(rel, root, word):
@@ -258,9 +278,6 @@ class Covering:
     level: int | None
     method: str
     certified: bool = False
-
-    def slots_of_type(self, type_id):
-        return [s for s in self.slots if s.type_id == type_id]
 
     def n_of_type(self, type_id):
         return sum(1 for s in self.slots if s.type_id == type_id)
@@ -313,12 +330,6 @@ class ConeAtlas:
     def expanding(self):
         return any(self.expanding_types.values())
 
-    def type_rep(self, type_id):
-        return self.types[type_id].representative
-
-    def covering_of_suffix(self, suffix):
-        return self.coverings[self.type_of[suffix]]
-
     def boundary_words(self, slot):
         bset = self.types[slot.type_id].boundary_suffixes
         return [slot.root[:-2] + cd for cd in bset]
@@ -328,14 +339,11 @@ def _cone_level_words(model, rel, roots2, level, budget=2_000_000):
     """All relative words of the cone with 2-letter members ``roots2`` at the
     given level, as full strings in the 2-letter root frame."""
     words = list(roots2)
-    P = rel.pair_index
     for _ in range(level - 2):
         nxt = set()
         for w in words:
-            for rhs, _ in model.up_rules.get(w[-2:], ()):
-                base = w[:-2] + rhs[0]
-                for fg in np.flatnonzero(rel.reach22[P[rhs[1:]]]):
-                    nxt.add(base + rel.pairs[fg])
+            for c, mask in rel.up_step[rel.pair_index[w[-2:]]].items():
+                nxt.update(w[:-2] + c + fg for fg in rel.pairs_of(mask))
         words = sorted(nxt)
         if len(words) > budget:
             raise AssumptionError(f"cone enumeration exceeded budget at level {level}")
@@ -345,27 +353,32 @@ def _cone_level_words(model, rel, roots2, level, budget=2_000_000):
 def _group_same_level_cones(rel, words):
     """Group equal-length words into cone classes (same prefix, mutually
     reachable suffixes); returns {lex-least root: member list}."""
-    P = rel.pair_index
     groups = {}
     for w in words:
-        key = None
-        for root in groups:
-            if w[:-2] == root[:-2] and rel.reach22[P[root[-2:]], P[w[-2:]]] \
-                    and rel.reach22[P[w[-2:]], P[root[-2:]]]:
-                key = root
-                break
-        if key is None:
-            groups[w] = [w]
-        elif w < key:
-            groups[w] = groups.pop(key) + [w]
-        else:
-            groups[key].append(w)
-    return dict(sorted(groups.items()))
+        groups.setdefault((w[:-2], rel.class_of[w[-2:]]), []).append(w)
+    return dict(sorted((min(ms), ms) for ms in groups.values()))
 
 
-def _children_classes(model, rel, members):
-    words3 = _cone_level_words(model, rel, members, 3)
-    return _group_same_level_cones(rel, words3)
+def _children_classes(model, rel, roots):
+    """The child cones one level below ``roots`` (2-letter members of a
+    type, or one longer root)."""
+    return _group_same_level_cones(rel, _cone_level_words(model, rel, roots, 3))
+
+
+def _type_graph(model, rel, types, type_of):
+    """Forward-reachable types and child cones (first letter, type) of each
+    type, and whether each type reaches one with two or more child cones."""
+    P = rel.pair_index
+    forward, children = {}, {}
+    for ct in types:
+        reach = {type_of[cd] for cd in model.reachable_suffixes
+                 if rel.reach_ge2[P[ct.representative], P[cd]]}
+        forward[ct.id] = frozenset(reach | {ct.id})
+        children[ct.id] = [(root[0], type_of[root[-2:]])
+                           for root in _children_classes(model, rel, ct.members)]
+    expanding = {ct.id: any(len(children[j]) >= 2 for j in forward[ct.id])
+                 for ct in types}
+    return forward, children, expanding
 
 
 def build_atlas(model, order_key=None, method="auto", level_bump=0, depth_cap=None):
@@ -380,30 +393,7 @@ def build_atlas(model, order_key=None, method="auto", level_bump=0, depth_cap=No
     types, type_of = classify_types(model, rel)
     if depth_cap is None:
         depth_cap = 4 * len(types) + 8
-    P = rel.pair_index
-
-    forward = {}
-    for ct in types:
-        reach = {type_of[cd] for cd in model.reachable_suffixes
-                 if rel.reach_ge2[P[ct.representative], P[cd]]}
-        reach.add(ct.id)
-        forward[ct.id] = frozenset(reach)
-
-    children = {}
-    for ct in types:
-        kids = []
-        for root, members in _children_classes(model, rel, ct.members).items():
-            firsts = {m[0] for m in members}
-            if len(firsts) != 1:
-                raise AssumptionError("child cone class without a common first letter")
-            kids.append((root[0], type_of[root[-2:]]))
-        children[ct.id] = kids
-
-    expanding_types = {
-        ct.id: any(len(children[j]) >= 2 for j in forward[ct.id])
-        for ct in types
-    }
-
+    forward, children, expanding_types = _type_graph(model, rel, types, type_of)
     atlas = ConeAtlas(model, rel, types, type_of, forward, children,
                       expanding_types, depth_cap=depth_cap)
     key = order_key or (lambda w: w)
@@ -439,22 +429,22 @@ def _build_type_covering(atlas, ct, key, method="auto", level_bump=0):
         _certify(atlas, ct.members, cov)
         return cov
 
+    def covering_groups(level):
+        groups = _group_same_level_cones(
+            rel, _cone_level_words(model, rel, ct.members, level))
+        return groups if needed <= {atlas.type_of[r[-2:]] for r in groups} else None
+
     if method in ("auto", "uniform"):
         found = None
         for level in range(3, atlas.depth_cap + 3):
-            words = _cone_level_words(model, rel, ct.members, level)
-            groups = _group_same_level_cones(rel, words)
-            present = {atlas.type_of[r[-2:]] for r in groups}
-            if needed <= present:
+            groups = covering_groups(level)
+            if groups:
                 found = (level, groups)
                 break
         if found and level_bump:
-            level = found[0] + level_bump
-            words = _cone_level_words(model, rel, ct.members, level)
-            groups = _group_same_level_cones(rel, words)
-            present = {atlas.type_of[r[-2:]] for r in groups}
-            if needed <= present:
-                found = (level, groups)
+            groups = covering_groups(found[0] + level_bump)
+            if groups:
+                found = (found[0] + level_bump, groups)
         if found:
             level, groups = found
             cov = Covering(ct.id, _make_slots(atlas, list(groups), key),
@@ -495,10 +485,7 @@ def _build_recursive_covering(atlas, ct, key):
         else:
             # expand into the child cones of this root, keeping the pool
             # disjoint and (if the type is still needed) not losing it
-            kids = [(len(r), r) for r in
-                    _group_same_level_cones(
-                        rel, _cone_level_words(model, rel, [root],
-                                               len(root) + 1))]
+            kids = [(len(r), r) for r in _children_classes(model, rel, [root])]
             if t in missing and len(kids) <= 1:
                 exemplars.append(root)
                 missing.discard(t)
@@ -523,22 +510,51 @@ def _build_recursive_covering(atlas, ct, key):
 
 def _certify(atlas, roots2, cov):
     """Exact-cover certificate: every cone word at the covering depth lies in
-    exactly one slot cone.  Slots are bucketed by their frozen prefix so only
-    compatible roots are tested."""
-    buckets = {}
+    exactly one slot cone.
+
+    A cone word is a frozen prefix u followed by a pair of the automaton
+    mask reached along u; a slot cone is the same automaton started from the
+    root's closure where the root's prefix ends.  A depth-first walk over
+    the frozen prefixes carries the cone mask and one mask per entered slot
+    and checks at depth ``depth_bound - 2`` that each cone pair lies in
+    exactly one slot mask.  Below the last slot prefix a node is determined
+    by its masks and depth, so nodes that passed are memoised on those.
+    """
+    rel, P = atlas.rel, atlas.rel.pair_index
+    leaf = cov.depth_bound - 2
+    starts = {}
     for s in cov.slots:
-        buckets.setdefault((len(s.root), s.root[:-2]), []).append(s.root)
-    words = _cone_level_words(atlas.model, atlas.rel, roots2, cov.depth_bound)
-    lengths = {len(s.root) for s in cov.slots}
-    for w in words:
-        hits = 0
-        for ell in lengths:
-            for root in buckets.get((ell, w[:ell - 2]), ()):
-                if tail_reachable(atlas.rel, root[-2:], w[ell - 2:]):
-                    hits += 1
-        if hits != 1:
-            raise AssumptionError(
-                f"covering certificate failed: {w} lies in {hits} slot cones")
+        starts.setdefault(s.root[:-2], []).append(rel.closure[P[s.root[-2:]]])
+    pending = {u[:k] for u in starts for k in range(len(u))}
+    letters = sorted(atlas.model.alphabet)
+    passed = set()
+
+    def walk(u, mask, active):
+        active = sorted(active + starts.get(u, []))
+        key = None if u in pending else (mask, tuple(active), len(u))
+        if key in passed:
+            return
+        if len(u) == leaf:
+            seen = twice = 0
+            for m in active:
+                twice |= seen & m
+                seen |= m
+            bad = mask & (twice | ~seen)
+            if bad:
+                w = min(u + fg for fg in rel.pairs_of(bad))
+                hits = sum(m >> P[w[-2:]] & 1 for m in active)
+                raise AssumptionError(
+                    f"covering certificate failed: {w} lies in {hits} slot cones")
+        else:
+            for c in letters:
+                nxt = rel.advance(mask, c)
+                if nxt:
+                    walk(u + c, nxt, [m for m in (rel.advance(a, c) for a in active)
+                                      if m])
+        if key is not None:
+            passed.add(key)
+
+    walk("", sum(1 << P[r] for r in set(roots2)), [])
     cov.certified = True
 
 
@@ -569,14 +585,7 @@ def is_expanding(model, rel=None):
     contain two disjoint proper subcones?"""
     rel = rel or saturate_supports(model)
     types, type_of = classify_types(model, rel)
-    P = rel.pair_index
-    children = {ct.id: _children_classes(model, rel, ct.members) for ct in types}
-    for ct in types:
-        forward = {type_of[cd] for cd in model.reachable_suffixes
-                   if rel.reach_ge2[P[ct.representative], P[cd]]} | {ct.id}
-        if any(len(children[j]) >= 2 for j in forward):
-            return True
-    return False
+    return any(_type_graph(model, rel, types, type_of)[2].values())
 
 
 def limit_words(model, atlas):

@@ -432,10 +432,6 @@ class LWordEvaluator:
         self.stack = [(base / base.sum(), float(np.log(base.sum())))]
         self.word = ""
 
-    def reset(self):
-        self.stack = [self.stack[0]]
-        self.word = ""
-
     def step(self, new_word):
         target = max(len(new_word) - 2, 0)
         while len(self.stack) - 1 > target:

@@ -29,23 +29,10 @@ def mathL(gf, x, y, with_deriv=False):
     """Last-entry value from ``x`` to the relative word ``y`` (|y| >= 3),
     chained over one-level-up factors; depends on x only through its last
     two letters."""
-    ab = x[-2:]
-    lbar = gf.lbar
-    idx = lbar.index
-    if ab not in idx:
-        raise ValueError(f"suffix {ab!r} not reachable")
-    n = len(lbar.rpairs)
-    alpha = np.zeros(n)
-    alpha[idx[ab]] = 1.0
-    dalpha = np.zeros(n)
-    for ch in y[:-2]:
-        if with_deriv:
-            dalpha = dalpha @ lbar.M[ch] + alpha @ lbar.Md[ch]
-        alpha = alpha @ lbar.M[ch]
-    j = idx[y[-2:]]
-    if with_deriv:
-        return float(alpha[j]), float(dalpha[j])
-    return float(alpha[j])
+    if x[-2:] not in gf.lbar.index:
+        raise ValueError(f"suffix {x[-2:]!r} not reachable")
+    val, dval = _ChainEvaluator(gf, x[-2:], with_deriv).value(y)
+    return (val, dval) if with_deriv else val
 
 
 class _ChainEvaluator:
@@ -143,15 +130,6 @@ class EntryChain:
             for y, p in zip(r.targets, r.probs):
                 rows.append(i); cols.append(self.state_index[y]); vals.append(p)
         return csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    @property
-    def irreducible(self):
-        return len(self.classes) == 1 and not self.has_inessential_states
-
-    @property
-    def has_inessential_states(self):
-        essential = {i for c in self.classes for i in c.state_ids}
-        return len(essential) < len(self.states)
 
 
 def enumerate_W0(atlas, gf):
@@ -277,66 +255,72 @@ def _initial_distribution(chain):
 
 
 def _decompose(chain):
-    """Strongly-connected structure of the transition support, absorption
-    weights, and the per-class stationary quantities."""
+    """Essential classes, absorption weights and stationary quantities,
+    computed on the suffix quotient and lifted to the states.
+
+    Rows depend on a state only through its suffix, so the suffix process
+    is itself a Markov chain (strong lumpability, Kemeny & Snell, Finite
+    Markov Chains, 6.3) with S[ab, cd] the q-mass of row ab on targets
+    ending in cd.  A closed class E of S gives the essential state class
+    made of the targets of its rows; absorption into E from the suffix law
+    of mu0 gives the class weight, and the stationary law pi of S on E lifts
+    in one push, nu(y) = sum_ab pi(ab) q(ab, y).
+    """
     n = len(chain.states)
-    Q = chain.q_matrix()
-    ncomp, labels = connected_components(Q, directed=True, connection="strong")
+    sfx = sorted(chain.suffix_rows)
+    k = {s: a for a, s in enumerate(sfx)}
+    rows = [chain.suffix_rows[s] for s in sfx]
+    cols = [np.array([chain.state_index[y] for y in r.targets], dtype=int)
+            for r in rows]
+    state_sfx = np.array([k[w[-2:]] for w in chain.states], dtype=int)
+    S = np.zeros((len(sfx), len(sfx)))
+    for a, (r, c) in enumerate(zip(rows, cols)):
+        np.add.at(S[a], state_sfx[c], r.probs)
+    ncomp, labels = connected_components(csr_matrix(S > 0), directed=True,
+                                         connection="strong")
     has_exit = np.zeros(ncomp, dtype=bool)
-    coo = Q.tocoo()
-    for i, j in zip(coo.row, coo.col):
-        if labels[i] != labels[j]:
-            has_exit[labels[i]] = True
+    has_exit[labels[((S > 0) & (labels[:, None] != labels)).any(axis=1)]] = True
     essential = [c for c in range(ncomp) if not has_exit[c]]
 
-    # absorption probabilities from the first-increment law
-    trans_ids = [i for i in range(n) if has_exit[labels[i]]]
-    weights = {}
-    for c in essential:
-        weights[c] = float(chain.mu0[labels == c].sum())
-    if trans_ids:
-        QTT = Q[trans_ids][:, trans_ids].toarray()
+    # absorption probabilities from the suffix law of mu0
+    m0 = np.bincount(state_sfx, weights=chain.mu0, minlength=len(sfx))
+    trans = np.flatnonzero(has_exit[labels])
+    weights = {c: float(m0[labels == c].sum()) for c in essential}
+    if len(trans):
+        fund = np.eye(len(trans)) - S[np.ix_(trans, trans)]
         for c in essential:
-            target = [i for i in range(n) if labels[i] == c]
-            b = np.asarray(Q[trans_ids][:, target].sum(axis=1)).ravel()
-            absorb = np.linalg.solve(np.eye(len(trans_ids)) - QTT, b)
-            weights[c] += float(chain.mu0[trans_ids] @ absorb)
+            b = S[np.ix_(trans, np.flatnonzero(labels == c))].sum(axis=1)
+            weights[c] += float(m0[trans] @ np.linalg.solve(fund, b))
     wsum = sum(weights.values())
     if abs(wsum - 1.0) > 1e-9:
         raise AssumptionError(f"absorption weights sum to {wsum!r}")
 
-    chain.classes = []
-    mix = np.zeros(n)
-    lam_mix = 0.0
-    ell_mix = 0.0
-    time_ok = True
-    for k, c in enumerate(sorted(essential, key=lambda c: min(
-            i for i in range(n) if labels[i] == c))):
-        ids = [i for i in range(n) if labels[i] == c]
-        sub = Q[ids][:, ids].toarray()
-        nu = stationary(sub)
-        lam = float(sum(nu[a] * (len(chain.states[i]) - 2)
-                        for a, i in enumerate(ids)))
-        times = [chain.suffix_rows[chain.states[i][-2:]].expected_time for i in ids]
-        if any(t is None for t in times):
-            T = None
-            ell = None
-            time_ok = False
-        else:
-            T = float(sum(nu[a] * times[a] for a in range(len(ids))))
-            ell = lam / T
-        cls = EssentialClass(k, ids, weights[c], nu, lam, T, ell,
-                             frozenset(chain.state_type[i] for i in ids))
-        chain.classes.append(cls)
-        for a, i in enumerate(ids):
-            mix[i] += weights[c] * nu[a]
-        lam_mix += weights[c] * lam
-        if ell is not None:
-            ell_mix += weights[c] * ell
-    chain.nu0 = mix
-    chain.lambda_ = lam_mix
-    chain.expected_time = (lam_mix / ell_mix) if (time_ok and ell_mix > 0) else None
-    chain.ell = ell_mix if time_ok else None
+    increments = np.array([len(w) - 2 for w in chain.states], dtype=float)
+    time_ok = all(r.expected_time is not None for r in rows)
+    if time_ok:
+        times = np.array([r.expected_time for r in rows])[state_sfx]
+    classes = []
+    for c in essential:
+        E = np.flatnonzero(labels == c)
+        classes.append((np.unique(np.concatenate([cols[a] for a in E])), c, E))
+    classes.sort(key=lambda t: t[0][0])
+    chain.classes, chain.nu0 = [], np.zeros(n)
+    for idx, (ids, c, E) in enumerate(classes):
+        nu = np.zeros(n)
+        for a, p in zip(E, stationary(S[np.ix_(E, E)])):
+            nu[cols[a]] += p * rows[a].probs
+        nu = nu[ids] / nu.sum()    # rows are stochastic up to ROW_RENORM
+        lam = float(nu @ increments[ids])
+        T = float(nu @ times[ids]) if time_ok else None
+        chain.classes.append(EssentialClass(
+            idx, ids.tolist(), weights[c], nu, lam, T,
+            lam / T if time_ok else None,
+            frozenset(chain.state_type[i] for i in ids)))
+        chain.nu0[ids] += weights[c] * nu
+    chain.lambda_ = sum(c.weight * c.lambda_ for c in chain.classes)
+    chain.ell = sum(c.weight * c.ell for c in chain.classes) if time_ok else None
+    chain.expected_time = (chain.lambda_ / chain.ell
+                           if time_ok and chain.ell > 0 else None)
 
 
 def stationary(q):

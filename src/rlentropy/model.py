@@ -228,8 +228,12 @@ def check_weak_symmetry(model, max_len=6):
 
     Checked on the ball of reachable words up to ``max_len``: outgoing edges
     of a word are rule-determined, so each edge found inside the ball is
-    tested for an exact reverse edge regardless of ball truncation.
+    tested for an exact reverse edge regardless of ball truncation.  The
+    report is cached on the (immutable) model.
     """
+    cached = getattr(model, "_weak_symmetry", None)
+    if cached is not None and cached[0] == max_len:
+        return cached[1]
     violations = []
     seen = set()
     frontier = [""]
@@ -246,7 +250,9 @@ def check_weak_symmetry(model, max_len=6):
             if len(succ) <= max_len and succ not in seen:
                 seen.add(succ)
                 frontier.append(succ)
-    return CheckReport(not violations, "weak-symmetry", violations)
+    model._weak_symmetry = (max_len, CheckReport(not violations,
+                                                 "weak-symmetry", violations))
+    return model._weak_symmetry[1]
 
 
 def check_suffix_irreducibility(model):

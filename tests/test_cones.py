@@ -1,13 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rlentropy as rle
+from rlentropy import cones, pipeline
 from rlentropy.cones import (cones_disjoint, in_cone, limit_words,
                              saturate_supports, tail_reachable,
                              _cone_level_words)
 from rlentropy.model import AssumptionError
 
-from conftest import get_atlas, get_gf, get_model
+from cone_oracle import tail_reachable_rows
+from conftest import FIXTURES, get_atlas, get_gf, get_model
+
+ALL_MODELS = sorted(p.stem for p in FIXTURES.glob("*.rw")) + \
+    ["mixed", "multi", "twotype"]
 
 
 def brute_cone_members(model, root, depth, headroom=4):
@@ -251,3 +260,33 @@ def test_build_covering_wrapper(ne):
     from rlentropy.cones import build_covering
     cov = build_covering(ne, 0)
     assert cov.certified and len(cov.slots) == 1
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_membership_automaton_matches_row_oracle(data):
+    rel = saturate_supports(get_model(data.draw(st.sampled_from(ALL_MODELS))))
+    pair = data.draw(st.sampled_from(rel.pairs))
+    tail = data.draw(st.text(alphabet=sorted(rel.model.alphabet), max_size=6))
+    tail += data.draw(st.sampled_from(rel.pairs))
+    assert tail_reachable(rel, pair, tail) == tail_reachable_rows(rel, pair, tail)
+
+
+def test_recursive_children_one_level_deeper(monkeypatch):
+    expanded = []
+    children = cones._children_classes
+
+    def recorded(model, rel, roots):
+        kids = children(model, rel, roots)
+        expanded.append((roots, list(kids)))
+        return kids
+
+    monkeypatch.setattr(cones, "_children_classes", recorded)
+    res = pipeline.analyze(get_model("t3"), covering_method="recursive")
+    pool_roots = [(roots[0], kids) for roots, kids in expanded
+                  if len(roots) == 1]
+    assert any(len(root) > 2 for root, _ in pool_roots)
+    for root, kids in pool_roots:
+        assert all(len(k) == len(root) + 1 for k in kids), (root, kids)
+    assert {c.method for c in res.atlas.coverings.values()} == {"recursive"}
+    assert abs(res.report.h - math.log(2) / 3) <= 1e-12

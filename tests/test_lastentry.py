@@ -7,6 +7,7 @@ import rlentropy as rle
 from rlentropy.lastentry import (enumerate_W0, mathL, stationary,
                                  stationary_power)
 
+from chain_oracle import dense_decomposition
 from conftest import get_atlas, get_chain, get_gf, get_model
 
 
@@ -193,3 +194,40 @@ def test_expected_time_and_ell_relation():
                                           rel=1e-12)
         assert 0 < chain.ell <= 1
         assert chain.lambda_ > 0
+
+
+@pytest.mark.parametrize("name", ["fg2", "t3", "ne", "multi", "twotype",
+                                  "glued"])
+def test_suffix_quotient_matches_dense_solve(name):
+    _assert_matches_dense(get_chain(name))
+
+
+def _assert_matches_dense(chain):
+    dense = dense_decomposition(chain)
+    assert len(chain.classes) == len(dense)
+    for cls, (ids, weight, nu, lam, T) in zip(chain.classes, dense):
+        assert cls.state_ids == ids
+        assert abs(cls.weight - weight) <= 1e-12
+        assert np.max(np.abs(cls.nu0 - nu)) <= 1e-12
+        assert abs(cls.lambda_ - lam) <= 1e-12
+        assert abs(cls.expected_time - T) <= 1e-12
+
+
+def test_suffix_quotient_with_transient_states():
+    # suffix ab is transient; {cd, dc} and {ef} are closed; state zcd has an
+    # essential suffix but no state reaches it
+    from rlentropy.lastentry import EntryChain, SuffixRow, _decompose
+    rows = {"ab": (["xab", "xcd", "xef"], [0.2, 0.3, 0.5]),
+            "cd": (["xdc", "ycd"], [0.6, 0.4]),
+            "dc": (["xcd", "ycd"], [0.7, 0.3]),
+            "ef": (["xef", "yef"], [0.5, 0.5])}
+    suffix_rows = {s: SuffixRow(s, t, np.array(p), np.array(p) * (1 + len(s)))
+                   for s, (t, p) in rows.items()}
+    states = ["xab", "xcd", "xdc", "xef", "ycd", "yef", "zcd"]
+    chain = EntryChain(None, None, None, states,
+                       {w: i for i, w in enumerate(states)}, [0] * 7,
+                       suffix_rows, {}, {},
+                       np.array([0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]))
+    _decompose(chain)
+    assert [c.state_ids for c in chain.classes] == [[1, 2, 4], [3, 5]]
+    _assert_matches_dense(chain)

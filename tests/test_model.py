@@ -5,7 +5,7 @@ import pytest
 import rlentropy as rle
 from rlentropy.model import ModelError
 
-from conftest import get_gf, get_model
+from conftest import fixture_path, get_gf, get_model
 
 
 def test_fg2_reachable_suffixes(fg2):
@@ -65,6 +65,13 @@ def test_fraction_and_decimal_probs():
 def test_weak_symmetry_fixtures():
     for name in ("fg2", "t3", "ne", "line", "glued", "a2", "multi"):
         assert rle.check_weak_symmetry(get_model(name)).ok, name
+
+
+def test_weak_symmetry_report_cached_per_model():
+    model = rle.load_model(fixture_path("t3"))
+    first = rle.check_weak_symmetry(model)
+    assert rle.check_weak_symmetry(model) is first
+    assert rle.check_weak_symmetry(model, max_len=4) is not first
 
 
 def test_weak_symmetry_violation_reported(fg2):
