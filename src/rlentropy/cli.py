@@ -142,7 +142,7 @@ def cmd_analyze(args):
         emit({"error": "model not usable", "reasons": val.reasons},
              args.format)
         return 1
-    gf = genfun.solve_all(model, tol=args.tol, xi_tol=args.tol_recurrence)
+    gf = pipeline.solve(model, tol=args.tol, xi_tol=args.tol_recurrence)
     payload = {
         "manifest": make_manifest("analyze", [args.model],
                                   {"tol": args.tol,
@@ -206,7 +206,7 @@ def cmd_simulate(args):
         emit({"error": "model not usable", "reasons": val.reasons},
              args.format)
         return 1
-    gf = genfun.solve_all(model, xi_tol=args.tol_recurrence)
+    gf = pipeline.solve(model, xi_tol=args.tol_recurrence)
     cfg = simulate.SimConfig(args.steps, args.trajectories, args.seed)
     rep = simulate.run_trajectories(model, cfg, gf=gf if gf.transient else None)
     payload = {

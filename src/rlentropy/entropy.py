@@ -9,16 +9,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from .model import AssumptionError
 from .cones import limit_words
 
-LOG = math.log
-
 SANDWICH_BUDGET = 5_000_000
 INEQ_SLACK = 1e-9
 SPAN_RTOL = 1e-9      # marginal check: relative residual of a new direction
+SPAN_CHUNK = 512      # marginal check: basis words extended at a time
 
 
 # -- the enriched state space -------------------------------------------------
@@ -41,18 +40,94 @@ def hidden_symbol(atlas, prev_state, next_state):
     return (i, next_state.slot_type, 1)
 
 
+def _suffix_mass(chain, cls):
+    """Stationary mass of the class's states, summed per two-letter suffix."""
+    mass = {}
+    for a, i in enumerate(cls.state_ids):
+        sfx = chain.states[i][-2:]
+        mass[sfx] = mass.get(sfx, 0.0) + cls.nu0[a]
+    return mass
+
+
+@dataclass
+class StepTable:
+    """One step of a chain over the enriched states, factored through the
+    rows its states share: state x moves by table row ``row_of[x]``, whose
+    entries (symbol id, target, probability) are ``sym``, ``tgt`` and
+    ``prob`` from ``start[r]`` to ``start[r + 1]``."""
+    row_of: np.ndarray
+    start: np.ndarray
+    sym: np.ndarray
+    tgt: np.ndarray
+    prob: np.ndarray
+
+
+def _step_table(hidden, state_rows, sym_id):
+    """The step table of per-state rows [(target idx, prob), ...].  States
+    share a table row when they share their suffix and their row object
+    (``HiddenChain`` and ``build_qhat`` give all states of a suffix one row
+    object).  ``sym_id`` numbers the hidden symbols and grows with new
+    ones."""
+    row_id, reps = {}, []
+    row_of = np.empty(len(state_rows), dtype=np.int64)
+    for x, row in enumerate(state_rows):
+        st = hidden.states[x]
+        key = (st.word[-2:], id(row))
+        if key not in row_id:
+            row_id[key] = len(reps)
+            reps.append((st, row))
+        row_of[x] = row_id[key]
+    sym = [sym_id.setdefault(hidden_symbol(hidden.atlas, st,
+                                           hidden.states[j]), len(sym_id))
+           for st, row in reps for j, _ in row]
+    tgt, prob = zip(*[e for _, row in reps for e in row])
+    return StepTable(row_of, np.cumsum([0] + [len(row) for _, row in reps]),
+                     np.array(sym), np.array(tgt), np.array(prob))
+
+
+def _extend(frontier, step):
+    """Every nonzero successor of every frontier row, one per (row, symbol).
+
+    A frontier row is the forward vector of one word over the states (CSR).
+    A step depends on a state only through its table row, so each word's
+    mass is summed per table row and then spread over that row's entries.
+    Returns the successors as the rows of one CSR matrix, ordered by parent
+    row and then by symbol, with the symbol and the parent row of each."""
+    n_rows, n_sym = len(step.start) - 1, int(step.sym.max()) + 1
+    parent = np.repeat(np.arange(frontier.shape[0]), np.diff(frontier.indptr))
+    pair, inv = np.unique(parent * n_rows + step.row_of[frontier.indices],
+                          return_inverse=True)
+    mass = np.bincount(inv, weights=frontier.data)
+    word, row = np.divmod(pair, n_rows)
+    lens = step.start[row + 1] - step.start[row]
+    entry = (np.repeat(step.start[row] - np.cumsum(lens) + lens, lens)
+             + np.arange(lens.sum()))
+    val = np.repeat(mass, lens) * step.prob[entry]
+    keep = val != 0                   # products that underflowed
+    entry = entry[keep]
+    key, succ_row = np.unique(np.repeat(word, lens)[keep] * n_sym
+                              + step.sym[entry], return_inverse=True)
+    succ = csr_matrix((val[keep], (succ_row, step.tgt[entry])),
+                      shape=(len(key), frontier.shape[1]))
+    parent, sym = np.divmod(key, n_sym)
+    return succ, sym, parent
+
+
+def _mass(frontier):
+    """Probability of each frontier row's word: the sum of its vector."""
+    return np.asarray(frontier.sum(axis=1)).ravel()
+
+
 class HiddenChain:
     """Enriched last-entry chain of one essential class: states carry the
-    slot through which each increment's cone was entered, transitions are
-    grouped by emitted hidden symbol."""
+    slot through which each increment's cone was entered; ``step`` holds
+    the transitions with their emitted hidden symbols, one table row per
+    suffix, and ``symbols[k]`` is the symbol with id k."""
 
     def __init__(self, chain, cls):
         self.chain = chain
-        self.cls = cls
         self.atlas = atlas = chain.atlas
         class_words = {chain.states[i] for i in cls.state_ids}
-        self.nu0 = {chain.states[i]: cls.nu0[a]
-                    for a, i in enumerate(cls.state_ids)}
 
         self.states = []
         self.index = {}
@@ -73,20 +148,14 @@ class HiddenChain:
             targets[sfx] = [
                 (self.index[WState(i, s.type_id, s.local_index, y)], float(p))
                 for s, y, p in zip(slots, row.targets, row.probs)]
-        shared = {}
-        for st in self.states:
-            if st.word[-2:] not in shared:
-                by_symbol = shared[st.word[-2:]] = {}
-                for k, p in targets[st.word[-2:]]:
-                    sym = hidden_symbol(atlas, st, self.states[k])
-                    by_symbol.setdefault(sym, []).append((k, p))
-        # per state: {symbol: [(target idx, prob), ...]}
-        self.trans = [shared[st.word[-2:]] for st in self.states]
+        sym_id = {}
+        self.step = _step_table(
+            self, [targets[st.word[-2:]] for st in self.states], sym_id)
+        self.symbols = list(sym_id)
         self.nu = np.zeros(len(self.states))
-        for w, mass in self.nu0.items():
-            for k, p in targets[w[-2:]]:
-                self.nu[k] += mass * p
-        self.symbols = sorted({s for t in shared.values() for s in t})
+        for sfx, mass in _suffix_mass(chain, cls).items():
+            k, p = zip(*targets[sfx])
+            np.add.at(self.nu, list(k), mass * np.array(p))
 
     def initial_mu1(self):
         """Law of the first enriched state restricted to this class."""
@@ -114,38 +183,6 @@ class EntropyBounds:
     monte_carlo: bool = False
     std_error: float | None = None
 
-    @property
-    def lower(self):
-        return self.lowers[-1]
-
-    @property
-    def upper(self):
-        return self.uppers[-1]
-
-
-def _step_vectors(hidden, vectors, budget_state):
-    """Expand each forward vector over one hidden symbol, pruning zeros."""
-    out = []
-    for vec in vectors:
-        succ = {}
-        for idx, mass in vec.items():
-            for sym, targets in hidden.trans[idx].items():
-                d = succ.setdefault(sym, {})
-                for j, p in targets:
-                    d[j] = d.get(j, 0.0) + mass * p
-            budget_state[0] += len(hidden.trans[idx])
-        out.extend(succ.values())
-    return out
-
-
-def _entropy_of(vectors):
-    h = 0.0
-    for vec in vectors:
-        p = sum(vec.values())
-        if p > 0:
-            h -= p * LOG(p)
-    return h
-
 
 def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
                     mc_samples=20000, seed=7):
@@ -154,52 +191,41 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
     The upper bound conditions on the visible history, the lower bound
     additionally on the initial enriched pair; both are exact forward sums
     over positive-probability symbol sequences, stopping once the gap closes
-    below ``gap_tol`` or at ``n_max``.  Past the expansion budget a
-    stationary Monte Carlo estimator substitutes, with standard errors.
+    below ``gap_tol`` or at ``n_max``.  The expansion budget counts the
+    symbols out of each nonzero frontier entry; past it a stationary Monte
+    Carlo estimator substitutes, with standard errors.
     """
-    budget_state = [0]
-    uppers, lowers = [], []
+    step = hidden.step
+    n_symbols = np.array([len(np.unique(step.sym[a:b]))
+                          for a, b in zip(step.start, step.start[1:])])
+    spent = 0
 
-    up_levels = _step_vectors(
-        hidden, [{i: m for i, m in enumerate(hidden.nu) if m > 0}], budget_state)
-    joint_prev = _entropy_of(up_levels)
+    def advance(frontier):
+        nonlocal spent
+        spent += int(n_symbols[step.row_of[frontier.indices]].sum())
+        succ, _, parent = _extend(frontier, step)
+        return succ, _mass(succ), parent
 
+    up, p, _ = advance(csr_matrix(hidden.nu[None, :]))
+    joint_prev = -np.sum(p * np.log(p))
     # Conditioning on the initial enriched pair is, by the Markov property,
     # conditioning on the second state; one start vector per state suffices.
-    low_frontier = [{v: mass} for v, mass in enumerate(hidden.nu) if mass > 0]
-
+    live = np.flatnonzero(hidden.nu > 0)
+    low = csr_matrix((hidden.nu[live], (np.arange(len(live)), live)),
+                     shape=(len(live), len(hidden.nu)))
+    uppers, lowers = [], []
     n = 1
     while n < n_max:
         n += 1
-        if budget_state[0] > budget:
+        if spent > budget:
             return _sandwich_mc(hidden, n, gap_tol, mc_samples, seed)
-        nxt = _step_vectors(hidden, up_levels, budget_state)
-        joint_n = _entropy_of(nxt)
-        uppers.append(joint_n - joint_prev)
-        joint_prev = joint_n
-        up_levels = nxt
-
-        total_low = 0.0
-        new_low = []
-        for vec in low_frontier:
-            p_node = sum(vec.values())
-            if p_node <= 0:
-                continue
-            succ = {}
-            for idx, mass in vec.items():
-                for sym, targets in hidden.trans[idx].items():
-                    d = succ.setdefault(sym, {})
-                    for j, p in targets:
-                        d[j] = d.get(j, 0.0) + mass * p
-                budget_state[0] += len(hidden.trans[idx])
-            for d in succ.values():
-                p_next = sum(d.values())
-                if p_next > 0:
-                    total_low -= p_next * LOG(p_next / p_node)
-                    new_low.append(d)
-        lowers.append(total_low)
-        low_frontier = new_low
-
+        up, p, _ = advance(up)
+        joint = -np.sum(p * np.log(p))
+        uppers.append(float(joint - joint_prev))
+        joint_prev = joint
+        p_node = _mass(low)
+        low, p, parent = advance(low)
+        lowers.append(float(-np.sum(p * np.log(p / p_node[parent]))))
         if uppers[-1] - lowers[-1] < gap_tol:
             break
 
@@ -212,50 +238,46 @@ def _sandwich_mc(hidden, n, gap_tol, samples, seed):
     """Monte Carlo estimates of the two conditional entropies at depth n.
 
     Trajectories of the enriched chain are sampled from stationarity with a
-    counter-based generator; the per-sample conditional probabilities are
-    evaluated exactly by filtering."""
+    counter-based generator, all samples one step at a time (an entry of
+    each sample's table row by inversion of the cumulated probabilities);
+    the per-sample conditional probabilities are evaluated exactly by
+    filtering, all samples at once."""
+    step = hidden.step
     rng = np.random.Generator(np.random.Philox(key=seed))
     nu = hidden.nu / hidden.nu.sum()
-    rows = []
-    for idx in range(len(hidden.states)):
-        flat = [(sym, j, p) for sym, ts in hidden.trans[idx].items()
-                for j, p in ts]
-        probs = np.array([p for _, _, p in flat])
-        rows.append((flat, probs / probs.sum()))
+    cum = np.r_[0.0, np.cumsum(step.prob)]
+    state = rng.choice(len(nu), size=samples, p=nu)
+    syms, visited = np.empty((samples, n), dtype=np.int64), []
+    for i in range(n):
+        r = step.row_of[state]
+        a, b = step.start[r], step.start[r + 1]
+        u = cum[a] + rng.random(samples) * (cum[b] - cum[a])
+        e = np.minimum(np.searchsorted(cum, u, side="right") - 1, b - 1)
+        syms[:, i], state = step.sym[e], step.tgt[e]
+        visited.append(state)
 
-    up_vals, low_vals = [], []
-    for _ in range(samples):
-        state = int(rng.choice(len(nu), p=nu))
-        syms, states = [], [state]
-        for _k in range(n):
-            flat, pr = rows[states[-1]]
-            pick = flat[int(rng.choice(len(flat), p=pr))]
-            syms.append(pick[0])
-            states.append(pick[1])
-
-        def cond_surprise(vec0, symbols):
-            vec, p_hist = vec0, 1.0
-            out = None
-            for k, sym in enumerate(symbols):
-                d = {}
-                for idx, mass in vec.items():
-                    for j, p in hidden.trans[idx].get(sym, ()):
-                        d[j] = d.get(j, 0.0) + mass * p
-                p_next = sum(d.values())
-                if k == len(symbols) - 1:
-                    out = -LOG(p_next / p_hist)
-                p_hist, vec = p_next, d
-            return out
-
-        up_vals.append(cond_surprise(
-            {i: m for i, m in enumerate(nu) if m > 0}, syms))
-        low_vals.append(cond_surprise({states[1]: 1.0}, syms[1:]))
-
+    # every sample starts from nu: filter its first symbol once for all
+    first, sym, _ = _extend(csr_matrix(nu[None, :]), step)
+    up_vals = _surprise(step, first[np.searchsorted(sym, syms[:, 0])],
+                        syms[:, 1:])
+    low_vals = _surprise(step, csr_matrix(
+        (np.ones(samples), (np.arange(samples), visited[0])),
+        shape=(samples, len(nu))), syms[:, 1:])
     up, low = float(np.mean(up_vals)), float(np.mean(low_vals))
     se = float(np.sqrt(np.var(up_vals) / samples + np.var(low_vals) / samples))
     return EntropyBounds([up], [low], n, up - low, 0.5 * (up + low),
                          converged=(up - low < gap_tol), monte_carlo=True,
                          std_error=se)
+
+
+def _surprise(step, frontier, syms):
+    """-log P(last symbol | earlier symbols) for every frontier row, each
+    filtered along its own row of ``syms``."""
+    for k in range(syms.shape[1]):
+        before = _mass(frontier)
+        succ, sym, parent = _extend(frontier, step)
+        frontier = succ[sym == syms[parent, k]]
+    return -np.log(_mass(frontier) / before)
 
 
 # -- exact formula at a single-boundary type ------------------------------------
@@ -266,6 +288,36 @@ class ExactEntropy:
     truncation_bound: float
     suffix: str
     method: str
+
+
+def _regeneration_setup(chain, cls, suffix):
+    """What the regeneration formula needs: the suffix ``ab`` at which
+    blocks regenerate (``suffix``, else the first single-boundary suffix),
+    the class's stationary mass per suffix, each suffix row as a {target:
+    prob} map, and ``mates(word)``: the class words that share the word's
+    frozen part and end in a boundary suffix of its type."""
+    atlas = chain.atlas
+    boundaries = [atlas.types[t].boundary_suffixes for t in sorted(cls.types)]
+    exact_sfx = [b[0] for b in boundaries if len(b) == 1]
+    if not exact_sfx:
+        raise AssumptionError("no single-boundary cone type in this class")
+    ab = suffix or exact_sfx[0]
+    if ab not in exact_sfx:
+        raise AssumptionError(f"suffix {ab!r} is not unambiguous")
+    class_words = {chain.states[i] for i in cls.state_ids}
+    row_maps = {s: dict(zip(r.targets, map(float, r.probs)))
+                for s, r in chain.suffix_rows.items()}
+    mates_memo = {}
+
+    def mates(word):
+        if word not in mates_memo:
+            t = atlas.type_of[word[-2:]]
+            mates_memo[word] = [word[:-2] + cd
+                                for cd in atlas.types[t].boundary_suffixes
+                                if word[:-2] + cd in class_words]
+        return mates_memo[word]
+
+    return ab, _suffix_mass(chain, cls), row_maps, mates
 
 
 def unambiguous_exact(chain, cls, suffix=None, tail_tol=1e-10, max_depth=60,
@@ -279,38 +331,16 @@ def unambiguous_exact(chain, cls, suffix=None, tail_tol=1e-10, max_depth=60,
     are enumerated depth-first, the coarsened weight carried as a forward
     vector over boundary mates, with tail-mass accounting.
     """
-    atlas = chain.atlas
-    types = [atlas.types[t] for t in sorted(cls.types)]
-    exact_sfx = [t.boundary_suffixes[0] for t in types
-                 if len(t.boundary_suffixes) == 1]
-    if not exact_sfx:
-        raise AssumptionError("no single-boundary cone type in this class")
-    if suffix is not None and suffix not in exact_sfx:
-        raise AssumptionError(f"suffix {suffix!r} is not unambiguous")
-    nu0 = {chain.states[i]: cls.nu0[a] for a, i in enumerate(cls.state_ids)}
-
+    ab, mass, row_maps, mates = _regeneration_setup(chain, cls, suffix)
+    types = [chain.atlas.types[t] for t in cls.types]
     if not force_dfs and all(len(t.boundary_suffixes) == 1 for t in types):
+        # per suffix: its stationary mass times the entropy of its row
         hy = 0.0
-        for w, mass in nu0.items():
-            for p in chain.suffix_rows[w[-2:]].probs:
-                if p > 0:
-                    hy -= mass * float(p) * LOG(float(p))
-        return ExactEntropy(hy, 0.0, exact_sfx[0], "telescoped")
-
-    ab = suffix or exact_sfx[0]
-    nu_ab = sum(m for w, m in nu0.items() if w[-2:] == ab)
-    class_words = set(nu0)
-    row_maps = {sfx: dict(zip(r.targets, map(float, r.probs)))
-                for sfx, r in chain.suffix_rows.items()}
-    mates_memo = {}
-
-    def mates(word):
-        if word not in mates_memo:
-            t = atlas.type_of[word[-2:]]
-            mates_memo[word] = [word[:-2] + cd
-                                for cd in atlas.types[t].boundary_suffixes
-                                if word[:-2] + cd in class_words]
-        return mates_memo[word]
+        for sfx, m in mass.items():
+            p = chain.suffix_rows[sfx].probs
+            hy -= m * float(np.sum(p * np.log(p)))
+        return ExactEntropy(hy, 0.0, ab, "telescoped")
+    nu_ab = mass.get(ab, 0.0)
 
     acc = [0.0]
     spent = [0]
@@ -339,7 +369,7 @@ def unambiguous_exact(chain, cls, suffix=None, tail_tol=1e-10, max_depth=60,
             if y[-2:] == ab:
                 wt = beta_y.get(y, 0.0)
                 if wt > 0:
-                    acc[0] += -wy * LOG(wt)
+                    acc[0] += -wy * math.log(wt)
             else:
                 step(y[-2:], wy, beta_y, depth + 1)
 
@@ -353,13 +383,13 @@ def unambiguous_exact(chain, cls, suffix=None, tail_tol=1e-10, max_depth=60,
         if y[-2:] == ab:
             wt = beta.get(y, 0.0)
             if wt > 0:
-                acc[0] += -p * LOG(wt)
+                acc[0] += -p * math.log(wt)
         else:
             step(y[-2:], p, beta, 2)
 
     # unfinished blocks: bound each unrealized -w log w-tilde by the worst
     # per-step surprise times a geometric tail on the block length
-    bound = tail_mass[0] * (tail_depth[0] + 10) * (-LOG(min_q)) * 2.0
+    bound = tail_mass[0] * (tail_depth[0] + 10) * (-math.log(min_q)) * 2.0
     return ExactEntropy(nu_ab * acc[0], nu_ab * bound, ab, "regeneration-dfs")
 
 
@@ -371,31 +401,10 @@ def regeneration_mc(chain, cls, suffix=None, samples=50_000, seed=29):
     quantity the depth-first enumeration truncates, and the practical tool
     when the block tree is too wide to enumerate.
     """
-    atlas = chain.atlas
-    types = [atlas.types[t] for t in sorted(cls.types)]
-    exact_sfx = [t.boundary_suffixes[0] for t in types
-                 if len(t.boundary_suffixes) == 1]
-    if not exact_sfx:
-        raise AssumptionError("no single-boundary cone type in this class")
-    ab = suffix or exact_sfx[0]
-    if ab not in exact_sfx:
-        raise AssumptionError(f"suffix {ab!r} is not unambiguous")
-    nu0 = {chain.states[i]: cls.nu0[a] for a, i in enumerate(cls.state_ids)}
-    nu_ab = sum(v for w, v in nu0.items() if w[-2:] == ab)
-    class_words = set(nu0)
-    row_maps = {s: dict(zip(r.targets, map(float, r.probs)))
-                for s, r in chain.suffix_rows.items()}
+    ab, mass, row_maps, mates = _regeneration_setup(chain, cls, suffix)
+    nu_ab = mass.get(ab, 0.0)
     rows = {s: (r.targets, np.asarray(r.probs, dtype=float) / r.probs.sum())
             for s, r in chain.suffix_rows.items()}
-    mates_memo = {}
-
-    def mates(word):
-        if word not in mates_memo:
-            t = atlas.type_of[word[-2:]]
-            mates_memo[word] = [word[:-2] + cd
-                                for cd in atlas.types[t].boundary_suffixes
-                                if word[:-2] + cd in class_words]
-        return mates_memo[word]
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     vals = np.empty(samples)
@@ -412,7 +421,7 @@ def regeneration_mc(chain, cls, suffix=None, samples=50_000, seed=29):
                                 for mate, bm in beta.items())
                         for ym in mates(y)}
             if y[-2:] == ab:
-                vals[k] = -LOG(beta[y])
+                vals[k] = -math.log(beta[y])
                 break
             sfx = y[-2:]
     value = nu_ab * float(vals.mean())
@@ -489,59 +498,26 @@ def build_qhat(chain, cls):
     return ModifiedChain(hidden, rows, fold_counts)
 
 
-def _symbol_steps(hidden, modified):
-    """One-step matrices of the original chain (M_s) and of Q-hat (N_s),
-    each side stacked as [A_s1 | A_s2 | ...] in one n x (S n) CSR matrix so
-    that u @ A holds u's successor under every symbol s; and per s, the
-    sorted pair-vector coordinates its successors occupy."""
+def _pair_table(hidden, modified):
+    """The step table of the pair automaton: the enriched chain on states
+    0..n-1 beside Q-hat on states n..2n-1, with one symbol numbering."""
     n = len(hidden.states)
-    sym_id = {s: a for a, s in enumerate(hidden.symbols)}
-
-    def coo(state_rows, entries):
-        # states of one suffix that share a row object share one conversion
-        groups = {}
-        for idx, (st, row) in enumerate(zip(hidden.states, state_rows)):
-            groups.setdefault((st.word[-2:], id(row)), []).append(idx)
-        data, rows, cols = [], [], []
-        for idxs in groups.values():
-            sym, tgt, prob = zip(*entries(idxs[0]))
-            col = n * np.array([sym_id.setdefault(s, len(sym_id))
-                                for s in sym]) + tgt
-            rows.append(np.repeat(idxs, len(col)))
-            cols.append(np.tile(col, len(idxs)))
-            data.append(np.tile(prob, len(idxs)))
-        return np.concatenate(data), (np.concatenate(rows),
-                                      np.concatenate(cols))
-
-    orig = coo(hidden.trans, lambda idx: [
-        (s, j, p) for s, ts in hidden.trans[idx].items() for j, p in ts])
-    mod = coo(modified.rows, lambda idx: [
-        (hidden_symbol(hidden.atlas, hidden.states[idx], hidden.states[j]),
-         j, p) for j, p in modified.rows[idx]])
-    cu, cv = np.unique(orig[1][1]), np.unique(mod[1][1])
-    sym, col = np.r_[cu // n, cv // n], np.r_[cu % n, n + cv % n]
-    order = np.lexsort((col, sym))
-    columns = np.split(col[order],
-                       np.searchsorted(sym[order], np.arange(1, len(sym_id))))
-    shape = (n, len(sym_id) * n)
-    return csr_matrix(orig, shape=shape), csr_matrix(mod, shape=shape), columns
+    m, q = hidden.step, _step_table(
+        hidden, modified.rows, {s: k for k, s in enumerate(hidden.symbols)})
+    return StepTable(np.r_[m.row_of, q.row_of + len(m.start) - 1],
+                     np.r_[m.start, q.start[1:] + m.start[-1]],
+                     np.r_[m.sym, q.sym], np.r_[m.tgt, q.tgt + n],
+                     np.r_[m.prob, q.prob])
 
 
-def _extend(frontier, step_m, step_q):
-    """Every nonzero successor (u M_s, v N_s) of every frontier row (u, v),
-    as the rows of one CSR matrix sorted by s, and the symbol s per row."""
-    k, n = frontier.shape[0], step_m.shape[0]
-    parts = [(frontier[:, :n] @ step_m).tocoo(),
-             (frontier[:, n:] @ step_q).tocoo()]
-    word = np.concatenate([p.col.astype(np.int64) // n * k + p.row
-                           for p in parts])
-    col = np.concatenate([p.col % n + side * n
-                          for side, p in enumerate(parts)])
-    data = np.concatenate([p.data for p in parts])
-    keep = data != 0                  # products that underflowed
-    word, row = np.unique(word[keep], return_inverse=True)
-    succ = csr_matrix((data[keep], (row, col[keep])), shape=(len(word), 2 * n))
-    return succ, word // k
+def _dense_rows(succ, a, b, cols):
+    """Rows a..b-1 of a CSR matrix as a dense array over the sorted columns
+    ``cols``, which hold all their nonzeros."""
+    lo, hi = succ.indptr[a], succ.indptr[b]
+    out = np.zeros((b - a, len(cols)))
+    rows = np.repeat(np.arange(b - a), np.diff(succ.indptr[a:b + 1]))
+    out[rows, np.searchsorted(cols, succ.indices[lo:hi])] = succ.data[lo:hi]
+    return out
 
 
 def _new_directions(bases, s, rows):
@@ -567,29 +543,38 @@ def check_marginal_equality(chain, cls, modified, max_len=None):
     the pair automaton (Tzeng, SIAM J. Comput. 21, 1992) and their
     one-symbol extensions.  The pair vector of w is (mu1 M_w, mu1 N_w), and
     P(w) - P-hat(w) is linear in it.  Each level extends the newest basis
-    words by every symbol and keeps the extensions by s that leave the span
-    of the basis words ending in s (relative residual above SPAN_RTOL after
-    projecting that span out twice).  Once a level keeps nothing the span
-    is closed under every symbol, so the laws agree at every length iff
-    they agree on the basis words.  ``max_len=None`` runs to closure; an
-    integer stops after words of that length."""
+    words by every symbol, SPAN_CHUNK words at a time, and keeps the
+    extensions by s that leave the span of the basis words ending in s
+    (relative residual above SPAN_RTOL after projecting that span out
+    twice).  Once a level keeps nothing the span is closed under every
+    symbol, so the laws agree at every length iff they agree on the basis
+    words.  ``max_len=None`` runs to closure; an integer stops after words
+    of that length."""
     hidden = modified.hidden
     n = len(hidden.states)
-    step_m, step_q, columns = _symbol_steps(hidden, modified)
+    pair = _pair_table(hidden, modified)
+    # per symbol, the sorted pair-vector coordinates its successors occupy
+    sym, col = np.divmod(np.unique(pair.sym * 2 * n + pair.tgt), 2 * n)
+    columns = np.split(col, np.searchsorted(sym, np.arange(1, sym[-1] + 1)))
     mu1 = hidden.initial_mu1()
-    frontier = csr_matrix(np.concatenate([mu1, mu1])[None, :])
+    frontier = csr_matrix(np.r_[mu1, mu1][None, :])
     bases = {}         # symbol -> orthonormal rows over columns[symbol]
     worst, depth = 0.0, 0
     while frontier.shape[0] and (max_len is None or depth < max_len):
         depth += 1
-        succ, sym = _extend(frontier, step_m, step_q)
-        diff = succ @ np.r_[np.ones(n), -np.ones(n)]    # P(w) - P-hat(w)
-        worst = max(worst, float(np.abs(diff).max(initial=0.0)))
-        starts = np.flatnonzero(np.diff(sym, prepend=-1))
-        new = [a + _new_directions(bases, sym[a],
-                                   succ[a:b][:, columns[sym[a]]].toarray())
-               for a, b in zip(starts, np.r_[starts[1:], len(sym)])]
-        frontier = succ[np.concatenate([np.empty(0, np.int64), *new])]
+        kept = []
+        for a in range(0, frontier.shape[0], SPAN_CHUNK):
+            succ, sym, _ = _extend(frontier[a:a + SPAN_CHUNK], pair)
+            order = np.argsort(sym, kind="stable")
+            succ, sym = succ[order], sym[order]
+            diff = succ @ np.r_[np.ones(n), -np.ones(n)]   # P(w) - P-hat(w)
+            worst = max(worst, float(np.abs(diff).max(initial=0.0)))
+            starts = np.flatnonzero(np.diff(sym, prepend=-1))
+            new = [b + _new_directions(bases, sym[b], _dense_rows(
+                       succ, b, e, columns[sym[b]]))
+                   for b, e in zip(starts, np.r_[starts[1:], len(sym)])]
+            kept.append(succ[np.concatenate([np.empty(0, np.int64), *new])])
+        frontier = vstack(kept, format="csr")
     return worst
 
 
@@ -656,7 +641,7 @@ def assemble_report(model, gf, atlas=None, chain=None, n_max=16, gap_tol=1e-6,
         _finalize_checks(rep, model)
         return rep
 
-    classes = []
+    classes, notes = [], []
     h_total = 0.0
     marginal = None
     exact = None
@@ -672,6 +657,16 @@ def assemble_report(model, gf, atlas=None, chain=None, n_max=16, gap_tol=1e-6,
         hidden = modified.hidden if checked else HiddenChain(chain, cls)
         bounds = sandwich_bounds(hidden, n_max=n_max, gap_tol=gap_tol,
                                  budget=budget)
+        if bounds.monte_carlo:
+            notes.append(
+                f"class {cls.index}: expansion budget exceeded; the hidden "
+                f"entropy rate is a Monte Carlo estimate at depth "
+                f"{bounds.n_final}, standard error {bounds.std_error:.3g} "
+                "(sampling error only)")
+        elif not bounds.converged:
+            notes.append(
+                f"class {cls.index}: sandwich not converged at depth "
+                f"{bounds.n_final}, gap {bounds.gap:.3g} > {gap_tol:g}")
         try:
             exact = unambiguous_exact(chain, cls)
             hy_exact = exact.value
@@ -696,17 +691,19 @@ def assemble_report(model, gf, atlas=None, chain=None, n_max=16, gap_tol=1e-6,
                                    exact.method == "telescoped") else "sandwich"
         rep = EntropyReport(True, True, method, chain.ell, chain.lambda_,
                             c.hy, c.hy_gap, c.hy_n, h_total, True, True,
-                            classes=classes, marginal_check=marginal)
+                            classes=classes, marginal_check=marginal,
+                            notes=notes)
     else:
         rep = EntropyReport(True, True, "class-weighted", chain.ell,
                             chain.lambda_, None, None, None, h_total, True,
-                            True, classes=classes, marginal_check=marginal)
+                            True, classes=classes, marginal_check=marginal,
+                            notes=notes)
     _finalize_checks(rep, model)
     return rep
 
 
 def _finalize_checks(rep, model):
-    bound = (rep.ell or 0.0) * LOG(len(model.alphabet)) + INEQ_SLACK
+    bound = (rep.ell or 0.0) * math.log(len(model.alphabet)) + INEQ_SLACK
     rep.inequality_ok = rep.h <= bound
     if rep.transient:
         rep.sign_ok = (rep.h > 0) == rep.expanding

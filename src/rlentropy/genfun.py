@@ -103,9 +103,6 @@ class HTable:
         return float(self.values[self.pairs.index(ab),
                                  self.letters.index(c)])
 
-    def deriv(self, ab, c):
-        return float(self.derivs[self.pairs.index(ab), self.letters.index(c)])
-
 
 def solve_H(model, z=1.0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
             want_derivs=True):
@@ -223,9 +220,6 @@ class GBarTable:
     def value(self, ab, cd):
         return float(self.values[self.index[ab], self.index[cd]])
 
-    def deriv(self, ab, cd):
-        return float(self.derivs[self.index[ab], self.index[cd]])
-
 
 def solve_Gbar(model, h, z=1.0):
     """Within-level Green values from the linear first-step system; the
@@ -276,9 +270,6 @@ class LBarTable:
 
     def value(self, ab, cde):
         return float(self.M[cde[0]][self.index[ab], self.index[cde[1:]]])
-
-    def deriv(self, ab, cde):
-        return float(self.Md[cde[0]][self.index[ab], self.index[cde[1:]]])
 
 
 def compute_Lbar(model, gbar, z=1.0):

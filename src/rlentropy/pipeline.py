@@ -18,6 +18,17 @@ class ValidationResult:
     reasons: list = field(default_factory=list)
 
 
+def solve(model, tol=genfun.DEFAULT_TOL, xi_tol=genfun.RECURRENCE_XI_TOL):
+    """The generating-function tables, with derivatives, solved once per
+    model and tolerances: they are cached on the (immutable) model, so the
+    validation and the analysis of one command share them."""
+    cached = getattr(model, "_tables", None)
+    if cached is None or cached[0] != (tol, xi_tol):
+        model._tables = ((tol, xi_tol),
+                         genfun.solve_all(model, tol=tol, xi_tol=xi_tol))
+    return model._tables[1]
+
+
 def validate(model, xi_tol=genfun.RECURRENCE_XI_TOL):
     """Run the standing structural checks and decide usability.
 
@@ -27,10 +38,10 @@ def validate(model, xi_tol=genfun.RECURRENCE_XI_TOL):
     make the analysis inapplicable.
     """
     ws = model_mod.check_weak_symmetry(model)
-    gf = genfun.solve_all(model, want_derivs=False)
+    gf = solve(model, xi_tol=xi_tol)
     si = model_mod.check_suffix_irreducibility(model)
     rc = model_mod.check_relaxed_condition(model, gf)
-    transient = genfun.is_transient(gf.xi, tol=xi_tol)
+    transient = gf.transient
     reasons = []
     if not ws.ok:
         reasons.append("weak symmetry fails: " + str(ws.violations[:5]))
@@ -58,7 +69,7 @@ def analyze(model, n_max=16, gap_tol=1e-6, budget=entropy.SANDWICH_BUDGET,
     ws = model_mod.check_weak_symmetry(model)
     if not ws.ok:
         raise AssumptionError(f"weak symmetry fails: {ws.violations[:5]}")
-    gf = genfun.solve_all(model, xi_tol=xi_tol)
+    gf = solve(model, xi_tol=xi_tol)
     if not gf.transient:
         report = entropy.assemble_report(model, gf)
         return AnalysisResult(model, gf, None, None, report)

@@ -2,12 +2,15 @@
 chain and of Q-hat, enumerated sequence by sequence up to a fixed length."""
 from rlentropy.entropy import hidden_symbol
 
+from sandwich_oracle import state_transitions
+
 
 def enumerated_marginal_diff(chain, cls, modified, max_len=3):
     """Maximum |P(w) - P-hat(w)| over every hidden-symbol sequence w of
     length 1..max_len with positive probability under either chain, both
     started from the first-state law."""
     hidden = modified.hidden
+    trans = state_transitions(hidden)
     mu1 = hidden.initial_mu1()
 
     def laws(step):
@@ -27,7 +30,7 @@ def enumerated_marginal_diff(chain, cls, modified, max_len=3):
     def orig_step(vec):
         succ = {}
         for idx, mass in vec.items():
-            for sym, targets in hidden.trans[idx].items():
+            for sym, targets in trans[idx].items():
                 d = succ.setdefault(sym, {})
                 for j, p in targets:
                     d[j] = d.get(j, 0.0) + mass * p

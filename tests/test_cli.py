@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rlentropy import cli, pipeline
+from rlentropy import cli, genfun, pipeline
 
 from conftest import fixture_path
 
@@ -139,3 +139,17 @@ def test_out_of_memory_is_domain_failure(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 1
     assert err.strip() == "domain failure: out of memory"
+
+
+def test_generating_functions_solved_once_per_command(capsys, monkeypatch):
+    solve_all, calls = genfun.solve_all, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_all(*args, **kwargs)
+    monkeypatch.setattr(genfun, "solve_all", counted)
+    for argv in (["entropy"], ["simulate", "--steps", "200",
+                               "--trajectories", "2", "--crosscheck"]):
+        calls.clear()
+        code, _ = run_cli(capsys, *argv, str(fixture_path("fg2")))
+        assert code == 0 and len(calls) == 1, argv

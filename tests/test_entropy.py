@@ -15,6 +15,7 @@ from rlentropy.entropy import ModifiedChain
 
 from conftest import get_analysis, get_atlas, get_chain, get_gf, get_model
 from marginal_oracle import enumerated_marginal_diff
+from sandwich_oracle import dict_sandwich, state_transitions
 
 
 def _single_class(name):
@@ -114,10 +115,11 @@ def test_qhat_rows_and_reduction():
     modified = build_qhat(chain, cls)
     hidden = modified.hidden
     assert all(k == 0 for k in modified.fold_counts.values())
+    trans = state_transitions(hidden)
     for idx, st in enumerate(hidden.states):
         row = dict(modified.rows[idx])
         orig = {}
-        for sym, targets in hidden.trans[idx].items():
+        for sym, targets in trans[idx].items():
             for j, p in targets:
                 orig[j] = orig.get(j, 0.0) + p
         assert row.keys() == orig.keys()
@@ -394,3 +396,40 @@ def test_marginal_check_covers_lengths_beyond_one():
     assert enumerated_marginal_diff(chain, cls, bad, 3) > 1e-6
     assert check_marginal_equality(chain, cls, bad, max_len=1) < 1e-12
     assert check_marginal_equality(chain, cls, bad) > 1e-6
+
+
+def test_sandwich_matches_dict_oracle():
+    for name in ("t3", "multi", "twotype", "mixed", "fg2"):
+        chain, cls = _single_class(name)
+        hidden = HiddenChain(chain, cls)
+        bounds = sandwich_bounds(hidden)
+        uppers, lowers, n_final = dict_sandwich(hidden)
+        assert bounds.n_final == n_final, name
+        assert np.allclose(bounds.uppers, uppers, rtol=0, atol=1e-12), name
+        assert np.allclose(bounds.lowers, lowers, rtol=0, atol=1e-12), name
+
+
+def test_sandwich_monte_carlo_substitute():
+    # past the expansion budget a sampled estimate replaces the exact sums;
+    # with a budget of 10 multi switches at depth 2, with 2000 at depth 7
+    chain, cls = _single_class("multi")
+    hidden = HiddenChain(chain, cls)
+    exact = sandwich_bounds(hidden, n_max=2, gap_tol=0, budget=10**9)
+    mc = sandwich_bounds(hidden, budget=10)
+    assert mc.monte_carlo and mc.n_final == 2 and mc.std_error > 0
+    assert abs(mc.uppers[-1] - exact.uppers[-1]) <= 4 * mc.std_error
+    assert abs(mc.lowers[-1] - exact.lowers[-1]) <= 4 * mc.std_error
+    again = sandwich_bounds(hidden, budget=10)
+    assert (again.uppers, again.lowers, again.std_error) == \
+        (mc.uppers, mc.lowers, mc.std_error)
+    assert sandwich_bounds(hidden, budget=2000).n_final == 7
+
+
+def test_report_notes_unconverged_sandwich():
+    model = get_model("multi")
+    notes = pipeline.analyze(model, budget=10).report.notes
+    assert any("Monte Carlo estimate at depth 2, standard error" in n
+               for n in notes)
+    notes = pipeline.analyze(model, n_max=3).report.notes
+    assert any("not converged at depth 3, gap" in n for n in notes)
+    assert get_analysis("multi").report.notes == []
