@@ -22,7 +22,7 @@ from .entropy import (HiddenChain, WState, hidden_symbol,
                       continuity_sweep, interpolate_models, EntropyBounds,
                       EntropyReport)
 from .simulate import (SimConfig, SimReport, run_trajectories,
-                       pathwise_l_rate, greenian_rate, exact_pi_n,
+                       greenian_rate, exact_pi_n,
                        empirical_entropy_check, verify_ell,
                        absorption_frequencies, trajectory_rng)
 from . import cli, cones, entropy, genfun, lastentry, model, pipeline, simulate  # noqa: F401

@@ -115,10 +115,11 @@ def _report_dict(rep):
 
 def cmd_validate(args):
     model = load_model(args.model)
-    res = pipeline.validate(model, xi_tol=args.tol_recurrence)
+    res = pipeline.validate(model, tol=args.tol, xi_tol=args.tol_recurrence)
     payload = {
         "manifest": make_manifest("validate", [args.model],
-                                  {"tol_recurrence": args.tol_recurrence},
+                                  {"tol": args.tol,
+                                   "tol_recurrence": args.tol_recurrence},
                                   args.timestamp),
         "weak_symmetry": res.weak_symmetry.ok,
         "weak_symmetry_violations": [list(v) for v in
@@ -137,21 +138,20 @@ def cmd_validate(args):
 
 def cmd_analyze(args):
     model = load_model(args.model)
-    val = pipeline.validate(model, xi_tol=args.tol_recurrence)
+    val = pipeline.validate(model, tol=args.tol, xi_tol=args.tol_recurrence)
     if not val.usable:
         emit({"error": "model not usable", "reasons": val.reasons},
              args.format)
         return 1
-    gf = pipeline.solve(model, tol=args.tol, xi_tol=args.tol_recurrence)
     payload = {
         "manifest": make_manifest("analyze", [args.model],
                                   {"tol": args.tol,
                                    "tol_recurrence": args.tol_recurrence},
                                   args.timestamp),
-        "transient": gf.transient,
-        "xi": {k: v for k, v in sorted(gf.xi.items())},
+        "transient": val.transient,
+        "xi": {k: v for k, v in sorted(val.xi.items())},
     }
-    if not gf.transient:
+    if not val.transient:
         payload["note"] = "recurrent walk: entropy and drift are zero"
         emit(payload, args.format)
         return 0
@@ -182,18 +182,19 @@ def cmd_analyze(args):
 
 def cmd_entropy(args):
     model = load_model(args.model)
-    val = pipeline.validate(model, xi_tol=args.tol_recurrence)
+    val = pipeline.validate(model, tol=args.tol, xi_tol=args.tol_recurrence)
     if not val.usable:
         emit({"error": "model not usable", "reasons": val.reasons},
              args.format)
         return 1
     res = pipeline.analyze(model, n_max=args.n_max, gap_tol=args.gap_tol,
                            budget=args.budget, check_marginals=True,
-                           xi_tol=args.tol_recurrence)
+                           tol=args.tol, xi_tol=args.tol_recurrence)
     payload = {"manifest": make_manifest(
         "entropy", [args.model],
         {"n_max": args.n_max, "gap_tol": args.gap_tol, "budget": args.budget,
-         "tol_recurrence": args.tol_recurrence}, args.timestamp)}
+         "tol": args.tol, "tol_recurrence": args.tol_recurrence},
+        args.timestamp)}
     payload.update(_report_dict(res.report))
     emit(payload, args.format)
     return 0
@@ -201,19 +202,20 @@ def cmd_entropy(args):
 
 def cmd_simulate(args):
     model = load_model(args.model)
-    val = pipeline.validate(model, xi_tol=args.tol_recurrence)
+    val = pipeline.validate(model, tol=args.tol, xi_tol=args.tol_recurrence)
     if not val.usable:
         emit({"error": "model not usable", "reasons": val.reasons},
              args.format)
         return 1
-    gf = pipeline.solve(model, xi_tol=args.tol_recurrence)
+    gf = pipeline.solve(model, tol=args.tol, xi_tol=args.tol_recurrence)
     cfg = simulate.SimConfig(args.steps, args.trajectories, args.seed)
     rep = simulate.run_trajectories(model, cfg, gf=gf if gf.transient else None)
     payload = {
         "manifest": make_manifest(
             "simulate", [args.model],
             {"steps": args.steps, "trajectories": args.trajectories,
-             "seed": args.seed}, args.timestamp),
+             "seed": args.seed, "tol": args.tol,
+             "tol_recurrence": args.tol_recurrence}, args.timestamp),
         "speed_mean": rep.speed_mean,
         "speed_se": rep.speed_se,
         "l_rate_mean": rep.l_rate_mean,
@@ -223,7 +225,8 @@ def cmd_simulate(args):
         "csv": list(rep.csv_lines()),
     }
     if gf.transient and args.crosscheck:
-        analytic = pipeline.analyze(model, xi_tol=args.tol_recurrence)
+        analytic = pipeline.analyze(model, tol=args.tol,
+                                    xi_tol=args.tol_recurrence)
         ell = analytic.report.ell
         se = max(rep.speed_se, 1e-12)
         payload["ell_analytic"] = ell
@@ -238,7 +241,8 @@ def cmd_sweep(args):
     try:
         sweep = entropy.continuity_sweep(model_a, model_b, grid=args.grid,
                                          n_max=args.n_max,
-                                         gap_tol=args.gap_tol)
+                                         gap_tol=args.gap_tol, tol=args.tol,
+                                         xi_tol=args.tol_recurrence)
     except ValueError as exc:
         emit({"error": str(exc)}, args.format)
         return 1
@@ -251,8 +255,9 @@ def cmd_sweep(args):
     payload = {
         "manifest": make_manifest(
             "sweep", [args.model_a, args.model_b],
-            {"grid": args.grid, "n_max": args.n_max,
-             "gap_tol": args.gap_tol}, args.timestamp),
+            {"grid": args.grid, "n_max": args.n_max, "gap_tol": args.gap_tol,
+             "tol": args.tol, "tol_recurrence": args.tol_recurrence},
+            args.timestamp),
         "rows": sweep["rows"],
         "second_difference_max_abs": max((abs(x) for x in d2), default=0.0),
         "csv": csv,

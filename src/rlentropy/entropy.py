@@ -13,6 +13,7 @@ from scipy.sparse import csr_matrix, vstack
 
 from .model import AssumptionError
 from .cones import limit_words
+from .genfun import DEFAULT_TOL, RECURRENCE_XI_TOL
 
 SANDWICH_BUDGET = 5_000_000
 INEQ_SLACK = 1e-9
@@ -327,13 +328,19 @@ def unambiguous_exact(chain, cls, suffix=None, tail_tol=1e-10, max_depth=60,
     When every type of the class has a one-word boundary, block weights and
     their coarsened versions coincide and the regeneration sum telescopes to
     the Markov entropy rate of the increment chain (closed form, zero
-    truncation error).  Otherwise first-return blocks to the chosen suffix
-    are enumerated depth-first, the coarsened weight carried as a forward
-    vector over boundary mates, with tail-mass accounting.
+    truncation error).  Otherwise there is no exact value: AssumptionError,
+    unless ``force_dfs`` asks for the first-return blocks to the chosen
+    suffix to be enumerated depth-first, the coarsened weight carried as a
+    forward vector over boundary mates, with tail-mass accounting; its
+    truncation bound can dwarf the value (32.7 against 0.119 on the
+    ``mixed`` test model).
     """
     ab, mass, row_maps, mates = _regeneration_setup(chain, cls, suffix)
     types = [chain.atlas.types[t] for t in cls.types]
-    if not force_dfs and all(len(t.boundary_suffixes) == 1 for t in types):
+    if not force_dfs:
+        if any(len(t.boundary_suffixes) != 1 for t in types):
+            raise AssumptionError("regeneration sum does not telescope: a "
+                                  "type has several boundary suffixes")
         # per suffix: its stationary mass times the entropy of its row
         hy = 0.0
         for sfx, m in mass.items():
@@ -728,7 +735,8 @@ def interpolate_models(model_a, model_b, t):
     return model_a.with_rules(mixed)
 
 
-def continuity_sweep(model_a, model_b, grid=11, n_max=16, gap_tol=1e-6):
+def continuity_sweep(model_a, model_b, grid=11, n_max=16, gap_tol=1e-6,
+                     tol=DEFAULT_TOL, xi_tol=RECURRENCE_XI_TOL):
     """Entropy along the segment between two same-support models, with
     finite-difference smoothness diagnostics (no analyticity claim)."""
     from . import pipeline
@@ -737,7 +745,8 @@ def continuity_sweep(model_a, model_b, grid=11, n_max=16, gap_tol=1e-6):
         t = k / (grid - 1) if grid > 1 else 0.0
         m = interpolate_models(model_a, model_b, t)
         try:
-            res = pipeline.analyze(m, n_max=n_max, gap_tol=gap_tol)
+            res = pipeline.analyze(m, n_max=n_max, gap_tol=gap_tol, tol=tol,
+                                   xi_tol=xi_tol)
             rep = res.report
             rows.append({"t": t, "ell": rep.ell, "hy": rep.hy, "h": rep.h,
                          "skipped": False})

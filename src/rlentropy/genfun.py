@@ -8,11 +8,12 @@ finite differencing kept only as a test oracle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import saturate_supports, reachable_sets
+from .cones import saturate_supports
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10 ** 6
@@ -261,15 +262,9 @@ def solve_Gbar(model, h, z=1.0):
 class LBarTable:
     """One-level-up last-entry values organized for chain contraction:
     ``M[a][st, uv]`` is the value of arriving at the 3-letter word a+uv from
-    the pair st."""
-    rpairs: list
-    index: dict
-    letters: tuple
+    the pair st (pairs indexed as in the within-level Green table)."""
     M: dict
     Md: dict | None
-
-    def value(self, ab, cde):
-        return float(self.M[cde[0]][self.index[ab], self.index[cde[1:]]])
 
 
 def compute_Lbar(model, gbar, z=1.0):
@@ -285,7 +280,7 @@ def compute_Lbar(model, gbar, z=1.0):
         M[a] = gbar.values @ (z * P)
         if Md is not None:
             Md[a] = gbar.derivs @ (z * P) + gbar.values @ P
-    return LBarTable(gbar.rpairs, index, model.alphabet, M, Md)
+    return LBarTable(M, Md)
 
 
 # -- short-word Green system ---------------------------------------------------
@@ -352,25 +347,6 @@ class GenFunTables:
         return self.h.derivs is not None and self.gbar is not None \
             and self.gbar.derivs is not None
 
-    def pair_idx(self, ab):
-        return self.gbar.index[ab]
-
-    def l_base_vector(self):
-        """Entry vector of the word expansion: mass of last-exit from level 1
-        arriving at each 2-letter word."""
-        if not hasattr(self, "_l_base"):
-            n = len(self.gbar.rpairs)
-            base = np.zeros(n)
-            for b in self.model.alphabet:
-                if b not in self.green_short.index:
-                    continue
-                lb = self.green_short.l_value(b)
-                for r in self.model.row(b):
-                    if len(r.rhs) == 2:
-                        base[self.gbar.index[r.rhs]] += lb * self.z * r.prob
-            self._l_base = base
-        return self._l_base
-
 
 def solve_all(model, z=1.0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
               want_derivs=True, xi_tol=RECURRENCE_XI_TOL):
@@ -388,67 +364,90 @@ def solve_all(model, z=1.0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
 
 
 def L_word(model, gf, w, force_expansion=False):
-    """Value of the last-visit function from the empty word to ``w`` at z=1,
-    evaluated by successive chain contractions (cost linear in |w|).
+    """Value of the last-visit function from the empty word to ``w`` at z=1.
 
     Words of length <= 3 read the short-word system directly unless
     ``force_expansion`` asks for the chain route (the two must agree; the
     comparison is a standing consistency check)."""
-    for ch in w:
-        if ch not in model.alphabet:
-            raise ValueError(f"letter {ch!r} not in alphabet")
-    if len(w) <= 3 and not force_expansion:
-        return gf.green_short.l_value(w)
-    if len(w) < 2:
-        return gf.green_short.l_value(w)
-    alpha = gf.l_base_vector()
-    for i in range(len(w) - 2):
-        alpha = alpha @ gf.lbar.M[w[i]]
-    return float(alpha @ gf.gbar.values[:, gf.pair_idx(w[-2:])])
+    unknown = set(w) - set(model.alphabet)
+    if unknown:
+        raise ValueError(f"letters {sorted(unknown)!r} not in alphabet")
+    ev = LWordEvaluator(model, gf)
+    ev.step(w)
+    return math.exp(ev.log_value(expand=force_expansion))
 
 
 class LWordEvaluator:
-    """Incremental L(o, X_n) evaluation along a walk trajectory.
+    """Last-entry contraction: a start row times ``lbar.M[c]`` along the
+    frozen letters ``c`` of a word (all but the last two).
 
-    Keeps one contraction vector per frozen prefix length, so each walk step
-    costs one small matrix-vector product (or a pop).  Vectors are kept
-    normalized with the accumulated log-scale stored alongside: the value
-    decays exponentially in the word length and would underflow otherwise.
+    The start row is the expansion's entry vector (last exit from level 1
+    into each two-letter word), for L(o, w), or the unit vector of a suffix
+    ``start``, for last-entry values from any word ending in it.  The stack
+    holds one entry per frozen letter after the start: the normalized row,
+    its z-derivative on the same scale (if ``with_deriv``) and the log of
+    the scale, as the values decay exponentially in the word length.
     """
 
-    def __init__(self, model, gf):
-        self.model = model
+    def __init__(self, model, gf, start=None, with_deriv=False):
         self.gf = gf
-        base = gf.l_base_vector()
-        self.stack = [(base / base.sum(), float(np.log(base.sum())))]
+        self.M = gf.lbar.M
+        self.Md = gf.lbar.Md if with_deriv else None
+        self.index = index = gf.gbar.index
+        row = np.zeros(len(index))
+        if start is None:
+            for b in model.alphabet:
+                if b in gf.green_short.index:
+                    lb = gf.green_short.l_value(b)
+                    for r in model.row(b):
+                        if len(r.rhs) == 2:
+                            row[index[r.rhs]] += lb * gf.z * r.prob
+        elif start in index:
+            row[index[start]] = 1.0
+        else:
+            raise ValueError(f"suffix {start!r} not reachable")
+        drow = np.zeros_like(row) if with_deriv else None
+        self.stack = [(row / row.sum(), drow, float(np.log(row.sum())))]
         self.word = ""
 
-    def step(self, new_word):
-        target = max(len(new_word) - 2, 0)
-        while len(self.stack) - 1 > target:
-            self.stack.pop()
-        while len(self.stack) - 1 < target:
-            k = len(self.stack) - 1
-            alpha, scale = self.stack[-1]
-            raw = alpha @ self.gf.lbar.M[new_word[k]]
-            s = float(raw.sum())
-            if s <= 0.0:
-                self.stack.append((raw, float("-inf")))
-            else:
-                self.stack.append((raw / s, scale + float(np.log(s))))
-        self.word = new_word
+    def step(self, word, keep=None):
+        """Move to ``word``, whose first ``keep`` letters are those of the
+        previous word (every stacked letter when None, as on a walk, whose
+        steps rewrite only the last two letters): drop the entries past
+        them and push one per remaining frozen letter."""
+        stack = self.stack
+        n = len(word) - 1       # the start plus one entry per frozen letter
+        if keep is not None:
+            del stack[keep + 1:]
+        if len(stack) > n:
+            del stack[max(n, 1):]
+        while len(stack) < n:
+            alpha, dalpha, scale = stack[-1]
+            c = word[len(stack) - 1]
+            m = self.M[c]
+            raw = alpha @ m
+            s = float(raw.sum()) or 1.0     # a zero row stays zero
+            if self.Md is not None:
+                dalpha = (dalpha @ m + alpha @ self.Md[c]) / s
+            stack.append((raw / s, dalpha, scale + float(np.log(s))))
+        self.word = word
 
-    def log_value(self):
+    def log_value(self, expand=False):
+        """log L(o, w) for the current word ``w`` from the expansion start:
+        from the short-word system when |w| <= 3, unless ``expand`` asks for
+        the chain route from |w| = 2 on."""
         w = self.word
-        if len(w) <= 3:
+        if len(w) < 2 or (len(w) <= 3 and not expand):
             v = self.gf.green_short.l_value("".join(w))
             return float(np.log(v)) if v > 0 else float("-inf")
-        alpha, scale = self.stack[-1]
-        v = float(alpha @ self.gf.gbar.values[:, self.gf.pair_idx("".join(w[-2:]))])
+        alpha, _, scale = self.stack[-1]
+        v = float(alpha @ self.gf.gbar.values[:, self.index["".join(w[-2:])]])
         return scale + float(np.log(v)) if v > 0 else float("-inf")
 
-    def value(self):
-        return float(np.exp(self.log_value()))
-
-    def minus_log(self):
-        return -self.log_value()
+    def last_entry(self):
+        """The last-entry value from the start suffix to the current word
+        and its z-derivative (None unless carried)."""
+        alpha, dalpha, scale = self.stack[-1]
+        j = self.index[self.word[-2:]]
+        f = math.exp(scale)
+        return alpha[j] * f, None if dalpha is None else dalpha[j] * f

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from os.path import commonprefix
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .genfun import LWordEvaluator
 from .model import AssumptionError
 
 log = logging.getLogger("rlentropy")
@@ -29,40 +31,26 @@ def mathL(gf, x, y, with_deriv=False):
     """Last-entry value from ``x`` to the relative word ``y`` (|y| >= 3),
     chained over one-level-up factors; depends on x only through its last
     two letters."""
-    if x[-2:] not in gf.lbar.index:
-        raise ValueError(f"suffix {x[-2:]!r} not reachable")
-    val, dval = _ChainEvaluator(gf, x[-2:], with_deriv).value(y)
-    return (val, dval) if with_deriv else val
+    ev = LWordEvaluator(gf.model, gf, x[-2:], with_deriv)
+    ev.step(y)
+    return ev.last_entry() if with_deriv else ev.last_entry()[0]
 
 
-class _ChainEvaluator:
-    """Prefix-sharing evaluation of last-entry values from one source suffix
-    to a sorted batch of target words."""
-
-    def __init__(self, gf, ab, with_deriv):
-        self.gf = gf
-        self.with_deriv = with_deriv
-        n = len(gf.lbar.rpairs)
-        alpha = np.zeros(n)
-        alpha[gf.lbar.index[ab]] = 1.0
-        self.stack = [("", alpha, np.zeros(n))]
-
-    def _extend(self, prefix):
-        while len(self.stack) > 1 and not prefix.startswith(self.stack[-1][0]):
-            self.stack.pop()
-        base, alpha, dalpha = self.stack[-1]
-        for ch in prefix[len(base):]:
-            if self.with_deriv:
-                dalpha = dalpha @ self.gf.lbar.M[ch] + alpha @ self.gf.lbar.Md[ch]
-            alpha = alpha @ self.gf.lbar.M[ch]
-            base = base + ch
-            self.stack.append((base, alpha, dalpha))
-
-    def value(self, y):
-        self._extend(y[:-2])
-        _, alpha, dalpha = self.stack[-1]
-        j = self.gf.lbar.index[y[-2:]]
-        return float(alpha[j]), float(dalpha[j])
+def _entries(gf, ab, words, with_deriv):
+    """(word, escape probability, last-entry value from the suffix ``ab``,
+    its z-derivative) for each word in turn whose escape probability and
+    value are positive.  A word keeps the stack entries of its common
+    prefix with the one before, so sorted words share the most."""
+    ev = LWordEvaluator(gf.model, gf, ab, with_deriv)
+    for y in words:
+        xi_y = gf.xi.get(y[-2:], 0.0)
+        if xi_y > XI_ZERO:
+            prev = ev.word[:-2]     # the stacked letters
+            ev.step(y, keep=len(prev) if y.startswith(prev)
+                    else len(commonprefix((prev, y))))
+            val, dval = ev.last_entry()
+            if val > 0.0:
+                yield y, xi_y, val, dval
 
 
 # -- state space ---------------------------------------------------------------
@@ -150,20 +138,14 @@ def enumerate_W0(atlas, gf):
     return sorted(words), slot_of
 
 
-def _suffix_row(gf, atlas, ab, slot_words, with_deriv):
-    ev = _ChainEvaluator(gf, ab, with_deriv)
+def _suffix_row(gf, ab, slot_words, with_deriv):
     xi_ab = gf.xi[ab]
     targets, probs, times = [], [], []
-    for y in slot_words:
-        xi_y = gf.xi.get(y[-2:], 0.0)
-        if xi_y <= XI_ZERO:
-            continue
-        val, dval = ev.value(y)
-        if val <= 0.0:
-            continue
+    for y, xi_y, val, dval in _entries(gf, ab, slot_words, with_deriv):
         targets.append(y)
         probs.append(xi_y / xi_ab * val)
-        times.append(xi_y / xi_ab * dval)
+        if with_deriv:
+            times.append(xi_y / xi_ab * dval)
     probs = np.array(probs)
     times = np.array(times) if with_deriv else None
     total = probs.sum()
@@ -195,7 +177,7 @@ def build_chain(model, gf, atlas):
         slot_words_of_type[ct.id] = ws
     for ab in sorted({w[-2:] for w in states}):
         t = atlas.type_of[ab]
-        suffix_rows[ab] = _suffix_row(gf, atlas, ab, slot_words_of_type[t],
+        suffix_rows[ab] = _suffix_row(gf, ab, slot_words_of_type[t],
                                       with_deriv)
 
     chain = EntryChain(model, gf, atlas, states, state_index, state_type,
@@ -234,19 +216,13 @@ def _initial_distribution(chain):
         for w0 in atlas.boundary_words(slot):
             if w0 not in entry:
                 continue
-            ev = _ChainEvaluator(gf, w0, False)
-            for target_slot in cov.slots:
-                skey = (target_slot.type_id, target_slot.local_index)
-                for y in atlas.boundary_words(target_slot):
-                    xi_y = gf.xi.get(y[-2:], 0.0)
-                    if xi_y <= XI_ZERO:
-                        continue
-                    val, _ = ev.value(y)
-                    if val > 0:
-                        mass = entry[w0] / total * xi_y * val
-                        mu0[chain.state_index[y]] += mass
-                        key = (t, skey, y)
-                        mu1_w[key] = mu1_w.get(key, 0.0) + mass
+            words = [y for ts in cov.slots for y in atlas.boundary_words(ts)]
+            for y, xi_y, val, _ in _entries(gf, w0, words, False):
+                mass = entry[w0] / total * xi_y * val
+                mu0[chain.state_index[y]] += mass
+                ts = chain.slot_of[(t, y)]
+                key = (t, (ts.type_id, ts.local_index), y)
+                mu1_w[key] = mu1_w.get(key, 0.0) + mass
     s = mu0.sum()
     if abs(s - 1.0) > 1e-6:
         raise AssumptionError(f"first-increment law sums to {s!r}")

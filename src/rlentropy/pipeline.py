@@ -29,7 +29,7 @@ def solve(model, tol=genfun.DEFAULT_TOL, xi_tol=genfun.RECURRENCE_XI_TOL):
     return model._tables[1]
 
 
-def validate(model, xi_tol=genfun.RECURRENCE_XI_TOL):
+def validate(model, tol=genfun.DEFAULT_TOL, xi_tol=genfun.RECURRENCE_XI_TOL):
     """Run the standing structural checks and decide usability.
 
     A model is usable when it is weakly symmetric and either recurrent
@@ -38,7 +38,7 @@ def validate(model, xi_tol=genfun.RECURRENCE_XI_TOL):
     make the analysis inapplicable.
     """
     ws = model_mod.check_weak_symmetry(model)
-    gf = solve(model, xi_tol=xi_tol)
+    gf = solve(model, tol=tol, xi_tol=xi_tol)
     si = model_mod.check_suffix_irreducibility(model)
     rc = model_mod.check_relaxed_condition(model, gf)
     transient = gf.transient
@@ -64,12 +64,13 @@ class AnalysisResult:
 
 def analyze(model, n_max=16, gap_tol=1e-6, budget=entropy.SANDWICH_BUDGET,
             order_key=None, level_bump=0, covering_method="auto",
-            check_marginals=False, xi_tol=genfun.RECURRENCE_XI_TOL):
+            check_marginals=False, tol=genfun.DEFAULT_TOL,
+            xi_tol=genfun.RECURRENCE_XI_TOL):
     """Full analytic pipeline; raises AssumptionError for unusable models."""
     ws = model_mod.check_weak_symmetry(model)
     if not ws.ok:
         raise AssumptionError(f"weak symmetry fails: {ws.violations[:5]}")
-    gf = solve(model, xi_tol=xi_tol)
+    gf = solve(model, tol=tol, xi_tol=xi_tol)
     if not gf.transient:
         report = entropy.assemble_report(model, gf)
         return AnalysisResult(model, gf, None, None, report)

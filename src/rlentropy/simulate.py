@@ -86,12 +86,15 @@ class SimReport:
                 yield f"{tr.index},{n},{wl},{lrs},{grs}"
 
 
-def _green_self(gf, word):
-    """Return-value factor; exact for short words, suffix-local above."""
-    w = "".join(word)
-    if len(w) <= 3:
-        return gf.green_short.value(w, w)
-    return gf.gbar.value(w[-2:], w[-2:])
+def _rates(gf, evaluator, n):
+    """-(1/n) log L(o, X_n) and -(1/n) log F(o, X_n) at the evaluator's word,
+    with F = G(o,o) L / G(X_n, X_n) (G(w, w) suffix-local past |w| = 3)."""
+    w = "".join(evaluator.word)
+    g_ww = (gf.green_short.value(w, w) if len(w) <= 3
+            else gf.gbar.value(w[-2:], w[-2:]))
+    log_l = evaluator.log_value()
+    log_f = math.log(gf.green_short.value("", "")) + log_l - math.log(g_ww)
+    return -log_l / n, -log_f / n
 
 
 def _run_one(model, gf, cfg, index, early_steps):
@@ -102,7 +105,6 @@ def _run_one(model, gf, cfg, index, early_steps):
     series = []
     checkpoints = set(cfg.checkpoints)
     early = {}
-    g_oo = gf.green_short.value("", "") if gf is not None else None
     buf = rng.random(4096)
     bi = 0
     for n in range(1, cfg.steps + 1):
@@ -113,18 +115,11 @@ def _run_one(model, gf, cfg, index, early_steps):
         bi += 1
         if n in early_steps:
             early[n] = "".join(word)
-        if n in checkpoints:
-            if evaluator is not None:
-                evaluator.step(word)
-                log_l = evaluator.log_value()
-                l_rate = -log_l / n
-                log_f = math.log(g_oo) + log_l - math.log(_green_self(gf, word))
-                green = -log_f / n
-            else:
-                l_rate = green = None
-            series.append((n, len(word), l_rate, green))
-        elif evaluator is not None:
+        if evaluator is not None:
             evaluator.step(word)
+        if n in checkpoints:
+            rates = _rates(gf, evaluator, n) if evaluator else (None, None)
+            series.append((n, len(word), *rates))
     return Trajectory(index, series, len(word),
                       word[0] if word else None, early)
 
@@ -150,31 +145,16 @@ def run_trajectories(model, cfg, gf=None, early_steps=()):
                      l_mean, l_se, g_mean, g_se)
 
 
-def pathwise_l_rate(model, gf, words, checkpoints=None):
-    """Series -log L(o, X_n)/n along an explicit word sequence (step n is
-    words[n-1]); evaluates incrementally."""
-    ev = LWordEvaluator(model, gf)
-    out = []
-    checkpoints = set(checkpoints or range(1, len(words) + 1))
-    for n, w in enumerate(words, start=1):
-        ev.step(list(w))
-        if n in checkpoints:
-            out.append((n, ev.minus_log() / n))
-    return out
-
-
 def greenian_rate(model, gf, words, checkpoints=None):
-    """Series -log F(o, X_n)/n with the hitting value F = G(o,o) L / G(w,w)."""
+    """Series -log F(o, X_n)/n with the hitting value F = G(o,o) L / G(w,w)
+    along the steps of a walk (step n is words[n-1])."""
     ev = LWordEvaluator(model, gf)
-    g_oo = gf.green_short.value("", "")
     out = []
     checkpoints = set(checkpoints or range(1, len(words) + 1))
     for n, w in enumerate(words, start=1):
-        ev.step(list(w))
+        ev.step(w)
         if n in checkpoints:
-            log_f = math.log(g_oo) + ev.log_value() - \
-                math.log(_green_self(gf, list(w)))
-            out.append((n, -log_f / n))
+            out.append((n, _rates(gf, ev, n)[1]))
     return out
 
 

@@ -153,3 +153,24 @@ def test_generating_functions_solved_once_per_command(capsys, monkeypatch):
         calls.clear()
         code, _ = run_cli(capsys, *argv, str(fixture_path("fg2")))
         assert code == 0 and len(calls) == 1, argv
+
+
+def test_every_command_solves_once_at_the_requested_tolerances(
+        capsys, monkeypatch):
+    solve_all, calls = genfun.solve_all, []
+
+    def counted(*args, **kwargs):
+        calls.append((kwargs.get("tol"), kwargs.get("xi_tol")))
+        return solve_all(*args, **kwargs)
+    monkeypatch.setattr(genfun, "solve_all", counted)
+    fg2 = str(fixture_path("fg2"))
+    tols = ["--tol", "1e-10", "--tol-recurrence", "1e-06"]
+    for argv in (["validate", fg2], ["analyze", fg2], ["entropy", fg2],
+                 ["simulate", fg2, "--steps", "200", "--trajectories", "2",
+                  "--crosscheck"],
+                 ["sweep", fg2, fg2, "--grid", "1"]):
+        calls.clear()
+        code, out = run_cli(capsys, "--format", "json", *argv, *tols)
+        assert code == 0 and calls == [(1e-10, 1e-6)], argv
+        params = json.loads(out)["manifest"]["parameters"]
+        assert (params["tol"], params["tol_recurrence"]) == (1e-10, 1e-6)

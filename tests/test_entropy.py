@@ -108,6 +108,16 @@ def test_unambiguous_requires_single_boundary_type():
         unambiguous_exact(chain, cls)
 
 
+def test_mixed_report_leaves_out_non_telescoped_exact_value():
+    # one type of mixed has two boundary suffixes, so the regeneration sum
+    # does not telescope; the depth-first enumeration (0.119, truncation
+    # bound 32.7) runs only when forced, and the sandwich value stands
+    rep = get_analysis("mixed").report
+    assert [c.hy_exact for c in rep.classes] == [None]
+    assert rep.hy == pytest.approx(1.0558930904597559, abs=1e-12)
+    assert rep.hy_n == 3
+
+
 def test_qhat_rows_and_reduction():
     # with a single cone type there are no foreign coverings and the
     # modified rows coincide with the original ones

@@ -5,6 +5,7 @@ import pytest
 
 import rlentropy as rle
 from rlentropy.genfun import L_word, solve_Gbar, solve_H, _HSystem
+from rlentropy.lastentry import mathL
 
 from conftest import get_gf, get_model
 
@@ -127,13 +128,14 @@ def test_gbar_diagonal_at_least_one():
 
 
 def test_lbar_values():
+    # one level up: the last-entry value of a three-letter word
     gf = get_gf("ne")
-    assert gf.lbar.value("ab", "aba") == pytest.approx(8 / 9, abs=1e-10)
-    assert gf.lbar.value("ba", "bab") == pytest.approx(9 / 8, abs=1e-10)
-    assert gf.lbar.value("ab", "bab") == 0.0
+    assert mathL(gf, "ab", "aba") == pytest.approx(8 / 9, abs=1e-10)
+    assert mathL(gf, "ba", "bab") == pytest.approx(9 / 8, abs=1e-10)
+    assert mathL(gf, "ab", "bab") == 0.0
     gf2 = get_gf("fg2")
     for z in "abA":
-        assert gf2.lbar.value("ab", "ab" + z) == pytest.approx(1 / 3, abs=1e-10)
+        assert mathL(gf2, "ab", "ab" + z) == pytest.approx(1 / 3, abs=1e-10)
 
 
 def test_green_short_fg2():

@@ -1,13 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 import rlentropy as rle
-from rlentropy.lastentry import (enumerate_W0, mathL, stationary,
+from rlentropy.lastentry import (_entries, enumerate_W0, mathL, stationary,
                                  stationary_power)
 
 from chain_oracle import dense_decomposition
+from contraction_oracle import UnnormalizedContraction
 from conftest import get_atlas, get_chain, get_gf, get_model
 
 
@@ -39,6 +41,25 @@ def test_mathL_prefix_independent():
     assert mathL(gf, "ab", "abab") == mathL(gf, "babab", "abab")
     gf2 = get_gf("fg2")
     assert mathL(gf2, "ab", "aba") == mathL(gf2, "BBab", "aba")
+
+
+@pytest.mark.parametrize("name", ["fg2", "t3", "glued", "multi", "twotype"])
+def test_contraction_matches_unnormalized_oracle(name):
+    # every suffix row's targets, sorted and shuffled, so that the stack
+    # keeps prefixes of different lengths between consecutive targets
+    gf, chain = get_gf(name), get_chain(name)
+    rng = random.Random(17)
+    for ab, row in chain.suffix_rows.items():
+        oracle = UnnormalizedContraction(gf, ab)
+        expected = {y: oracle.value(y) for y in row.targets}
+        shuffled = list(row.targets)
+        rng.shuffle(shuffled)
+        for order in (row.targets, shuffled):
+            got = {y: (v, d) for y, _, v, d in _entries(gf, ab, order, True)}
+            assert list(got) == order
+            for y, (v, d) in got.items():
+                assert v == pytest.approx(expected[y][0], rel=1e-12), (ab, y)
+                assert d == pytest.approx(expected[y][1], rel=1e-12), (ab, y)
 
 
 def test_mathL_decomposition_identity():

@@ -78,6 +78,22 @@ def test_incremental_evaluator_matches_direct(fg2):
                                                    abs=1e-9)
 
 
+def test_log_value_on_long_words(fg2):
+    # on F_2, L(o, w) = 3^-|w|; a plain product underflows to 0.0 past
+    # about 680 letters, the normalized stack does not
+    gf = get_gf("fg2")
+    rng = simulate.trajectory_rng(5, 0)
+    sampler = simulate._Sampler(fg2)
+    ev = rle.genfun.LWordEvaluator(fg2, gf)
+    word = []
+    for _ in range(6000):
+        sampler.step(word, float(rng.random()))
+        ev.step(word)
+        assert ev.log_value() == pytest.approx(-len(word) * math.log(3),
+                                               rel=1e-12, abs=1e-15)
+    assert len(word) > 2500
+
+
 def test_green_rate_within_c_over_n():
     for name in ("fg2", "ne", "multi"):
         model, gf = get_model(name), get_gf(name)
