@@ -266,6 +266,17 @@ def cmd_sweep(args):
     return 0
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rlentropy",
@@ -295,7 +306,7 @@ def build_parser():
     p = sub.add_parser("entropy", help="drift, hidden entropy, h")
     p.add_argument("model")
     common(p)
-    p.add_argument("--n-max", type=int, default=16)
+    p.add_argument("--n-max", type=_int_at_least(2), default=16)
     p.add_argument("--gap-tol", type=float, default=1e-6)
     p.add_argument("--budget", type=int, default=entropy.SANDWICH_BUDGET)
     p.set_defaults(func=cmd_entropy)
@@ -303,8 +314,9 @@ def build_parser():
     p = sub.add_parser("simulate", help="trajectory sampling and rates")
     p.add_argument("model")
     common(p)
-    p.add_argument("--steps", type=int, default=10000)
-    p.add_argument("--trajectories", type=int, default=100)
+    p.add_argument("--steps", type=_int_at_least(1), default=10000)
+    # two trajectories at least: the standard errors divide by n - 1
+    p.add_argument("--trajectories", type=_int_at_least(2), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--crosscheck", action="store_true",
                    help="compare pooled speed against the analytic drift")
@@ -314,8 +326,8 @@ def build_parser():
     p.add_argument("model_a")
     p.add_argument("model_b")
     common(p)
-    p.add_argument("--grid", type=int, default=11)
-    p.add_argument("--n-max", type=int, default=16)
+    p.add_argument("--grid", type=_int_at_least(1), default=11)
+    p.add_argument("--n-max", type=_int_at_least(2), default=16)
     p.add_argument("--gap-tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_sweep)
     return parser

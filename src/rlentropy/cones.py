@@ -381,21 +381,20 @@ def _type_graph(model, rel, types, type_of):
     return forward, children, expanding
 
 
-def build_atlas(model, order_key=None, method="auto", level_bump=0, depth_cap=None):
+def build_atlas(model, order_key=None, method="auto", level_bump=0):
     """Classify types, decide expansion, and build one covering per type plus
     the root covering of the language.
 
     ``order_key`` permutes the deterministic slot ordering (used by the
     covering-robustness checks); ``level_bump`` forces uniform coverings one
-    level deeper than minimal; ``method`` may pin "uniform" or "recursive".
+    level deeper than minimal; ``method="recursive"`` skips the search for
+    a uniform level, which "auto" falls back from.
     """
     rel = saturate_supports(model)
     types, type_of = classify_types(model, rel)
-    if depth_cap is None:
-        depth_cap = 4 * len(types) + 8
     forward, children, expanding_types = _type_graph(model, rel, types, type_of)
     atlas = ConeAtlas(model, rel, types, type_of, forward, children,
-                      expanding_types, depth_cap=depth_cap)
+                      expanding_types, depth_cap=4 * len(types) + 8)
     key = order_key or (lambda w: w)
 
     for ct in types:
@@ -434,7 +433,7 @@ def _build_type_covering(atlas, ct, key, method="auto", level_bump=0):
             rel, _cone_level_words(model, rel, ct.members, level))
         return groups if needed <= {atlas.type_of[r[-2:]] for r in groups} else None
 
-    if method in ("auto", "uniform"):
+    if method == "auto":
         found = None
         for level in range(3, atlas.depth_cap + 3):
             groups = covering_groups(level)
@@ -451,9 +450,6 @@ def _build_type_covering(atlas, ct, key, method="auto", level_bump=0):
                            depth_bound=level + 1, level=level, method="uniform")
             _certify(atlas, ct.members, cov)
             return cov
-        if method == "uniform":
-            raise AssumptionError(
-                f"no uniform covering level <= cap for type {ct.representative}")
     return _build_recursive_covering(atlas, ct, key)
 
 
@@ -580,14 +576,6 @@ def _build_root_covering(atlas, key):
     return cov
 
 
-def is_expanding(model, rel=None):
-    """Does some (equivalently, under suffix-irreducibility, every) cone
-    contain two disjoint proper subcones?"""
-    rel = rel or saturate_supports(model)
-    types, type_of = classify_types(model, rel)
-    return any(_type_graph(model, rel, types, type_of)[2].values())
-
-
 def limit_words(model, atlas):
     """Deterministic limit words of a transient non-expanding walk, one per
     root-covering cone, as (prefix, cycle) with the word = prefix + cycle^inf."""
@@ -612,8 +600,3 @@ def limit_words(model, atlas):
         cycle = "".join(letters[start:])
         out.append((word, cycle))
     return sorted(set(out))
-
-
-def build_covering(model, type_id, **kwargs):
-    """Covering of one cone type (convenience wrapper over the atlas)."""
-    return build_atlas(model, **kwargs).coverings[type_id]

@@ -1,6 +1,7 @@
-"""Hidden-chain entropy: two-sided bounds, the exact regeneration formula
-for single-boundary types, the positive-entry modified chain with its
-marginal-equality check, and assembly of the final report.
+"""Hidden-chain entropy: two-sided bounds, the telescoped closed form for
+classes whose cone types all have a single boundary suffix, the
+positive-entry modified chain with its marginal-equality check, and
+assembly of the final report.
 """
 from __future__ import annotations
 
@@ -194,8 +195,11 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
     over positive-probability symbol sequences, stopping once the gap closes
     below ``gap_tol`` or at ``n_max``.  The expansion budget counts the
     symbols out of each nonzero frontier entry; past it a stationary Monte
-    Carlo estimator substitutes, with standard errors.
+    Carlo estimator substitutes, with standard errors.  ``n_max`` is at
+    least 2: the first bounds are those of the second symbol.
     """
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
     step = hidden.step
     n_symbols = np.array([len(np.unique(step.sym[a:b]))
                           for a, b in zip(step.start, step.start[1:])])
@@ -281,7 +285,7 @@ def _surprise(step, frontier, syms):
     return -np.log(_mass(frontier) / before)
 
 
-# -- exact formula at a single-boundary type ------------------------------------
+# -- telescoped regeneration value ---------------------------------------------
 
 @dataclass
 class ExactEntropy:
@@ -291,149 +295,26 @@ class ExactEntropy:
     method: str
 
 
-def _regeneration_setup(chain, cls, suffix):
-    """What the regeneration formula needs: the suffix ``ab`` at which
-    blocks regenerate (``suffix``, else the first single-boundary suffix),
-    the class's stationary mass per suffix, each suffix row as a {target:
-    prob} map, and ``mates(word)``: the class words that share the word's
-    frozen part and end in a boundary suffix of its type."""
-    atlas = chain.atlas
-    boundaries = [atlas.types[t].boundary_suffixes for t in sorted(cls.types)]
-    exact_sfx = [b[0] for b in boundaries if len(b) == 1]
-    if not exact_sfx:
-        raise AssumptionError("no single-boundary cone type in this class")
-    ab = suffix or exact_sfx[0]
-    if ab not in exact_sfx:
-        raise AssumptionError(f"suffix {ab!r} is not unambiguous")
-    class_words = {chain.states[i] for i in cls.state_ids}
-    row_maps = {s: dict(zip(r.targets, map(float, r.probs)))
-                for s, r in chain.suffix_rows.items()}
-    mates_memo = {}
-
-    def mates(word):
-        if word not in mates_memo:
-            t = atlas.type_of[word[-2:]]
-            mates_memo[word] = [word[:-2] + cd
-                                for cd in atlas.types[t].boundary_suffixes
-                                if word[:-2] + cd in class_words]
-        return mates_memo[word]
-
-    return ab, _suffix_mass(chain, cls), row_maps, mates
-
-
-def unambiguous_exact(chain, cls, suffix=None, tail_tol=1e-10, max_depth=60,
-                      budget=SANDWICH_BUDGET, force_dfs=False):
-    """Entropy rate through regeneration at a single-boundary cone type.
+def unambiguous_exact(chain, cls):
+    """Entropy rate through regeneration at single-boundary cone types.
 
     When every type of the class has a one-word boundary, block weights and
     their coarsened versions coincide and the regeneration sum telescopes to
-    the Markov entropy rate of the increment chain (closed form, zero
-    truncation error).  Otherwise there is no exact value: AssumptionError,
-    unless ``force_dfs`` asks for the first-return blocks to the chosen
-    suffix to be enumerated depth-first, the coarsened weight carried as a
-    forward vector over boundary mates, with tail-mass accounting; its
-    truncation bound can dwarf the value (32.7 against 0.119 on the
-    ``mixed`` test model).
+    the Markov entropy rate of the increment chain: the class's stationary
+    mass per suffix times the entropy of that suffix's row (closed form,
+    zero truncation error).  Otherwise there is no exact value and
+    AssumptionError is raised.
     """
-    ab, mass, row_maps, mates = _regeneration_setup(chain, cls, suffix)
-    types = [chain.atlas.types[t] for t in cls.types]
-    if not force_dfs:
-        if any(len(t.boundary_suffixes) != 1 for t in types):
-            raise AssumptionError("regeneration sum does not telescope: a "
-                                  "type has several boundary suffixes")
-        # per suffix: its stationary mass times the entropy of its row
-        hy = 0.0
-        for sfx, m in mass.items():
-            p = chain.suffix_rows[sfx].probs
-            hy -= m * float(np.sum(p * np.log(p)))
-        return ExactEntropy(hy, 0.0, ab, "telescoped")
-    nu_ab = mass.get(ab, 0.0)
-
-    acc = [0.0]
-    spent = [0]
-    tail_mass = [0.0]
-    tail_depth = [1]
-    min_q = min(p for r in chain.suffix_rows.values() for p in r.probs if p > 0)
-
-    def step(suffix, w, beta, depth):
-        if spent[0] > budget or depth > max_depth or w < tail_tol * 1e-3:
-            tail_mass[0] += w
-            tail_depth[0] = max(tail_depth[0], depth)
-            return
-        row = chain.suffix_rows[suffix]
-        for y, p in zip(row.targets, row.probs):
-            p = float(p)
-            if p <= 0:
-                continue
-            wy = w * p
-            beta_y = {}
-            for ym in mates(y):
-                tot = sum(bm * row_maps[mate[-2:]].get(ym, 0.0)
-                          for mate, bm in beta.items())
-                if tot > 0:
-                    beta_y[ym] = tot
-            spent[0] += len(beta) * len(mates(y))
-            if y[-2:] == ab:
-                wt = beta_y.get(y, 0.0)
-                if wt > 0:
-                    acc[0] += -wy * math.log(wt)
-            else:
-                step(y[-2:], wy, beta_y, depth + 1)
-
-    row0 = chain.suffix_rows[ab]
-    for y, p in zip(row0.targets, row0.probs):
-        p = float(p)
-        if p <= 0:
-            continue
-        beta = {ym: row_maps[ab].get(ym, 0.0) for ym in mates(y)}
-        beta = {k: v for k, v in beta.items() if v > 0}
-        if y[-2:] == ab:
-            wt = beta.get(y, 0.0)
-            if wt > 0:
-                acc[0] += -p * math.log(wt)
-        else:
-            step(y[-2:], p, beta, 2)
-
-    # unfinished blocks: bound each unrealized -w log w-tilde by the worst
-    # per-step surprise times a geometric tail on the block length
-    bound = tail_mass[0] * (tail_depth[0] + 10) * (-math.log(min_q)) * 2.0
-    return ExactEntropy(nu_ab * acc[0], nu_ab * bound, ab, "regeneration-dfs")
-
-
-def regeneration_mc(chain, cls, suffix=None, samples=50_000, seed=29):
-    """Monte Carlo evaluation of the single-boundary regeneration sum.
-
-    Samples first-return blocks of the increment chain and averages the
-    negative log of the coarsened block weight; unbiased for the same
-    quantity the depth-first enumeration truncates, and the practical tool
-    when the block tree is too wide to enumerate.
-    """
-    ab, mass, row_maps, mates = _regeneration_setup(chain, cls, suffix)
-    nu_ab = mass.get(ab, 0.0)
-    rows = {s: (r.targets, np.asarray(r.probs, dtype=float) / r.probs.sum())
-            for s, r in chain.suffix_rows.items()}
-
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    vals = np.empty(samples)
-    for k in range(samples):
-        sfx = ab
-        beta = None
-        while True:
-            targets, probs = rows[sfx]
-            y = targets[int(rng.choice(len(targets), p=probs))]
-            if beta is None:
-                beta = {ym: row_maps[ab].get(ym, 0.0) for ym in mates(y)}
-            else:
-                beta = {ym: sum(bm * row_maps[mate[-2:]].get(ym, 0.0)
-                                for mate, bm in beta.items())
-                        for ym in mates(y)}
-            if y[-2:] == ab:
-                vals[k] = -math.log(beta[y])
-                break
-            sfx = y[-2:]
-    value = nu_ab * float(vals.mean())
-    se = nu_ab * float(vals.std(ddof=1) / math.sqrt(samples))
-    return ExactEntropy(value, 3 * se, ab, "regeneration-mc")
+    boundaries = [chain.atlas.types[t].boundary_suffixes
+                  for t in sorted(cls.types)]
+    if any(len(b) != 1 for b in boundaries):
+        raise AssumptionError("regeneration sum does not telescope: a type "
+                              "has several boundary suffixes")
+    hy = 0.0
+    for sfx, m in _suffix_mass(chain, cls).items():
+        p = chain.suffix_rows[sfx].probs
+        hy -= m * float(np.sum(p * np.log(p)))
+    return ExactEntropy(hy, 0.0, boundaries[0][0], "telescoped")
 
 
 # -- modified positive-entry chain ----------------------------------------------
@@ -651,7 +532,6 @@ def assemble_report(model, gf, atlas=None, chain=None, n_max=16, gap_tol=1e-6,
     classes, notes = [], []
     h_total = 0.0
     marginal = None
-    exact = None
     for cls in chain.classes:
         expanding = any(atlas.expanding_types[t] for t in cls.types)
         if not expanding:
@@ -675,10 +555,8 @@ def assemble_report(model, gf, atlas=None, chain=None, n_max=16, gap_tol=1e-6,
                 f"class {cls.index}: sandwich not converged at depth "
                 f"{bounds.n_final}, gap {bounds.gap:.3g} > {gap_tol:g}")
         try:
-            exact = unambiguous_exact(chain, cls)
-            hy_exact = exact.value
+            hy_exact = unambiguous_exact(chain, cls).value
         except AssumptionError:
-            exact = None
             hy_exact = None
         if cls.ell is None:
             raise AssumptionError(
@@ -694,8 +572,7 @@ def assemble_report(model, gf, atlas=None, chain=None, n_max=16, gap_tol=1e-6,
 
     if len(classes) == 1:
         c = classes[0]
-        method = "unambiguous" if (exact is not None and
-                                   exact.method == "telescoped") else "sandwich"
+        method = "unambiguous" if c.hy_exact is not None else "sandwich"
         rep = EntropyReport(True, True, method, chain.ell, chain.lambda_,
                             c.hy, c.hy_gap, c.hy_n, h_total, True, True,
                             classes=classes, marginal_check=marginal,

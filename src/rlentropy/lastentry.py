@@ -97,7 +97,6 @@ class EntryChain:
     lambda_: float = 0.0
     expected_time: float | None = None
     ell: float | None = None
-    ell_verified: bool = False
     nu0: np.ndarray | None = None    # stationary mix weighted over classes
 
     def row(self, state_word):

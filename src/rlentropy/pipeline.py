@@ -103,17 +103,3 @@ def _mc_ell_fallback(model, chain, steps=20000, trajectories=50, seed=12345):
     chain.expected_time = (chain.lambda_ / chain.ell) if chain.ell > 0 else None
     return (f"drift from Monte Carlo fallback: {rep.speed_mean:.6f} "
             f"+- {rep.speed_se:.6f} (derivative system near-singular)")
-
-
-def verify_drift(analysis, steps=10_000, trajectories=100, seed=0):
-    """Mandatory Monte Carlo cross-check of the reconstructed drift; marks
-    the chain's value verified when pooled |X_n|/n agrees within 3 SE."""
-    from . import simulate
-    ok, mean, se = simulate.verify_ell(analysis.model, analysis.gf,
-                                       analysis.report.ell, steps=steps,
-                                       trajectories=trajectories, seed=seed)
-    analysis.chain.ell_verified = ok
-    note = (f"drift cross-check: MC {mean:.6f} +- {se:.6f} vs analytic "
-            f"{analysis.report.ell:.6f} ({'ok' if ok else 'MISMATCH'})")
-    analysis.report.notes.append(note)
-    return ok, mean, se

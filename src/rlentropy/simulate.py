@@ -1,5 +1,6 @@
-"""Trajectory sampling and pathwise estimators cross-validating the analytic
-tables.
+"""Trajectory sampling and the pathwise rates that cross-validate the
+analytic tables: pooled |X_n|/n against ell, and the surprisal and
+hitting-probability rates against h.
 
 Reproducibility contract: trajectory ``i`` of a run with seed ``s`` uses a
 Philox counter-based generator keyed with ``(s << 64) + i``; pooled results
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -61,9 +62,6 @@ class _Sampler:
 class Trajectory:
     index: int
     series: list                    # rows (n, word_len, l_rate, green_rate)
-    final_len: int
-    first_letter: str | None
-    early_words: dict               # step -> word, for small-n spot checks
 
 
 @dataclass
@@ -97,14 +95,13 @@ def _rates(gf, evaluator, n):
     return -log_l / n, -log_f / n
 
 
-def _run_one(model, gf, cfg, index, early_steps):
+def _run_one(model, gf, cfg, index):
     rng = trajectory_rng(cfg.seed, index)
     sampler = _Sampler(model)
     evaluator = LWordEvaluator(model, gf) if gf is not None else None
     word = []
     series = []
     checkpoints = set(cfg.checkpoints)
-    early = {}
     buf = rng.random(4096)
     bi = 0
     for n in range(1, cfg.steps + 1):
@@ -113,28 +110,23 @@ def _run_one(model, gf, cfg, index, early_steps):
             bi = 0
         sampler.step(word, buf[bi])
         bi += 1
-        if n in early_steps:
-            early[n] = "".join(word)
         if evaluator is not None:
             evaluator.step(word)
         if n in checkpoints:
             rates = _rates(gf, evaluator, n) if evaluator else (None, None)
             series.append((n, len(word), *rates))
-    return Trajectory(index, series, len(word),
-                      word[0] if word else None, early)
+    return Trajectory(index, series)
 
 
-def run_trajectories(model, cfg, gf=None, early_steps=()):
+def run_trajectories(model, cfg, gf=None):
     """Sample trajectories exactly per the rule table, in index order."""
-    early_steps = frozenset(early_steps)
-    trajs = [_run_one(model, gf, cfg, i, early_steps)
-             for i in range(cfg.trajectories)]
+    trajs = [_run_one(model, gf, cfg, i) for i in range(cfg.trajectories)]
 
     speeds = np.array([tr.series[-1][1] / tr.series[-1][0] for tr in trajs])
 
     def pooled(idx):
         vals = np.array([tr.series[-1][idx] for tr in trajs], dtype=float)
-        if np.isnan(vals).any() or gf is None:
+        if np.isnan(vals).any():
             return None, None
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
@@ -143,90 +135,3 @@ def run_trajectories(model, cfg, gf=None, early_steps=()):
     return SimReport(cfg, trajs, float(speeds.mean()),
                      float(speeds.std(ddof=1) / math.sqrt(len(speeds))),
                      l_mean, l_se, g_mean, g_se)
-
-
-def greenian_rate(model, gf, words, checkpoints=None):
-    """Series -log F(o, X_n)/n with the hitting value F = G(o,o) L / G(w,w)
-    along the steps of a walk (step n is words[n-1])."""
-    ev = LWordEvaluator(model, gf)
-    out = []
-    checkpoints = set(checkpoints or range(1, len(words) + 1))
-    for n, w in enumerate(words, start=1):
-        ev.step(w)
-        if n in checkpoints:
-            out.append((n, _rates(gf, ev, n)[1]))
-    return out
-
-
-def exact_pi_n(model, n_max, state_budget=500_000):
-    """Exact step distributions by forward dynamic programming; returns a
-    list whose m-th entry maps words to their probability at step m."""
-    dists = [{"": 1.0}]
-    for _ in range(n_max):
-        cur = dists[-1]
-        nxt = {}
-        for w, p in cur.items():
-            for succ, q in model.successors(w):
-                nxt[succ] = nxt.get(succ, 0.0) + p * q
-        if len(nxt) > state_budget:
-            raise MemoryError(f"state budget {state_budget} exceeded at "
-                              f"step {len(dists)}")
-        dists.append(nxt)
-    return dists
-
-
-@dataclass
-class EmpiricalVerdict:
-    fraction_within: float
-    eps: float
-    n: int
-    small_n_rates: list
-    ok: bool
-    detail: str = ""
-
-
-def empirical_entropy_check(model, gf, report, h, eps=0.05, small_n=8,
-                            max_small_paths=50):
-    """Statistical convergence check of the pathwise rates against h.
-
-    The fraction of trajectories whose final l-rate sits within ``eps`` of h
-    is the headline number; the exact small-n step distributions supply a
-    spot check of the per-path surprisal rates.  Soft verdict only.
-    """
-    finals = [tr.series[-1] for tr in report.trajectories]
-    n = finals[0][0]
-    within = sum(1 for row in finals if abs(row[2] - h) < eps) / len(finals)
-
-    rates = []
-    dists = exact_pi_n(model, small_n)
-    for tr in report.trajectories[:max_small_paths]:
-        w = tr.early_words.get(small_n)
-        if w is None:
-            continue
-        p = dists[small_n].get(w, 0.0)
-        if p > 0:
-            rates.append(-math.log(p) / small_n)
-    ok = within >= 0.5 or h == 0.0
-    return EmpiricalVerdict(within, eps, n, rates, ok)
-
-
-def verify_ell(model, gf, ell, steps=10_000, trajectories=100, seed=0,
-               sigmas=3.0):
-    """Mandatory cross-check of the analytic drift against pooled |X_n|/n."""
-    cfg = SimConfig(steps, trajectories, seed)
-    rep = run_trajectories(model, cfg, gf=None)
-    diff = abs(rep.speed_mean - ell)
-    ok = diff <= sigmas * max(rep.speed_se, 1e-12)
-    return ok, rep.speed_mean, rep.speed_se
-
-
-def absorption_frequencies(report, families):
-    """Fraction of trajectories whose stabilized first letter falls in each
-    letter family (cross-check for class weights)."""
-    counts = {name: 0 for name in families}
-    for tr in report.trajectories:
-        for name, letters in families.items():
-            if tr.first_letter in letters:
-                counts[name] += 1
-    total = len(report.trajectories)
-    return {name: c / total for name, c in counts.items()}

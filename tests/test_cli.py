@@ -103,6 +103,38 @@ def test_simulate_crosscheck(capsys):
     assert data["ell_consistent_3se"] is True
 
 
+def test_simulate_crosscheck_flags_wrong_drift(capsys, monkeypatch):
+    analyze = pipeline.analyze
+
+    def wrong_drift(*args, **kwargs):
+        res = analyze(*args, **kwargs)
+        res.report.ell = 0.9           # fg2's drift is 1/2
+        return res
+    monkeypatch.setattr(pipeline, "analyze", wrong_drift)
+    code, out = run_cli(capsys, "--format", "json", "simulate",
+                        str(fixture_path("fg2")), "--steps", "2000",
+                        "--trajectories", "40", "--seed", "5", "--crosscheck")
+    data = json.loads(out)
+    assert code == 0 and data["ell_analytic"] == 0.9
+    assert data["ell_consistent_3se"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    "entropy --n-max 1", "entropy --n-max 0", "entropy --n-max -1",
+    "sweep --grid 0", "sweep --n-max 1", "simulate --steps 0",
+    "simulate --trajectories 0", "simulate --trajectories 1",
+])
+def test_out_of_range_counts_are_input_errors(capsys, argv):
+    command, *options = argv.split()
+    models = [str(fixture_path("fg2"))] * (2 if command == "sweep" else 1)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, *models, *options])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert f"argument {options[0]}: must be >=" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_constant_and_mismatch(capsys):
     code, out = run_cli(capsys, "--format", "json", "sweep",
                         str(fixture_path("fg2")), str(fixture_path("fg2")),

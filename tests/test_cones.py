@@ -179,8 +179,6 @@ def test_expanding_flags():
     assert get_atlas("multi").expanding
     assert get_atlas("glued").expanding
     assert not get_atlas("ne").expanding
-    assert rle.is_expanding(get_model("fg2"))
-    assert not rle.is_expanding(get_model("ne"))
 
 
 def test_limit_words_ne():
@@ -254,12 +252,6 @@ def test_reach22_symmetric_under_weak_symmetry():
         for p in suff:
             for q in suff:
                 assert rel.reach22[P[p], P[q]] == rel.reach22[P[q], P[p]]
-
-
-def test_build_covering_wrapper(ne):
-    from rlentropy.cones import build_covering
-    cov = build_covering(ne, 0)
-    assert cov.certified and len(cov.slots) == 1
 
 
 @given(st.data())

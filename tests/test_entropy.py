@@ -15,6 +15,7 @@ from rlentropy.entropy import ModifiedChain
 
 from conftest import get_analysis, get_atlas, get_chain, get_gf, get_model
 from marginal_oracle import enumerated_marginal_diff
+from regeneration_oracle import regeneration_mc
 from sandwich_oracle import dict_sandwich, state_transitions
 
 
@@ -52,6 +53,13 @@ def test_sandwich_fg2_exact_at_two():
     assert bounds.value == pytest.approx(math.log(27), abs=1e-9)
 
 
+def test_sandwich_needs_two_symbols():
+    chain, cls = _single_class("fg2")
+    for n_max in (1, 0, -1):
+        with pytest.raises(ValueError):
+            sandwich_bounds(HiddenChain(chain, cls), n_max=n_max)
+
+
 def test_sandwich_multi_monotone_bounds():
     chain, cls = _single_class("multi")
     bounds = sandwich_bounds(HiddenChain(chain, cls), n_max=9, gap_tol=1e-12)
@@ -68,9 +76,6 @@ def test_sandwich_multi_monotone_bounds():
 def test_unambiguous_ne_zero():
     chain, cls = _single_class("ne")
     assert unambiguous_exact(chain, cls).value == pytest.approx(0.0, abs=1e-12)
-    dfs = unambiguous_exact(chain, cls, force_dfs=True)
-    assert dfs.value == pytest.approx(0.0, abs=1e-12)
-    assert dfs.truncation_bound < 1e-9
 
 
 def test_unambiguous_fg2_matches_sandwich():
@@ -80,15 +85,6 @@ def test_unambiguous_fg2_matches_sandwich():
     assert exact.method == "telescoped"
     assert exact.truncation_bound == 0.0
     assert abs(exact.value - bounds.value) <= bounds.gap + 1e-9
-
-
-def test_unambiguous_dfs_within_tail_bound():
-    # depth-limited regeneration enumeration stays within its own bound
-    chain, cls = _single_class("t3")
-    tele = unambiguous_exact(chain, cls)
-    dfs = unambiguous_exact(chain, cls, force_dfs=True, max_depth=7,
-                            budget=400000)
-    assert abs(dfs.value - tele.value) <= dfs.truncation_bound + 1e-9
 
 
 def test_unambiguous_degenerate_single_state():
@@ -110,8 +106,7 @@ def test_unambiguous_requires_single_boundary_type():
 
 def test_mixed_report_leaves_out_non_telescoped_exact_value():
     # one type of mixed has two boundary suffixes, so the regeneration sum
-    # does not telescope; the depth-first enumeration (0.119, truncation
-    # bound 32.7) runs only when forced, and the sandwich value stands
+    # does not telescope, there is no exact value, and the sandwich stands
     rep = get_analysis("mixed").report
     assert [c.hy_exact for c in rep.classes] == [None]
     assert rep.hy == pytest.approx(1.0558930904597559, abs=1e-12)
@@ -251,14 +246,6 @@ def test_mc_drift_fallback(monkeypatch):
     assert chain.expected_time == pytest.approx(12 / 5, abs=0.2)
 
 
-def test_verify_drift_flags_chain(ne):
-    res = pipeline.analyze(ne)
-    ok, mean, se = pipeline.verify_drift(res, steps=3000, trajectories=30,
-                                         seed=17)
-    assert ok and res.chain.ell_verified
-    assert any("cross-check" in n for n in res.report.notes)
-
-
 def test_twotype_fold_with_multiword_transport():
     # two types, two-word boundaries: the fold branch must transport every
     # boundary suffix separately
@@ -292,7 +279,6 @@ def test_mixed_ambiguity_regeneration_mc_matches_sandwich():
     # one two-word-boundary type plus two single-boundary types: the block
     # tree is too wide for exact enumeration, the sampled regeneration sum
     # must agree with the converged sandwich value
-    from rlentropy.entropy import regeneration_mc
     chain, cls = _single_class("mixed")
     atlas = chain.atlas
     flags = sorted(t.unambiguous for t in atlas.types)
@@ -305,20 +291,10 @@ def test_mixed_ambiguity_regeneration_mc_matches_sandwich():
 
 
 def test_regeneration_mc_matches_telescoped_fg2():
-    from rlentropy.entropy import regeneration_mc
     chain, cls = _single_class("fg2")
     tele = unambiguous_exact(chain, cls)
     mc = regeneration_mc(chain, cls, samples=4000, seed=5)
     assert abs(mc.value - tele.value) <= mc.truncation_bound
-
-
-def test_mixed_dfs_stays_within_its_bound():
-    chain, cls = _single_class("mixed")
-    bounds = sandwich_bounds(HiddenChain(chain, cls), n_max=16, gap_tol=1e-10)
-    dfs = unambiguous_exact(chain, cls, force_dfs=True, max_depth=12,
-                            budget=10**6)
-    assert dfs.value <= bounds.value + 1e-9
-    assert abs(dfs.value - bounds.value) <= dfs.truncation_bound
 
 
 def test_randomized_models_full_pipeline():
