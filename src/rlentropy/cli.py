@@ -266,15 +266,28 @@ def cmd_sweep(args):
     return 0
 
 
-def _int_at_least(low):
-    """argparse type: an integer no smaller than ``low``."""
+def _int_at_least(low, below=None):
+    """argparse type: an integer no smaller than ``low`` and, if ``below``
+    is given, smaller than it."""
     def parse(text):
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value < low or (below is not None and value >= below):
+            bound = f">= {low}" if below is None else f">= {low} and < {below}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
     parse.__name__ = "int"
     return parse
+
+
+def _positive_float(text):
+    """argparse type: a finite float greater than zero."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {value}")
+    return value
+
+
+_positive_float.__name__ = "float"
 
 
 def build_parser():
@@ -289,8 +302,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=genfun.DEFAULT_TOL)
-        p.add_argument("--tol-recurrence", type=float,
+        p.add_argument("--tol", type=_positive_float, default=genfun.DEFAULT_TOL)
+        p.add_argument("--tol-recurrence", type=_positive_float,
                        default=genfun.RECURRENCE_XI_TOL)
 
     p = sub.add_parser("validate", help="structural checks")
@@ -307,8 +320,9 @@ def build_parser():
     p.add_argument("model")
     common(p)
     p.add_argument("--n-max", type=_int_at_least(2), default=16)
-    p.add_argument("--gap-tol", type=float, default=1e-6)
-    p.add_argument("--budget", type=int, default=entropy.SANDWICH_BUDGET)
+    p.add_argument("--gap-tol", type=_positive_float, default=1e-6)
+    p.add_argument("--budget", type=_int_at_least(0),
+                   default=entropy.SANDWICH_BUDGET)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("simulate", help="trajectory sampling and rates")
@@ -317,7 +331,8 @@ def build_parser():
     p.add_argument("--steps", type=_int_at_least(1), default=10000)
     # two trajectories at least: the standard errors divide by n - 1
     p.add_argument("--trajectories", type=_int_at_least(2), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    # the Philox key of each trajectory is (seed << 64) + index
+    p.add_argument("--seed", type=_int_at_least(0, 2 ** 64), default=0)
     p.add_argument("--crosscheck", action="store_true",
                    help="compare pooled speed against the analytic drift")
     p.set_defaults(func=cmd_simulate)
@@ -328,7 +343,7 @@ def build_parser():
     common(p)
     p.add_argument("--grid", type=_int_at_least(1), default=11)
     p.add_argument("--n-max", type=_int_at_least(2), default=16)
-    p.add_argument("--gap-tol", type=float, default=1e-6)
+    p.add_argument("--gap-tol", type=_positive_float, default=1e-6)
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -1,9 +1,11 @@
 """Cone structure of the walk: reachability saturation, cone types, coverings.
 
-Everything here is support-level (boolean): which transitions are possible,
-never with what probability.  All reachability questions are answered on the
-two-letter suffix system with ascent/descent saturation; explicit word
-enumeration only happens inside cones up to the covering depth.
+The rule table is indexed here once; the generating-function systems read
+the same lists with their probabilities.  Everything else is support-level
+(boolean): which transitions are possible, never with what probability.  All
+reachability questions are answered on the two-letter suffix system with
+ascent/descent saturation; explicit word enumeration only happens inside
+cones up to the covering depth.
 """
 from __future__ import annotations
 
@@ -17,7 +19,13 @@ from .model import AssumptionError
 # -- support saturation ------------------------------------------------------
 
 class ReachRelation:
-    """Boolean least fixed points of the descent/level/ascent systems.
+    """The indexed rule table and the boolean least fixed points of the
+    descent/level/ascent systems.
+
+    ``down``  (pair, letter, p) per rule ab -> c;
+    ``level`` (pair, pair, p) per rule ab -> cd;
+    ``up``    (pair, letter, pair, p) per rule ab -> cde;
+    indices into ``pairs`` and the alphabet, rows in pair order.
 
     ``supp_h[p, c]``    descent from suffix pair p can first hit the level
                         below ending in letter c.
@@ -35,15 +43,14 @@ class ReachRelation:
         self.letter_index = {a: i for i, a in enumerate(A)}
         nP, nA = len(self.pairs), len(A)
 
-        down, level, up = [], [], []
-        for p, i in self.pair_index.items():
-            for rhs, _ in model.down_rules.get(p, ()):
-                down.append((i, self.letter_index[rhs]))
-            for rhs, _ in model.level_rules.get(p, ()):
-                level.append((i, self.pair_index[rhs]))
-            for rhs, _ in model.up_rules.get(p, ()):
-                up.append((i, self.letter_index[rhs[0]], self.pair_index[rhs[1:]]))
-        self._down, self._level, self._up = down, level, up
+        self.down, self.level, self.up = down, level, up = [], [], []
+        for pr, i in self.pair_index.items():
+            for rhs, p in model.down_rules.get(pr, ()):
+                down.append((i, self.letter_index[rhs], p))
+            for rhs, p in model.level_rules.get(pr, ()):
+                level.append((i, self.pair_index[rhs], p))
+            for rhs, p in model.up_rules.get(pr, ()):
+                up.append((i, self.letter_index[rhs[0]], self.pair_index[rhs[1:]], p))
 
         self.supp_h = self._saturate_h(nP, nA)
         self.reach22 = self._saturate_reach22(nP)
@@ -56,7 +63,7 @@ class ReachRelation:
         self.closure = [sum(1 << int(j) for j in np.flatnonzero(row))
                         for row in self.reach22]
         self.up_step = [{} for _ in range(nP)]
-        for i, c, de in up:
+        for i, c, de, _ in up:
             step, letter = self.up_step[i], A[c]
             step[letter] = step.get(letter, 0) | self.closure[de]
         self._advance = {}
@@ -69,15 +76,15 @@ class ReachRelation:
 
     def _saturate_h(self, nP, nA):
         h = np.zeros((nP, nA), dtype=bool)
-        for i, c in self._down:
+        for i, c, _ in self.down:
             h[i, c] = True
         changed = True
         while changed:
             changed = False
             new = h.copy()
-            for i, j in self._level:
+            for i, j, _ in self.level:
                 new[i] |= h[j]
-            for i, d, ef in self._up:
+            for i, d, ef, _ in self.up:
                 # descend twice: first from ef ending at g, then from (d, g)
                 for g in np.flatnonzero(h[ef]):
                     new[i] |= h[self._pair_of(d, g)]
@@ -87,9 +94,9 @@ class ReachRelation:
 
     def _saturate_reach22(self, nP):
         edge = np.eye(nP, dtype=bool)
-        for i, j in self._level:
+        for i, j, _ in self.level:
             edge[i, j] = True
-        for i, c, de in self._up:
+        for i, c, de, _ in self.up:
             # up to cde, excursion back down through supp_h lands on (c, f)
             for f in np.flatnonzero(self.supp_h[de]):
                 edge[i, self._pair_of(c, f)] = True
@@ -97,7 +104,7 @@ class ReachRelation:
 
     def _saturate_reach_ge2(self):
         edge = self.reach22.copy()
-        for i, _c, de in self._up:
+        for i, _c, de, _ in self.up:
             edge[i, de] = True
         return _transitive_closure(edge)
 
@@ -157,15 +164,19 @@ class ReachableSets:
     words3: tuple
     suffixes: tuple
     short_words: tuple
+    windows: tuple
 
 
 def reachable_sets(model):
-    """Exact reachable short words and the full reachable suffix set.
+    """Exact reachable short words, suffixes and three-letter windows.
 
     Words of length <= 3 come from a mutual fixpoint of level entries and
     within-level wandering (excursions above are folded in through the
-    descent supports).  Suffix sets at level n+1 are the reach22-closures of
-    ascent targets from level n; the union over levels is the suffix set.
+    descent supports).  The suffix set is the closure of the two-letter
+    words under the ascent map: an ascent ab -> cde from any level followed
+    by within-level wandering from de to fg.  Each such move also yields the
+    window c + fg, the last three letters of a reachable word of length
+    >= 3; every such word ends in one of these windows.
     """
     if hasattr(model, "_reachable_sets"):
         return model._reachable_sets
@@ -195,29 +206,24 @@ def reachable_sets(model):
                 if rhs not in w1:
                     w1.add(rhs); changed = True
 
-    w3 = set()
-    for ab in w2:
-        for rhs, _ in model.up_rules.get(ab, ()):
-            for fg in np.flatnonzero(rel.reach22[P[rhs[1:]]]):
-                w3.add(rhs[0] + rel.pairs[fg])
+    def ascents(ab):
+        for c, mask in rel.up_step[P[ab]].items():
+            for fg in rel.pairs_of(mask):
+                yield c, fg
 
-    suffixes = set(w2)
-    level = frozenset(w2)
-    seen = set()
-    while level and level not in seen:
-        seen.add(level)
-        nxt = set()
-        for ab in level:
-            for rhs, _ in model.up_rules.get(ab, ()):
-                for fg in np.flatnonzero(rel.reach22[P[rhs[1:]]]):
-                    nxt.add(rel.pairs[fg])
-        suffixes |= nxt
-        level = frozenset(nxt)
+    w3 = {c + fg for ab in w2 for c, fg in ascents(ab)}
+    suffixes, windows, todo = set(w2), set(), list(w2)
+    while todo:
+        for c, fg in ascents(todo.pop()):
+            windows.add(c + fg)
+            if fg not in suffixes:
+                suffixes.add(fg)
+                todo.append(fg)
 
     short = ("",) + tuple(sorted(w1)) + tuple(sorted(w2)) + tuple(sorted(w3))
     model._reachable_sets = ReachableSets(
         tuple(sorted(w1)), tuple(sorted(w2)), tuple(sorted(w3)),
-        tuple(sorted(suffixes)), short)
+        tuple(sorted(suffixes)), short, tuple(sorted(windows)))
     return model._reachable_sets
 
 

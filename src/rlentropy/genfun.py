@@ -44,25 +44,12 @@ class _HSystem:
     descent functions, plus its Jacobian."""
 
     def __init__(self, model):
-        self.model = model
-        A = model.alphabet
-        self.nA = len(A)
-        self.letter_index = {a: i for i, a in enumerate(A)}
-        self.pairs = [a + b for a in A for b in A]
-        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
-        nP, nA = len(self.pairs), self.nA
-
-        self.base = np.zeros((nP, nA))
-        self.level = []   # (i, j, p)
-        self.up = []      # (i, d_letter_idx, ef_pair_idx, p)
-        for pr, i in self.pair_index.items():
-            for rhs, p in model.down_rules.get(pr, ()):
-                self.base[i, self.letter_index[rhs]] += p
-            for rhs, p in model.level_rules.get(pr, ()):
-                self.level.append((i, self.pair_index[rhs], p))
-            for rhs, p in model.up_rules.get(pr, ()):
-                self.up.append((i, self.letter_index[rhs[0]],
-                                self.pair_index[rhs[1:]], p))
+        rel = saturate_supports(model)
+        self.pairs, self.level, self.up = rel.pairs, rel.level, rel.up
+        self.nA = len(model.alphabet)
+        self.base = np.zeros((len(self.pairs), self.nA))
+        for i, c, p in rel.down:
+            self.base[i, c] += p
 
     def apply(self, x, z):
         out = self.base.copy()
@@ -159,13 +146,14 @@ def solve_H(model, z=1.0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
             residual = float(np.max(np.abs(fx - x)))
             x = np.maximum(x, fx)
             iterations += 1
-            if residual < tol:
+            # an exact fixed point stops the sweeps even at tol = 0
+            if residual < tol or residual == 0:
                 break
             if iterations % check_every == 0:
                 if residual > 0.999 * last_res and residual > 1e3 * tol:
                     raise NonConvergenceError(residual, iterations)
                 last_res = residual
-        if residual >= tol:
+        else:
             raise NonConvergenceError(residual, iterations)
 
     derivs = None
@@ -191,9 +179,9 @@ def solve_H(model, z=1.0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
 def compute_xi(model, h):
     """Escape probabilities 1 - sum of descent values, on reachable suffixes."""
     xi = {}
+    P = saturate_supports(model).pair_index
     for ab in model.reachable_suffixes:
-        i = h.pairs.index(ab)
-        v = 1.0 - float(h.values[i].sum())
+        v = 1.0 - float(h.values[P[ab]].sum())
         if v < -1e-9:
             raise NonConvergenceError(-v, h.iterations)
         xi[ab] = max(v, 0.0)
@@ -239,8 +227,7 @@ def solve_Gbar(model, h, z=1.0):
             K[i, j] += z * p
             Kz[i, j] += p
         for rhs, p in model.up_rules.get(ab, ()):
-            c, de = rhs[0], rhs[1:]
-            hp = h.pairs.index(de)
+            c, hp = rhs[0], rel.pair_index[rhs[1:]]
             for f in np.flatnonzero(rel.supp_h[hp]):
                 cf = c + model.alphabet[f]
                 j = index[cf]
@@ -317,8 +304,7 @@ def solve_green_short(model, h, z=1.0):
                 T[i, index[succ]] += z * p
         if len(w) == 3:
             for rhs, p in model.up_rules.get(w[-2:], ()):
-                c, de = rhs[0], rhs[1:]
-                hp = h.pairs.index(de)
+                c, hp = rhs[0], rel.pair_index[rhs[1:]]
                 for f in np.flatnonzero(rel.supp_h[hp]):
                     target = w[0] + c + model.alphabet[f]
                     T[i, index[target]] += z * p * h.values[hp, f]

@@ -82,7 +82,6 @@ class WalkModel:
         if check_stochastic:
             self.validate_rows()
 
-        self._letter_index = {a: i for i, a in enumerate(self.alphabet)}
         # rule lists split by shape, for the generating-function systems
         self.down_rules = {}    # lhs pair -> [(letter, p)]
         self.level_rules = {}   # lhs pair -> [(pair, p)]
@@ -134,17 +133,14 @@ class WalkModel:
     @property
     def reachable_suffixes(self):
         """Two-letter suffixes occurring in reachable words, sorted."""
-        if not hasattr(self, "_reach"):
-            from . import cones
-            self._reach = cones.reachable_sets(self)
-        return self._reach.suffixes
+        from . import cones
+        return cones.reachable_sets(self).suffixes
 
     @property
     def reachable_short_words(self):
         """Reachable words of length <= 3, including the empty word."""
-        if not hasattr(self, "_reach"):
-            self.reachable_suffixes
-        return self._reach.short_words
+        from . import cones
+        return cones.reachable_sets(self).short_words
 
     def __repr__(self):
         n = sum(len(rs) for rs in self.rules.values())
@@ -223,36 +219,29 @@ class CheckReport:
         return self.ok
 
 
-def check_weak_symmetry(model, max_len=6):
+def check_weak_symmetry(model):
     """Every one-step transition must be reversible in one step.
 
-    Checked on the ball of reachable words up to ``max_len``: outgoing edges
-    of a word are rule-determined, so each edge found inside the ball is
-    tested for an exact reverse edge regardless of ball truncation.  The
-    report is cached on the (immutable) model.
+    Decided exactly: a step rewrites only the last two letters, so whether
+    its reverse exists depends only on the last three letters of the word
+    (the letter before the pair matters when the step descends).  Testing
+    the reachable words of length <= 3 and the reachable three-letter
+    windows therefore covers every reachable word.  The report is cached on
+    the (immutable) model.
     """
-    cached = getattr(model, "_weak_symmetry", None)
-    if cached is not None and cached[0] == max_len:
-        return cached[1]
-    violations = []
-    seen = set()
-    frontier = [""]
-    seen.add("")
-    while frontier:
-        word = frontier.pop()
-        for succ, _p in model.successors(word):
-            back = any(w == word for w, q in model.successors(succ) if q > 0)
-            if not back:
-                pair = (word[-2:] if len(word) >= 2 else word,
-                        succ[-2:] if len(succ) >= 2 else succ)
-                if pair not in violations:
-                    violations.append(pair)
-            if len(succ) <= max_len and succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
-    model._weak_symmetry = (max_len, CheckReport(not violations,
-                                                 "weak-symmetry", violations))
-    return model._weak_symmetry[1]
+    if not hasattr(model, "_weak_symmetry"):
+        from . import cones
+        sets = cones.reachable_sets(model)
+        violations = []
+        for word in sets.short_words + sets.windows:
+            for succ, _p in model.successors(word):
+                if not any(w == word for w, _q in model.successors(succ)):
+                    pair = (word[-2:], succ[-2:])
+                    if pair not in violations:
+                        violations.append(pair)
+        model._weak_symmetry = CheckReport(not violations, "weak-symmetry",
+                                           violations)
+    return model._weak_symmetry
 
 
 def check_suffix_irreducibility(model):

@@ -43,6 +43,33 @@ def fixture_path(name):
     return FIXTURES / f"{name}.rw"
 
 
+def reduced_walk_text(letters, inverse):
+    """Simple random walk on words with no letter followed by its inverse."""
+    prob = f"1/{len(letters)}"
+    after = {x: [y for y in letters if y != inverse[x]] for x in letters}
+    rules = [f"rule: o -> {x} : {prob}" for x in letters]
+    for x in letters:
+        rules += [f"rule: {x} -> {rhs} : {prob}"
+                  for rhs in ["o"] + [x + y for y in after[x]]]
+        for y in after[x]:
+            rules.append(f"rule: {x}{y} -> {x} : {prob}")
+            rules += [f"rule: {x}{y} -> {x}{y}{z} : {prob}" for z in after[y]]
+    return "\n".join(["alphabet: " + " ".join(letters), *rules])
+
+
+def free_group_text(k):
+    """Simple random walk on reduced words of F_k (letters a, A, b, B, ...;
+    the upper case letter is the inverse)."""
+    letters = [c for g in "abcdefgh"[:k] for c in (g, g.upper())]
+    return reduced_walk_text(letters, {c: c.swapcase() for c in letters})
+
+
+def tree_text(d):
+    """Simple random walk on the d-regular tree T_d (self-inverse letters)."""
+    letters = list("abcdefgh"[:d])
+    return reduced_walk_text(letters, {c: c for c in letters})
+
+
 _cache = {}
 
 

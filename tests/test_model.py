@@ -1,11 +1,14 @@
 import itertools
+import random
 
 import pytest
 
 import rlentropy as rle
 from rlentropy.model import ModelError
 
-from conftest import fixture_path, get_gf, get_model
+from conftest import (fixture_path, free_group_text, get_gf, get_model,
+                      tree_text)
+from weak_symmetry_oracle import ball_violations
 
 
 def test_fg2_reachable_suffixes(fg2):
@@ -71,7 +74,6 @@ def test_weak_symmetry_report_cached_per_model():
     model = rle.load_model(fixture_path("t3"))
     first = rle.check_weak_symmetry(model)
     assert rle.check_weak_symmetry(model) is first
-    assert rle.check_weak_symmetry(model, max_len=4) is not first
 
 
 def test_weak_symmetry_violation_reported(fg2):
@@ -97,15 +99,56 @@ def test_weak_symmetry_verdict_symmetric(ne):
 def test_word_ball_adjacency_symmetric():
     # one-step relation on reachable words up to length 5 is symmetric
     for name in ("fg2", "ne", "line", "multi"):
-        model = get_model(name)
-        seen, frontier = {""}, [""]
-        while frontier:
-            w = frontier.pop()
-            for succ, _ in model.successors(w):
-                assert any(x == w for x, q in model.successors(succ) if q > 0)
-                if len(succ) <= 5 and succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
+        assert ball_violations(get_model(name), max_len=5) == [], name
+
+
+BASE_MODELS = ("fg2", "fg2_biased", "t3", "ne", "line", "glued", "a2",
+               "multi", "mixed", "twotype")
+
+
+def _drop_one_rule_variants(count, seed=7):
+    """Seeded sample of the base models with one rule removed."""
+    rng = random.Random(seed)
+    variants = []
+    for name in BASE_MODELS:
+        rules = get_model(name).all_rules()
+        for k in rng.sample(range(len(rules)), min(count, len(rules))):
+            kept = [(r.lhs, r.rhs, r.prob) for j, r in enumerate(rules) if j != k]
+            variants.append((f"{name} without {rules[k]}",
+                             get_model(name).with_rules(kept, check_stochastic=False)))
+    return variants
+
+
+def test_weak_symmetry_agrees_with_ball_oracle():
+    cases = [(name, get_model(name)) for name in BASE_MODELS]
+    cases += [(f"F_{k}", rle.parse_model(free_group_text(k))) for k in (2, 3, 4)]
+    cases += [(f"T_{d}", rle.parse_model(tree_text(d))) for d in (3, 4, 5)]
+    cases += _drop_one_rule_variants(3)
+    flagged = 0
+    for label, model in cases:
+        report = rle.check_weak_symmetry(model)
+        assert set(report.violations) == set(ball_violations(model)), label
+        flagged += not report.ok
+    assert flagged >= 10
+
+
+# a forced chain 1 -> 12 -> 123 -> ... -> 12345678, each step reversible,
+# whose last suffix 78 also descends to 9 with no way back: the only
+# violation leaves a word of length 8
+PAST_BALL_TEXT = "\n".join(
+    ["alphabet: 1 2 3 4 5 6 7 8 9", "rule: o -> 1 : 1",
+     "rule: 1 -> o : 1/2", "rule: 1 -> 12 : 1/2"]
+    + [f"rule: {i}{i + 1} -> {i} : 1/2\nrule: {i}{i + 1} -> {i}{i + 1}{i + 2} : 1/2"
+       for i in range(1, 7)]
+    + ["rule: 78 -> 7 : 1/2", "rule: 78 -> 9 : 1/2"])
+
+
+def test_weak_symmetry_violation_past_ball_radius():
+    model = rle.parse_model(PAST_BALL_TEXT)
+    report = rle.check_weak_symmetry(model)
+    assert report.violations == [("78", "69")]
+    assert ball_violations(model, max_len=6) == []
+    assert ball_violations(model, max_len=8) == [("78", "69")]
 
 
 def test_suffix_irreducibility():

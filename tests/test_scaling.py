@@ -7,21 +7,7 @@ import pytest
 import rlentropy as rle
 from rlentropy import pipeline
 
-
-def free_group_text(k):
-    """Simple random walk on reduced words of F_k (letters a, A, b, B, ...;
-    the upper case letter is the inverse)."""
-    letters = [c for g in "abcdefgh"[:k] for c in (g, g.upper())]
-    prob = f"1/{len(letters)}"
-    after = {x: [y for y in letters if y != x.swapcase()] for x in letters}
-    rules = [f"rule: o -> {x} : {prob}" for x in letters]
-    for x in letters:
-        rules += [f"rule: {x} -> {rhs} : {prob}"
-                  for rhs in ["o"] + [x + y for y in after[x]]]
-        for y in after[x]:
-            rules.append(f"rule: {x}{y} -> {x} : {prob}")
-            rules += [f"rule: {x}{y} -> {x}{y}{z} : {prob}" for z in after[y]]
-    return "\n".join(["alphabet: " + " ".join(letters), *rules])
+from conftest import free_group_text
 
 
 @pytest.fixture(scope="module")
