@@ -184,6 +184,7 @@ class EntropyBounds:
     converged: bool
     monte_carlo: bool = False
     std_error: float | None = None
+    exact_gap: float | None = None    # Monte Carlo: last exact level's gap
 
 
 def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
@@ -195,7 +196,8 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
     over positive-probability symbol sequences, stopping once the gap closes
     below ``gap_tol`` or at ``n_max``.  The expansion budget counts the
     symbols out of each nonzero frontier entry; past it a stationary Monte
-    Carlo estimator substitutes, with standard errors.  ``n_max`` is at
+    Carlo estimator substitutes, with standard errors and the gap of the
+    last exact level (None when there is none).  ``n_max`` is at
     least 2: the first bounds are those of the second symbol.
     """
     if n_max < 2:
@@ -223,7 +225,9 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
     while n < n_max:
         n += 1
         if spent > budget:
-            return _sandwich_mc(hidden, n, gap_tol, mc_samples, seed)
+            mc = _sandwich_mc(hidden, n, gap_tol, mc_samples, seed)
+            mc.exact_gap = uppers[-1] - lowers[-1] if uppers else None
+            return mc
         up, p, _ = advance(up)
         joint = -np.sum(p * np.log(p))
         uppers.append(float(joint - joint_prev))
@@ -545,11 +549,15 @@ def assemble_report(model, gf, atlas=None, chain=None, n_max=16, gap_tol=1e-6,
         bounds = sandwich_bounds(hidden, n_max=n_max, gap_tol=gap_tol,
                                  budget=budget)
         if bounds.monte_carlo:
+            # the depth bias is left out; the last exact level bounds it
+            exact = ("no exact level" if bounds.exact_gap is None else
+                     f"gap {bounds.exact_gap:.3g} at the last exact level, "
+                     f"depth {bounds.n_final - 1}")
             notes.append(
                 f"class {cls.index}: expansion budget exceeded; the hidden "
                 f"entropy rate is a Monte Carlo estimate at depth "
                 f"{bounds.n_final}, standard error {bounds.std_error:.3g} "
-                "(sampling error only)")
+                f"(sampling error only; {exact})")
         elif not bounds.converged:
             notes.append(
                 f"class {cls.index}: sandwich not converged at depth "

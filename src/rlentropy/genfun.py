@@ -363,6 +363,24 @@ def L_word(model, gf, w, force_expansion=False):
     return math.exp(ev.log_value(expand=force_expansion))
 
 
+def _push(alpha, dalpha, scale, m, md):
+    """One normalized push: ``alpha`` times ``m``, divided by its sum, whose
+    log is added to ``scale``; ``dalpha`` carries the z-derivative on the
+    same scale by the product rule with ``md``.  ``alpha`` is one row of
+    shape (n,) with one (n, n) matrix, or a stack of 1 x n rows, shape
+    (..., 1, n), with one matrix each (``scale`` then has shape (..., 1)).
+    A zero row keeps its scale and stays zero.  Each row of a stack gets
+    the bits the single-row push would give it: the stacked matmul makes
+    one vector-matrix product per row and the sum runs along each row."""
+    raw = np.matmul(alpha, m)
+    s = np.add.reduce(raw, axis=-1)
+    s = s + (s == 0)
+    per_row = s[..., None]
+    if dalpha is not None:
+        dalpha = (np.matmul(dalpha, m) + np.matmul(alpha, md)) / per_row
+    return raw / per_row, dalpha, scale + np.log(s)
+
+
 class LWordEvaluator:
     """Last-entry contraction: a start row times ``lbar.M[c]`` along the
     frozen letters ``c`` of a word (all but the last two).
@@ -373,9 +391,14 @@ class LWordEvaluator:
     holds one entry per frozen letter after the start: the normalized row,
     its z-derivative on the same scale (if ``with_deriv``) and the log of
     the scale, as the values decay exponentially in the word length.
+
+    With ``rows=R`` the evaluator carries R words at once (without
+    derivative), moved together by ``replay``: each row's stack keeps only
+    the entries it is told to save, and its top entry is row ``r`` of
+    ``alpha`` and ``scale``.
     """
 
-    def __init__(self, model, gf, start=None, with_deriv=False):
+    def __init__(self, model, gf, start=None, with_deriv=False, rows=None):
         self.gf = gf
         self.M = gf.lbar.M
         self.Md = gf.lbar.Md if with_deriv else None
@@ -393,8 +416,19 @@ class LWordEvaluator:
         else:
             raise ValueError(f"suffix {start!r} not reachable")
         drow = np.zeros_like(row) if with_deriv else None
-        self.stack = [(row / row.sum(), drow, float(np.log(row.sum())))]
-        self.word = ""
+        entry = (row / row.sum(), drow, float(np.log(row.sum())))
+        if rows is None:
+            self.stack = [entry]
+            self.word = ""
+            return
+        # letter id -> M, and letter id -> letter for the words' text
+        self.Ms = np.stack([self.M[a] for a in model.alphabet])
+        self.text = dict(enumerate(model.alphabet))
+        # per row, the saved entries (depth, row, log scale) by depth
+        self.saved = [[(0, entry[0], entry[2])] for _ in range(rows)]
+        self.alpha = np.tile(entry[0], (rows, 1))
+        self.scale = np.full(rows, entry[2])
+        self.word = [""] * rows
 
     def step(self, word, keep=None):
         """Move to ``word``, whose first ``keep`` letters are those of the
@@ -408,27 +442,66 @@ class LWordEvaluator:
         if len(stack) > n:
             del stack[max(n, 1):]
         while len(stack) < n:
-            alpha, dalpha, scale = stack[-1]
             c = word[len(stack) - 1]
-            m = self.M[c]
-            raw = alpha @ m
-            s = float(raw.sum()) or 1.0     # a zero row stays zero
-            if self.Md is not None:
-                dalpha = (dalpha @ m + alpha @ self.Md[c]) / s
-            stack.append((raw / s, dalpha, scale + float(np.log(s))))
+            stack.append(_push(*stack[-1], self.M[c],
+                               None if self.Md is None else self.Md[c]))
         self.word = word
 
-    def log_value(self, expand=False):
-        """log L(o, w) for the current word ``w`` from the expansion start:
-        from the short-word system when |w| <= 3, unless ``expand`` asks for
-        the chain route from |w| = 2 on."""
-        w = self.word
+    def replay(self, keep, tails, save):
+        """Move row ``r`` to the word whose first ``keep[r]`` letters are
+        those of its current word, followed by ``tails[r]`` (bytes of letter
+        ids into the alphabet).  The row drops its saved entries deeper than
+        ``keep[r]``, restarts from the one at that depth (the start, or an
+        entry an earlier replay saved) and pushes its remaining frozen
+        letters; level by level, one stacked push serves every row that
+        still needs one.  The entries at the depths in ``save[r]`` are saved
+        for later replays."""
+        words = [w[:k] + t.decode("latin-1").translate(self.text)
+                 for w, k, t in zip(self.word, keep, tails)]
+        for r, (saved, k) in enumerate(zip(self.saved, keep)):
+            while saved[-1][0] > k:
+                saved.pop()
+            if saved[-1][0] != k:
+                raise ValueError(f"row {r}: no saved entry at depth {k}")
+        todo = np.array([max(len(w) - 2, 0) - k for w, k in zip(words, keep)])
+        order = np.argsort(-todo, kind="stable")    # rows needing most first
+        alpha = np.array([self.saved[r][-1][1] for r in order])[:, None, :]
+        scale = np.array([self.saved[r][-1][2] for r in order])[:, None]
+        letters = np.zeros((len(order), todo.max(initial=0)), dtype=np.uint8)
+        events = []                                 # (level, position, row)
+        for i, r in enumerate(order):
+            if todo[r]:
+                letters[i, :todo[r]] = np.frombuffer(tails[r], np.uint8,
+                                                     todo[r])
+            events += [(d - keep[r], i, r) for d in save[r]]
+        events.sort(reverse=True)
+        live = todo[order]
+        for level in range(1, letters.shape[1] + 1):
+            a = int(np.count_nonzero(live >= level))
+            alpha[:a], _, scale[:a] = _push(alpha[:a], None, scale[:a],
+                                            self.Ms[letters[:a, level - 1]],
+                                            None)
+            while events and events[-1][0] == level:
+                _, i, r = events.pop()
+                self.saved[r].append((keep[r] + level, alpha[i, 0].copy(),
+                                      scale[i, 0]))
+        self.alpha[order], self.scale[order] = alpha[:, 0], scale[:, 0]
+        self.word = words
+
+    def log_value(self, expand=False, row=None):
+        """log L(o, w) for the current word ``w`` (row ``row``'s, with
+        rows) from the expansion start: from the short-word system when
+        |w| <= 3, unless ``expand`` asks for the chain route from |w| = 2
+        on."""
+        if row is None:
+            w, (alpha, _, scale) = self.word, self.stack[-1]
+        else:
+            w, alpha, scale = self.word[row], self.alpha[row], self.scale[row]
         if len(w) < 2 or (len(w) <= 3 and not expand):
             v = self.gf.green_short.l_value("".join(w))
             return float(np.log(v)) if v > 0 else float("-inf")
-        alpha, _, scale = self.stack[-1]
         v = float(alpha @ self.gf.gbar.values[:, self.index["".join(w[-2:])]])
-        return scale + float(np.log(v)) if v > 0 else float("-inf")
+        return float(scale + np.log(v)) if v > 0 else float("-inf")
 
     def last_entry(self):
         """The last-entry value from the start suffix to the current word

@@ -416,6 +416,17 @@ def test_report_notes_unconverged_sandwich():
     notes = pipeline.analyze(model, budget=10).report.notes
     assert any("Monte Carlo estimate at depth 2, standard error" in n
                for n in notes)
+    assert any(n.endswith("(sampling error only; no exact level)")
+               for n in notes)
+    bounds = sandwich_bounds(HiddenChain(*_single_class("multi")),
+                             budget=2000)
+    exact = sandwich_bounds(HiddenChain(*_single_class("multi")), n_max=6,
+                            gap_tol=0, budget=10**9)
+    assert bounds.monte_carlo and bounds.n_final == 7
+    assert bounds.exact_gap == exact.gap
+    notes = pipeline.analyze(model, budget=2000).report.notes
+    assert any(f"(sampling error only; gap {exact.gap:.3g} at the last "
+               "exact level, depth 6)" in n for n in notes)
     notes = pipeline.analyze(model, n_max=3).report.notes
     assert any("not converged at depth 3, gap" in n for n in notes)
     assert get_analysis("multi").report.notes == []

@@ -8,6 +8,11 @@ from rlentropy import simulate
 from rlentropy.genfun import L_word
 
 from conftest import get_gf, get_model
+from simulate_oracle import _Sampler, checkpoint_words
+from simulate_oracle import run_trajectories as oracle_run
+
+MODELS = ("a2", "fg2", "fg2_biased", "glued", "line", "ne", "t3", "multi",
+          "twotype", "mixed")
 
 
 def test_determinism_and_seed_sensitivity(fg2):
@@ -21,13 +26,120 @@ def test_determinism_and_seed_sensitivity(fg2):
     assert list(a.csv_lines()) != list(c.csv_lines())
 
 
-def test_threaded_merge_deterministic(fg2, monkeypatch):
+def test_rerun_gives_identical_csv(fg2):
     gf = get_gf("fg2")
     cfg = simulate.SimConfig(steps=300, trajectories=6, seed=4)
     seq = simulate.run_trajectories(fg2, cfg, gf=gf)
-    monkeypatch.setenv("RLE_THREADS", "3")
     par = simulate.run_trajectories(fg2, cfg, gf=gf)
     assert list(seq.csv_lines()) == list(par.csv_lines())
+
+
+def _sim_gf(name):
+    """The tables the simulate command passes: none for a walk that is not
+    transient."""
+    gf = get_gf(name)
+    return gf if gf.transient else None
+
+
+def _assert_same_as_oracle(name, cfg):
+    model, gf = get_model(name), _sim_gf(name)
+    rep = simulate.run_trajectories(model, cfg, gf=gf)
+    ref = oracle_run(model, cfg, gf=gf)
+    assert list(rep.csv_lines()) == list(ref.csv_lines()), name
+    for key in ("speed_mean", "speed_se", "l_rate_mean", "l_rate_se",
+                "green_rate_mean", "green_rate_se"):
+        assert getattr(rep, key) == getattr(ref, key), (name, key)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_lockstep_replay_matches_per_step_oracle(name):
+    _assert_same_as_oracle(
+        name, simulate.SimConfig(steps=800, trajectories=4, seed=42))
+
+
+@pytest.mark.parametrize("cfg", [
+    simulate.SimConfig(steps=300, trajectories=3, seed=0),
+    simulate.SimConfig(steps=300, trajectories=3, seed=7),
+    simulate.SimConfig(steps=300, trajectories=3, seed=2 ** 64 - 1),
+    simulate.SimConfig(steps=1, trajectories=2, seed=3),
+    simulate.SimConfig(steps=150, trajectories=2, seed=5,
+                       checkpoints=range(1, 151)),
+], ids=["seed0", "seed7", "seedmax", "one-step", "every-step"])
+def test_lockstep_replay_matches_oracle_on_edge_configs(cfg):
+    for name in MODELS:
+        _assert_same_as_oracle(name, cfg)
+
+
+@pytest.mark.parametrize("name", ["line", "ne", "fg2_biased"])
+def test_checkpoint_records_rebuild_every_word(name):
+    # each record keeps a prefix of the word before it and appends its
+    # tail; on the null-drift line a word shrinks below the prefix that an
+    # earlier checkpoint kept
+    model = get_model(name)
+    cfg = simulate.SimConfig(steps=2000, trajectories=3, seed=11)
+    records = simulate._lockstep(model, cfg)
+    for i in range(cfg.trajectories):
+        word = ""
+        for rec, ref in zip(records, checkpoint_words(model, cfg, i)):
+            word = word[:rec.keep[i]] + "".join(
+                model.alphabet[c] for c in rec.tails[i])
+            assert word == ref and len(word) == rec.lengths[i]
+    if name == "line":
+        keeps = np.array([rec.keep for rec in records])
+        assert (keeps[2:] < keeps[1:-1]).any()
+        _assert_same_as_oracle(name, cfg)
+
+
+def test_saves_are_the_later_running_minima_above_the_keep():
+    # replay 2 restarts at 3 and pushes past 4, which replay 3 reads;
+    # replay 0 saves 5, 3 and 2, which replays 1, 2 and 4 read
+    assert simulate._saves([0, 5, 3, 4, 2]) == [[5, 3, 2], [], [4], [], []]
+    assert simulate._saves([0, 2, 2, 1]) == [[2, 1], [], [], []]
+
+
+def test_series_independent_of_batch_size(fg2):
+    gf = get_gf("fg2")
+    small, large = (simulate.run_trajectories(
+        fg2, simulate.SimConfig(steps=500, trajectories=k, seed=8), gf=gf)
+        for k in (3, 8))
+    for i in range(3):
+        assert small.trajectories[i] == large.trajectories[i]
+
+
+def test_philox_stream_independent_of_chunk_size():
+    whole = simulate.trajectory_rng(17, 3).random(10_000)
+    for chunk in (1, 7, 256, 4096):
+        rng = simulate.trajectory_rng(17, 3)
+        parts = [rng.random(min(chunk, 10_000 - a))
+                 for a in range(0, 10_000, chunk)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_config_checkpoints_sorted_and_in_range():
+    cfg = simulate.SimConfig(10, 2, checkpoints=(7, 3, 7, 10))
+    assert cfg.checkpoints == (3, 7, 10)
+    for bad in ((20,), (0,), (3, 11), (-1,)):
+        with pytest.raises(ValueError):
+            simulate.SimConfig(10, 2, checkpoints=bad)
+
+
+def test_stacked_push_bit_identical_to_single_rows():
+    from rlentropy.genfun import _push
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n, rows = int(rng.integers(1, 91)), int(rng.integers(1, 65))
+        ms = rng.random((3, n, n)) * (rng.random((3, n, n)) < 0.5)
+        alpha = rng.random((rows, n))
+        alpha[rng.random(rows) < 0.1] = 0.0        # zero rows stay zero
+        scale = -100 * rng.random(rows)
+        letter = rng.integers(0, 3, rows)
+        out, _, out_scale = _push(alpha[:, None, :], None, scale[:, None],
+                                  ms[letter], None)
+        for r in range(rows):
+            one, _, one_scale = _push(alpha[r], None, scale[r],
+                                      ms[letter[r]], None)
+            assert np.array_equal(out[r, 0], one)
+            assert out_scale[r, 0] == one_scale
 
 
 def test_fg2_drift_three_se(fg2):
@@ -66,7 +178,7 @@ def test_ne_l_rate_vanishes(ne):
 def test_incremental_evaluator_matches_direct(fg2):
     gf = get_gf("fg2")
     rng = simulate.trajectory_rng(123, 0)
-    sampler = simulate._Sampler(fg2)
+    sampler = _Sampler(fg2)
     ev = rle.genfun.LWordEvaluator(fg2, gf)
     word = []
     for n in range(1, 201):
@@ -83,7 +195,7 @@ def test_log_value_on_long_words(fg2):
     # about 680 letters, the normalized stack does not
     gf = get_gf("fg2")
     rng = simulate.trajectory_rng(5, 0)
-    sampler = simulate._Sampler(fg2)
+    sampler = _Sampler(fg2)
     ev = rle.genfun.LWordEvaluator(fg2, gf)
     word = []
     for _ in range(6000):
