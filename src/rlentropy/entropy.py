@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.sparse import csr_matrix, vstack
 
 from .model import AssumptionError
 from .cones import limit_words
@@ -87,37 +85,87 @@ def _step_table(hidden, state_rows, sym_id):
                      np.array(sym), np.array(tgt), np.array(prob))
 
 
+def _ranges(starts, lens):
+    """starts[i], ..., starts[i] + lens[i] - 1 for each i, concatenated."""
+    return (np.repeat(starts - np.cumsum(lens) + lens, lens)
+            + np.arange(lens.sum()))
+
+
+@dataclass
+class CSR:
+    """Sparse rows over ``n_cols`` columns: row i holds the values
+    ``data[indptr[i]:indptr[i + 1]]`` at the columns ``indices[...]``."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n_cols: int
+
+    @classmethod
+    def stack(cls, parts):
+        """The rows of ``parts``, one matrix after another."""
+        lens = np.concatenate([np.diff(p.indptr) for p in parts])
+        return cls(np.r_[0, np.cumsum(lens)],
+                   np.concatenate([p.indices for p in parts]),
+                   np.concatenate([p.data for p in parts]), parts[0].n_cols)
+
+    @property
+    def n_rows(self):
+        return len(self.indptr) - 1
+
+    def row_ids(self):
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+
+    def take(self, rows):
+        """The rows named by ``rows`` (positions, a mask or a slice)."""
+        rows = np.arange(self.n_rows)[rows]
+        lens = self.indptr[rows + 1] - self.indptr[rows]
+        pos = _ranges(self.indptr[rows], lens)
+        return CSR(np.r_[0, np.cumsum(lens)], self.indices[pos],
+                   self.data[pos], self.n_cols)
+
+    def sums(self, weights=None):
+        """Each row's sum, its entries weighted by ``weights`` at their
+        columns; entries are added in order, as a CSR mat-vec does."""
+        w = self.data if weights is None else self.data * weights[self.indices]
+        return np.bincount(self.row_ids(), weights=w, minlength=self.n_rows)
+
+
+def _row(v):
+    """A dense vector as a one-row CSR of its nonzero entries."""
+    nz = np.flatnonzero(v)
+    return CSR(np.array([0, len(nz)]), nz, v[nz], len(v))
+
+
 def _extend(frontier, step):
     """Every nonzero successor of every frontier row, one per (row, symbol).
 
     A frontier row is the forward vector of one word over the states (CSR).
     A step depends on a state only through its table row, so each word's
     mass is summed per table row and then spread over that row's entries.
-    Returns the successors as the rows of one CSR matrix, ordered by parent
-    row and then by symbol, with the symbol and the parent row of each."""
+    Returns the successors as the rows of one CSR, ordered by parent row
+    and then by symbol, with the symbol and the parent row of each."""
     n_rows, n_sym = len(step.start) - 1, int(step.sym.max()) + 1
-    parent = np.repeat(np.arange(frontier.shape[0]), np.diff(frontier.indptr))
-    pair, inv = np.unique(parent * n_rows + step.row_of[frontier.indices],
+    pair, inv = np.unique(frontier.row_ids() * n_rows
+                          + step.row_of[frontier.indices],
                           return_inverse=True)
     mass = np.bincount(inv, weights=frontier.data)
     word, row = np.divmod(pair, n_rows)
     lens = step.start[row + 1] - step.start[row]
-    entry = (np.repeat(step.start[row] - np.cumsum(lens) + lens, lens)
-             + np.arange(lens.sum()))
+    entry = _ranges(step.start[row], lens)
     val = np.repeat(mass, lens) * step.prob[entry]
     keep = val != 0                   # products that underflowed
     entry = entry[keep]
-    key, succ_row = np.unique(np.repeat(word, lens)[keep] * n_sym
-                              + step.sym[entry], return_inverse=True)
-    succ = csr_matrix((val[keep], (succ_row, step.tgt[entry])),
-                      shape=(len(key), frontier.shape[1]))
-    parent, sym = np.divmod(key, n_sym)
+    # one sort by (word, symbol, target); entries that meet are summed
+    key, inv = np.unique((np.repeat(word, lens)[keep] * n_sym
+                          + step.sym[entry]) * frontier.n_cols
+                         + step.tgt[entry], return_inverse=True)
+    key, col = np.divmod(key, frontier.n_cols)
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    succ = CSR(np.r_[first, len(key)], col, np.bincount(inv, weights=val[keep]),
+               frontier.n_cols)
+    parent, sym = np.divmod(key[first], n_sym)
     return succ, sym, parent
-
-
-def _mass(frontier):
-    """Probability of each frontier row's word: the sum of its vector."""
-    return np.asarray(frontier.sum(axis=1)).ravel()
 
 
 class HiddenChain:
@@ -211,15 +259,15 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
         nonlocal spent
         spent += int(n_symbols[step.row_of[frontier.indices]].sum())
         succ, _, parent = _extend(frontier, step)
-        return succ, _mass(succ), parent
+        return succ, succ.sums(), parent
 
-    up, p, _ = advance(csr_matrix(hidden.nu[None, :]))
+    up, p, _ = advance(_row(hidden.nu))
     joint_prev = -np.sum(p * np.log(p))
     # Conditioning on the initial enriched pair is, by the Markov property,
     # conditioning on the second state; one start vector per state suffices.
     live = np.flatnonzero(hidden.nu > 0)
-    low = csr_matrix((hidden.nu[live], (np.arange(len(live)), live)),
-                     shape=(len(live), len(hidden.nu)))
+    low = CSR(np.arange(len(live) + 1), live, hidden.nu[live],
+              len(hidden.nu))
     uppers, lowers = [], []
     n = 1
     while n < n_max:
@@ -232,7 +280,7 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
         joint = -np.sum(p * np.log(p))
         uppers.append(float(joint - joint_prev))
         joint_prev = joint
-        p_node = _mass(low)
+        p_node = low.sums()
         low, p, parent = advance(low)
         lowers.append(float(-np.sum(p * np.log(p / p_node[parent]))))
         if uppers[-1] - lowers[-1] < gap_tol:
@@ -266,12 +314,11 @@ def _sandwich_mc(hidden, n, gap_tol, samples, seed):
         visited.append(state)
 
     # every sample starts from nu: filter its first symbol once for all
-    first, sym, _ = _extend(csr_matrix(nu[None, :]), step)
-    up_vals = _surprise(step, first[np.searchsorted(sym, syms[:, 0])],
+    first, sym, _ = _extend(_row(nu), step)
+    up_vals = _surprise(step, first.take(np.searchsorted(sym, syms[:, 0])),
                         syms[:, 1:])
-    low_vals = _surprise(step, csr_matrix(
-        (np.ones(samples), (np.arange(samples), visited[0])),
-        shape=(samples, len(nu))), syms[:, 1:])
+    low_vals = _surprise(step, CSR(np.arange(samples + 1), visited[0],
+                                   np.ones(samples), len(nu)), syms[:, 1:])
     up, low = float(np.mean(up_vals)), float(np.mean(low_vals))
     se = float(np.sqrt(np.var(up_vals) / samples + np.var(low_vals) / samples))
     return EntropyBounds([up], [low], n, up - low, 0.5 * (up + low),
@@ -283,10 +330,10 @@ def _surprise(step, frontier, syms):
     """-log P(last symbol | earlier symbols) for every frontier row, each
     filtered along its own row of ``syms``."""
     for k in range(syms.shape[1]):
-        before = _mass(frontier)
+        before = frontier.sums()
         succ, sym, parent = _extend(frontier, step)
-        frontier = succ[sym == syms[parent, k]]
-    return -np.log(_mass(frontier) / before)
+        frontier = succ.take(sym == syms[parent, k])
+    return -np.log(frontier.sums() / before)
 
 
 # -- telescoped regeneration value ---------------------------------------------
@@ -415,17 +462,24 @@ def _dense_rows(succ, a, b, cols):
 def _new_directions(bases, s, rows):
     """Positions of the rows whose residual off the span of ``bases[s]``,
     relative to their norm, exceeds SPAN_RTOL; ``bases[s]`` (orthonormal
-    rows) grows to span them."""
+    rows) grows to span them: column-pivoted Gram-Schmidt (Businger & Golub,
+    Numer. Math. 7, 1965) projects the row of largest residual out of all
+    rows, twice, until no residual exceeds SPAN_RTOL."""
     x = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     basis = bases.get(s, np.empty((0, rows.shape[1])))
     for _ in range(2):                 # project out the basis, then again
         x -= (x @ basis.T) @ basis
-    if not np.linalg.norm(x, axis=1).max() > SPAN_RTOL:
-        return np.empty(0, dtype=np.int64)
-    q, r, piv = qr(x.T, mode="economic", pivoting=True)
-    new = piv[:np.count_nonzero(np.abs(np.diag(r)) > SPAN_RTOL)]
-    bases[s] = np.vstack([basis, q[:, :len(new)].T])
-    return new
+    new, found = [], []
+    norms = np.linalg.norm(x, axis=1)
+    while norms.max() > SPAN_RTOL:
+        new.append(int(np.argmax(norms)))
+        found.append(x[new[-1]] / norms[new[-1]])
+        for _ in range(2):
+            x -= np.outer(x @ found[-1], found[-1])
+        norms = np.linalg.norm(x, axis=1)
+    if new:
+        bases[s] = np.vstack([basis, *found])
+    return np.array(new, dtype=np.int64)
 
 
 def check_marginal_equality(chain, cls, modified, max_len=None):
@@ -449,24 +503,26 @@ def check_marginal_equality(chain, cls, modified, max_len=None):
     sym, col = np.divmod(np.unique(pair.sym * 2 * n + pair.tgt), 2 * n)
     columns = np.split(col, np.searchsorted(sym, np.arange(1, sym[-1] + 1)))
     mu1 = hidden.initial_mu1()
-    frontier = csr_matrix(np.r_[mu1, mu1][None, :])
+    frontier = _row(np.r_[mu1, mu1])
     bases = {}         # symbol -> orthonormal rows over columns[symbol]
     worst, depth = 0.0, 0
-    while frontier.shape[0] and (max_len is None or depth < max_len):
+    while frontier.n_rows and (max_len is None or depth < max_len):
         depth += 1
         kept = []
-        for a in range(0, frontier.shape[0], SPAN_CHUNK):
-            succ, sym, _ = _extend(frontier[a:a + SPAN_CHUNK], pair)
+        for a in range(0, frontier.n_rows, SPAN_CHUNK):
+            succ, sym, _ = _extend(frontier.take(slice(a, a + SPAN_CHUNK)),
+                                   pair)
             order = np.argsort(sym, kind="stable")
-            succ, sym = succ[order], sym[order]
-            diff = succ @ np.r_[np.ones(n), -np.ones(n)]   # P(w) - P-hat(w)
+            succ, sym = succ.take(order), sym[order]
+            diff = succ.sums(np.r_[np.ones(n), -np.ones(n)])  # P(w) - P-hat(w)
             worst = max(worst, float(np.abs(diff).max(initial=0.0)))
             starts = np.flatnonzero(np.diff(sym, prepend=-1))
             new = [b + _new_directions(bases, sym[b], _dense_rows(
                        succ, b, e, columns[sym[b]]))
                    for b, e in zip(starts, np.r_[starts[1:], len(sym)])]
-            kept.append(succ[np.concatenate([np.empty(0, np.int64), *new])])
-        frontier = vstack(kept, format="csr")
+            kept.append(succ.take(np.concatenate([np.empty(0, np.int64),
+                                                  *new])))
+        frontier = CSR.stack(kept)
     return worst
 
 

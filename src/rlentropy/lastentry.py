@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from os.path import commonprefix
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .genfun import LWordEvaluator
 from .model import AssumptionError
@@ -108,15 +106,6 @@ class EntryChain:
             return float(r.probs[r.targets.index(y)])
         except ValueError:
             return 0.0
-
-    def q_matrix(self):
-        n = len(self.states)
-        rows, cols, vals = [], [], []
-        for i, w in enumerate(self.states):
-            r = self.suffix_rows[w[-2:]]
-            for y, p in zip(r.targets, r.probs):
-                rows.append(i); cols.append(self.state_index[y]); vals.append(p)
-        return csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def enumerate_W0(atlas, gf):
@@ -251,8 +240,7 @@ def _decompose(chain):
     S = np.zeros((len(sfx), len(sfx)))
     for a, (r, c) in enumerate(zip(rows, cols)):
         np.add.at(S[a], state_sfx[c], r.probs)
-    ncomp, labels = connected_components(csr_matrix(S > 0), directed=True,
-                                         connection="strong")
+    ncomp, labels = strong_components(S > 0)
     has_exit = np.zeros(ncomp, dtype=bool)
     has_exit[labels[((S > 0) & (labels[:, None] != labels)).any(axis=1)]] = True
     essential = [c for c in range(ncomp) if not has_exit[c]]
@@ -296,6 +284,35 @@ def _decompose(chain):
     chain.ell = sum(c.weight * c.ell for c in chain.classes) if time_ok else None
     chain.expected_time = (chain.lambda_ / chain.ell
                            if time_ok and chain.ell > 0 else None)
+
+
+def strong_components(adj):
+    """(count, label per node) of the strong components of the digraph with
+    boolean adjacency matrix ``adj``: Tarjan's algorithm on a work stack of
+    (node, position of its next successor), every node a root in turn."""
+    succ = [np.flatnonzero(row).tolist() for row in adj]
+    index, low, labels, path = {}, {}, np.full(len(adj), -1), []
+    work = [(v, 0) for v in reversed(range(len(adj)))]
+    while work:
+        v, i = work.pop()
+        if i == 0:
+            if v in index:                  # a root reached from an earlier one
+                continue
+            index[v] = low[v] = len(index)
+            path.append(v)
+        else:                               # back from the child succ[v][i-1]
+            low[v] = min(low[v], low[succ[v][i - 1]])
+        while i < len(succ[v]) and succ[v][i] in index:
+            if labels[succ[v][i]] < 0:      # still on the path
+                low[v] = min(low[v], index[succ[v][i]])
+            i += 1
+        if i < len(succ[v]):
+            work += [(v, i + 1), (succ[v][i], 0)]
+        elif low[v] == index[v]:            # v roots a component
+            c = labels.max() + 1
+            while labels[v] < 0:
+                labels[path.pop()] = c
+    return labels.max() + 1, labels
 
 
 def stationary(q):

@@ -40,9 +40,9 @@ class SimConfig:
     def __post_init__(self):
         if self.steps < 1 or self.trajectories < 1:
             raise ValueError("steps and trajectories must be >= 1")
-        if not self.checkpoints:
+        if not self.checkpoints:      # every steps // 10 steps, and steps
             k = max(1, self.steps // 10)
-            self.checkpoints = range(k, self.steps + 1, k)
+            self.checkpoints = (*range(k, self.steps, k), self.steps)
         self.checkpoints = tuple(sorted(set(self.checkpoints)))
         outside = [c for c in self.checkpoints if not 1 <= c <= self.steps]
         if outside:

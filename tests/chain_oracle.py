@@ -2,16 +2,29 @@
 components, absorption and stationary solves on the dense state-level
 transition matrix."""
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from rlentropy.lastentry import stationary
 
 
+def q_matrix(chain):
+    """The state-level transition matrix of the increment chain (CSR)."""
+    n = len(chain.states)
+    rows, cols, vals = [], [], []
+    for i, w in enumerate(chain.states):
+        r = chain.row(w)
+        for y, p in zip(r.targets, r.probs):
+            rows.append(i)
+            cols.append(chain.state_index[y])
+            vals.append(p)
+    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
 def dense_decomposition(chain):
     """Per essential class, ordered by its least state index: (state ids,
     absorption weight from mu0, stationary law, lambda, T)."""
-    n = len(chain.states)
-    Q = chain.q_matrix()
+    Q = q_matrix(chain)
     ncomp, labels = connected_components(Q, directed=True, connection="strong")
     coo = Q.tocoo()
     has_exit = np.zeros(ncomp, dtype=bool)

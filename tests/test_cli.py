@@ -1,16 +1,58 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rlentropy
 from rlentropy import cli, genfun, pipeline
 
 from conftest import fixture_path
+
+
+SRC = Path(rlentropy.__file__).resolve().parent.parent
+
+# Run every command on fg2 in one fresh interpreter; print the scipy modules
+# that were loaded.
+NO_SCIPY_SNIPPET = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from rlentropy import cli
+fg2, biased = sys.argv[2:]
+for argv in (["validate", fg2], ["analyze", fg2], ["entropy", fg2],
+             ["simulate", fg2, "--steps", "200", "--trajectories", "2",
+              "--crosscheck"],
+             ["sweep", fg2, biased, "--grid", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--format", "json", *argv]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_commands_run_without_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", NO_SCIPY_SNIPPET, str(SRC),
+         str(fixture_path("fg2")), str(fixture_path("fg2_biased"))],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_module_entry_point_warns_nothing():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "rlentropy.cli",
+         "--help"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
 
 
 def test_validate_exit_codes(capsys, tmp_path):

@@ -8,7 +8,7 @@ import rlentropy as rle
 from rlentropy.lastentry import (_entries, enumerate_W0, mathL, stationary,
                                  stationary_power)
 
-from chain_oracle import dense_decomposition
+from chain_oracle import dense_decomposition, q_matrix
 from contraction_oracle import UnnormalizedContraction
 from conftest import get_atlas, get_chain, get_gf, get_model
 
@@ -134,7 +134,7 @@ def test_stationary_doubly_stochastic_uniform():
 def test_stationary_direct_vs_power():
     for name in ("ne", "fg2", "multi"):
         chain = get_chain(name)
-        q = chain.q_matrix().toarray()
+        q = q_matrix(chain).toarray()
         direct = stationary(q)
         power = stationary_power(q)
         assert np.max(np.abs(direct - power)) < 1e-9

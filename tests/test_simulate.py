@@ -123,6 +123,24 @@ def test_config_checkpoints_sorted_and_in_range():
             simulate.SimConfig(10, 2, checkpoints=bad)
 
 
+def test_default_checkpoints_end_at_steps():
+    # every steps // 10 steps, then steps itself when 10 does not divide it
+    assert simulate.SimConfig(25, 2).checkpoints == (*range(2, 25, 2), 25)
+    assert simulate.SimConfig(5, 2).checkpoints == (1, 2, 3, 4, 5)
+    for steps in (10, 3000, 10_000):
+        k = steps // 10
+        assert simulate.SimConfig(steps, 2).checkpoints == tuple(
+            range(k, steps + 1, k))
+
+
+def test_last_row_reads_the_last_step(fg2):
+    rep = simulate.run_trajectories(fg2, simulate.SimConfig(25, 2, seed=3))
+    for tr in rep.trajectories:
+        assert [row[0] for row in tr.series][-2:] == [24, 25]
+    lengths = [tr.series[-1][1] for tr in rep.trajectories]
+    assert rep.speed_mean == pytest.approx(np.mean(lengths) / 25, rel=1e-12)
+
+
 def test_stacked_push_bit_identical_to_single_rows():
     from rlentropy.genfun import _push
     rng = np.random.default_rng(0)
