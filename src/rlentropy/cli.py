@@ -5,7 +5,7 @@ effective parameters, versions); reports are deterministic byte-for-byte
 for identical manifests, so no wall-clock data is included unless asked.
 
 Exit codes: 0 success, 1 domain failure (assumptions or requested
-computation inapplicable, or out of memory), 2 input error.
+computation inapplicable, or out of memory) or closed output, 2 input error.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -65,6 +66,7 @@ def emit(payload, fmt, stream=None):
             stream.write(line + "\n")
     else:
         _emit_text(payload, stream)
+    stream.flush()
 
 
 def _emit_text(payload, stream, prefix=""):
@@ -353,6 +355,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:    # reader gone: flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ModelError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

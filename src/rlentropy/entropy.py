@@ -449,37 +449,47 @@ def _pair_table(hidden, modified):
                      np.r_[m.prob, q.prob])
 
 
-def _dense_rows(succ, a, b, cols):
-    """Rows a..b-1 of a CSR matrix as a dense array over the sorted columns
-    ``cols``, which hold all their nonzeros."""
-    lo, hi = succ.indptr[a], succ.indptr[b]
-    out = np.zeros((b - a, len(cols)))
-    rows = np.repeat(np.arange(b - a), np.diff(succ.indptr[a:b + 1]))
-    out[rows, np.searchsorted(cols, succ.indices[lo:hi])] = succ.data[lo:hi]
-    return out
+def _symbol_blocks(succ, sym, starts, keys, first):
+    """Scatter the rows of ``succ``, sorted by symbol (``sym``), into one
+    dense block per symbol s, over the columns keys[first[s]:first[s + 1]]."""
+    width = first[sym + 1] - first[sym]
+    at = np.cumsum(width) - width        # each row's start in the blocks
+    lens = np.diff(succ.indptr)
+    buf = np.zeros(width.sum())
+    buf[np.searchsorted(keys, (sym * succ.n_cols).repeat(lens) + succ.indices)
+        + (at - first[sym]).repeat(lens)] = succ.data
+    return [b.reshape(-1, w) for b, w in zip(np.split(buf, at[starts[1:]]),
+                                             width[starts].tolist())]
 
 
-def _new_directions(bases, s, rows):
-    """Positions of the rows whose residual off the span of ``bases[s]``,
-    relative to their norm, exceeds SPAN_RTOL; ``bases[s]`` (orthonormal
-    rows) grows to span them: column-pivoted Gram-Schmidt (Businger & Golub,
-    Numer. Math. 7, 1965) projects the row of largest residual out of all
-    rows, twice, until no residual exceeds SPAN_RTOL."""
-    x = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    basis = bases.get(s, np.empty((0, rows.shape[1])))
-    for _ in range(2):                 # project out the basis, then again
-        x -= (x @ basis.T) @ basis
-    new, found = [], []
-    norms = np.linalg.norm(x, axis=1)
-    while norms.max() > SPAN_RTOL:
-        new.append(int(np.argmax(norms)))
-        found.append(x[new[-1]] / norms[new[-1]])
-        for _ in range(2):
-            x -= np.outer(x @ found[-1], found[-1])
-        norms = np.linalg.norm(x, axis=1)
-    if new:
-        bases[s] = np.vstack([basis, *found])
-    return np.array(new, dtype=np.int64)
+def _grow_spans(bases, syms, blocks):
+    """Column-pivoted Gram-Schmidt (Businger & Golub, Numer. Math. 7, 1965)
+    of each block i against the orthonormal rows ``bases[syms[i]]``: once
+    the basis is projected out of the normalised rows twice, the largest
+    residual joins the basis (grown in place) and is projected out twice,
+    while it exceeds SPAN_RTOL.  Blocks of one shape (rows, columns, basis
+    size) run as one stack.  Returns per block the rows taken, in order."""
+    groups, picks = {}, [[] for _ in blocks]
+    for i, (s, x) in enumerate(zip(syms, blocks)):
+        groups.setdefault((*x.shape, len(bases[s])), []).append(i)
+    for ids in groups.values():
+        x = np.stack([blocks[i] for i in ids])
+        x /= np.linalg.norm(x, axis=2, keepdims=True)
+        basis = np.stack([bases[syms[i]] for i in ids])
+        for _ in range(2):             # project out the basis, then again
+            x -= (x @ basis.swapaxes(1, 2)) @ basis
+        norms, live = np.linalg.norm(x, axis=2), np.array(ids)
+        while (top := norms.max(axis=1) > SPAN_RTOL).any():
+            x, norms, live = x[top], norms[top], live[top]
+            at, pick = np.arange(len(live)), norms.argmax(axis=1)
+            f = x[at, pick] / norms[at, pick, None]
+            for _ in range(2):
+                x -= (x @ f[:, :, None]) * f[:, None, :]
+            norms = np.linalg.norm(x, axis=2)
+            for i, p, v in zip(live.tolist(), pick.tolist(), f):
+                picks[i].append(p)
+                bases[syms[i]] = np.vstack([bases[syms[i]], v])
+    return [np.array(p, dtype=np.int64) for p in picks]
 
 
 def check_marginal_equality(chain, cls, modified, max_len=None):
@@ -499,12 +509,12 @@ def check_marginal_equality(chain, cls, modified, max_len=None):
     hidden = modified.hidden
     n = len(hidden.states)
     pair = _pair_table(hidden, modified)
-    # per symbol, the sorted pair-vector coordinates its successors occupy
-    sym, col = np.divmod(np.unique(pair.sym * 2 * n + pair.tgt), 2 * n)
-    columns = np.split(col, np.searchsorted(sym, np.arange(1, sym[-1] + 1)))
+    # symbol s's successors occupy the coordinates keys[first[s]:first[s+1]]
+    keys = np.unique(pair.sym * 2 * n + pair.tgt)
+    first = np.searchsorted(keys, 2 * n * np.arange(keys[-1] // (2 * n) + 2))
+    bases = [np.empty((0, w)) for w in np.diff(first)]
     mu1 = hidden.initial_mu1()
     frontier = _row(np.r_[mu1, mu1])
-    bases = {}         # symbol -> orthonormal rows over columns[symbol]
     worst, depth = 0.0, 0
     while frontier.n_rows and (max_len is None or depth < max_len):
         depth += 1
@@ -517,11 +527,10 @@ def check_marginal_equality(chain, cls, modified, max_len=None):
             diff = succ.sums(np.r_[np.ones(n), -np.ones(n)])  # P(w) - P-hat(w)
             worst = max(worst, float(np.abs(diff).max(initial=0.0)))
             starts = np.flatnonzero(np.diff(sym, prepend=-1))
-            new = [b + _new_directions(bases, sym[b], _dense_rows(
-                       succ, b, e, columns[sym[b]]))
-                   for b, e in zip(starts, np.r_[starts[1:], len(sym)])]
-            kept.append(succ.take(np.concatenate([np.empty(0, np.int64),
-                                                  *new])))
+            picks = _grow_spans(bases, sym[starts].tolist(), _symbol_blocks(
+                succ, sym, starts, keys, first))
+            kept.append(succ.take(np.concatenate([np.empty(0, np.int64), *(
+                b + p for b, p in zip(starts, picks))])))
         frontier = CSR.stack(kept)
     return worst
 

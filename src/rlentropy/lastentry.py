@@ -327,17 +327,3 @@ def stationary(q):
         raise AssumptionError("stationary solve produced negative mass")
     nu = np.clip(nu, 0.0, None)
     return nu / nu.sum()
-
-
-def stationary_power(q, tol=1e-14, max_iter=200000):
-    """Power-iteration cross-check for the direct solve; the half-lazy
-    update keeps it convergent for periodic chains."""
-    n = q.shape[0]
-    v = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nv = 0.5 * v + 0.5 * (v @ q)
-        nv /= nv.sum()
-        if np.max(np.abs(nv - v)) < tol:
-            return nv
-        v = nv
-    return v

@@ -1,11 +1,25 @@
 """Reference for the increment chain's classes and stationary laws: strong
 components, absorption and stationary solves on the dense state-level
-transition matrix."""
+transition matrix, and power iteration for the stationary law."""
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from rlentropy.lastentry import stationary
+
+
+def stationary_power(q, tol=1e-14, max_iter=200000):
+    """Power-iteration cross-check for the direct solve; the half-lazy
+    update keeps it convergent for periodic chains."""
+    n = q.shape[0]
+    v = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        nv = 0.5 * v + 0.5 * (v @ q)
+        nv /= nv.sum()
+        if np.max(np.abs(nv - v)) < tol:
+            return nv
+        v = nv
+    return v
 
 
 def q_matrix(chain):

@@ -15,13 +15,13 @@ from rlentropy.entropy import (HiddenChain, build_qhat,
                                check_marginal_equality, continuity_sweep,
                                sandwich_bounds, unambiguous_exact)
 from rlentropy.genfun import L_word, solve_Gbar, solve_H
-from rlentropy.lastentry import stationary, stationary_power
+from rlentropy.lastentry import stationary
 from rlentropy.cones import cones_disjoint, _cone_level_words
 
 from conftest import fixture_path, get_analysis, get_atlas, get_chain, \
     get_gf, get_model
 from test_cones import brute_cone_members
-from chain_oracle import q_matrix
+from chain_oracle import q_matrix, stationary_power
 
 LN3 = math.log(3)
 LN2 = math.log(2)

@@ -55,6 +55,18 @@ def test_module_entry_point_warns_nothing():
     assert proc.stdout.startswith("usage:")
 
 
+def test_closed_output_ends_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rlentropy.cli", "--format", "json", "analyze",
+         str(fixture_path("fg2"))], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=env)
+    proc.stdout.close()                # before the report is written
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 def test_validate_exit_codes(capsys, tmp_path):
     code, _ = run_cli(capsys, "validate", str(fixture_path("fg2")))
     assert code == 0

@@ -1,7 +1,9 @@
 """The numpy kernels of the marginal check, the sandwich frontier and the
-class decomposition against scipy references: pivoted Gram-Schmidt against
-pivoted Householder QR, the CSR successor step against a scipy.sparse copy,
-and Tarjan's strong components against ``connected_components``."""
+class decomposition against references: pivoted Gram-Schmidt against
+scipy's pivoted Householder QR, its batched form against the per-block loop
+and the marginal check against its per-symbol form, the CSR successor step
+against a scipy.sparse copy, and Tarjan's strong components against
+``connected_components``."""
 import numpy as np
 import pytest
 from scipy.linalg import qr
@@ -10,11 +12,12 @@ from scipy.sparse.csgraph import connected_components
 
 from rlentropy import entropy
 from rlentropy.entropy import (CSR, SPAN_RTOL, StepTable, _extend,
-                               _new_directions, build_qhat,
+                               _grow_spans, build_qhat,
                                check_marginal_equality)
 from rlentropy.lastentry import strong_components
 
 from conftest import get_chain
+from marginal_oracle import _new_directions, per_symbol_marginal_check
 
 
 # -- pivoted Gram-Schmidt ------------------------------------------------------
@@ -70,11 +73,11 @@ def gs_cases():
 @pytest.mark.parametrize("basis, rows", gs_cases())
 def test_pivoted_gram_schmidt_matches_pivoted_qr(basis, rows):
     rank, ref = qr_new_directions(basis, rows)
-    bases = {0: basis} if len(basis) else {}
-    new = _new_directions(bases, 0, rows)
+    bases = [basis]
+    (new,) = _grow_spans(bases, [0], [rows])
+    grown = bases[0]
     assert len(new) == rank
     assert len(set(new.tolist())) == len(new)
-    grown = bases.get(0, np.empty((0, rows.shape[1])))
     assert grown.shape == ref.shape
     assert np.allclose(grown @ grown.T, np.eye(len(grown)), atol=1e-12)
     assert np.max(np.abs(grown.T @ grown - ref.T @ ref)) < 1e-10
@@ -85,14 +88,47 @@ def test_pivoted_gram_schmidt_matches_pivoted_qr(basis, rows):
         assert np.max(np.abs(q @ q.T - grown.T @ grown)) < 1e-10
 
 
+def mixed_batch():
+    """The Gram-Schmidt cases with, beside each, blocks of the same shape
+    that take rows in another order, in fewer rounds or none: rows
+    permuted, rows of the old span only (they add nothing), one row, and
+    the case again; then the lot shuffled."""
+    rng = np.random.default_rng(7)
+    batch = []
+    for basis, rows in gs_cases():
+        batch += [(basis, rows), (basis, rows[rng.permutation(len(rows))]),
+                  (basis, rows[:1]), (basis, rows[-1:]), (basis, rows)]
+        if len(basis):
+            batch.append((basis, planted(rng, basis, 0, *rows.shape)))
+    return [batch[i] for i in rng.permutation(len(batch))]
+
+
+def test_batched_gram_schmidt_matches_per_block_loop():
+    batch = mixed_batch()
+    shapes = [(*rows.shape, len(basis)) for basis, rows in batch]
+    assert len(set(shapes)) < len(shapes)       # some blocks share a stack
+    grown = [basis for basis, _ in batch]
+    picks = _grow_spans(grown, range(len(batch)), [rows for _, rows in batch])
+    nothing = one_row = 0
+    for (basis, rows), new, got in zip(batch, picks, grown):
+        bases = {0: basis}
+        ref = _new_directions(bases, 0, rows)
+        assert new.tolist() == ref.tolist()
+        assert got.shape == bases[0].shape
+        assert np.max(np.abs(got - bases[0]), initial=0.0) < 1e-12
+        nothing += not len(new)
+        one_row += len(rows) == 1
+    assert nothing and one_row
+
+
 def test_marginal_basis_sizes(monkeypatch):
     count = []
 
-    def counted(bases, s, rows):
-        new = _new_directions(bases, s, rows)
-        count.append(len(new))
-        return new
-    monkeypatch.setattr(entropy, "_new_directions", counted)
+    def counted(bases, syms, blocks):
+        picks = _grow_spans(bases, syms, blocks)
+        count.append(sum(map(len, picks)))
+        return picks
+    monkeypatch.setattr(entropy, "_grow_spans", counted)
     for name, size in (("fg2", 324), ("t3", 48), ("glued", 3750)):
         chain = get_chain(name)
         cls = chain.classes[0]
@@ -100,6 +136,26 @@ def test_marginal_basis_sizes(monkeypatch):
         diff = check_marginal_equality(chain, cls, build_qhat(chain, cls))
         assert sum(count) == size, name
         assert diff <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["fg2", "fg2_biased", "t3", "glued"])
+def test_marginal_check_matches_per_symbol_loop(name, monkeypatch):
+    """The same worst difference, bit for bit, and the same basis words
+    kept per level, read off the frontier each level stacks."""
+    chain = get_chain(name)
+    cls = chain.classes[0]
+    modified = build_qhat(chain, cls)
+    ref, ref_levels = per_symbol_marginal_check(chain, cls, modified)
+    levels = []
+    stack = CSR.stack
+
+    def counted(parts):
+        levels.append(sum(p.n_rows for p in parts))
+        return stack(parts)
+    monkeypatch.setattr(CSR, "stack", counted)
+    assert check_marginal_equality(chain, cls, modified) == ref
+    assert levels == ref_levels
+    assert levels[-1] == 0
 
 
 # -- the CSR successor step ----------------------------------------------------

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import rlentropy as rle
-from rlentropy.lastentry import (_entries, enumerate_W0, mathL, stationary,
-                                 stationary_power)
+from rlentropy.lastentry import _entries, enumerate_W0, mathL, stationary
 
-from chain_oracle import dense_decomposition, q_matrix
+from chain_oracle import dense_decomposition, q_matrix, stationary_power
 from contraction_oracle import UnnormalizedContraction
 from conftest import get_atlas, get_chain, get_gf, get_model
 

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import rlentropy as rle
 from rlentropy.entropy import interpolate_models
-from rlentropy.lastentry import stationary, stationary_power
+from rlentropy.lastentry import stationary
 
+from chain_oracle import stationary_power
 from conftest import get_model
 
 
