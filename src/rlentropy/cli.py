@@ -324,7 +324,9 @@ def build_parser():
     p.add_argument("--n-max", type=_int_at_least(2), default=16)
     p.add_argument("--gap-tol", type=_positive_float, default=1e-6)
     p.add_argument("--budget", type=_int_at_least(0),
-                   default=entropy.SANDWICH_BUDGET)
+                   default=entropy.SANDWICH_BUDGET,
+                   help="sandwich expansions before Monte Carlo substitutes: "
+                        "per distinct belief, the symbols out of its rows")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("simulate", help="trajectory sampling and rates")

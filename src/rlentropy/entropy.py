@@ -233,6 +233,8 @@ class EntropyBounds:
     monte_carlo: bool = False
     std_error: float | None = None
     exact_gap: float | None = None    # Monte Carlo: last exact level's gap
+    beliefs: int = 0              # distinct beliefs expanded
+    spent: int = 0                # expansions counted against the budget
 
 
 def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
@@ -240,55 +242,71 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
     """Two-sided conditional-entropy bounds on the hidden-chain entropy rate.
 
     The upper bound conditions on the visible history, the lower bound
-    additionally on the initial enriched pair; both are exact forward sums
-    over positive-probability symbol sequences, stopping once the gap closes
-    below ``gap_tol`` or at ``n_max``.  The expansion budget counts the
-    symbols out of each nonzero frontier entry; past it a stationary Monte
+    additionally on the initial enriched state (Birch, 1962); both are exact
+    sums on the belief chain (Blackwell, 1957), stopping once the gap closes
+    below ``gap_tol`` or at ``n_max`` (at least 2: the first bounds are
+    those of the second symbol).  A word's future depends only on its
+    forward vector summed per table row and normalised, so each distinct
+    such belief is expanded once.  The budget counts, per belief expanded,
+    the symbols out of its nonzero table rows; past it a stationary Monte
     Carlo estimator substitutes, with standard errors and the gap of the
-    last exact level (None when there is none).  ``n_max`` is at
-    least 2: the first bounds are those of the second symbol.
+    last exact level (None when there is none).
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     step = hidden.step
+    n_rows = len(step.start) - 1
     n_symbols = np.array([len(np.unique(step.sym[a:b]))
                           for a, b in zip(step.start, step.start[1:])])
-    spent = 0
+    rows = StepTable(np.arange(n_rows), step.start, step.sym,
+                     step.row_of[step.tgt], step.prob)
+    ids, h, edges, spent = {}, {}, [], 0  # belief bytes -> id, id -> entropy
 
-    def advance(frontier):
+    def expand(new):
+        """Record the next-symbol entropy and the out-edges of ``new``."""
         nonlocal spent
-        spent += int(n_symbols[step.row_of[frontier.indices]].sum())
-        succ, _, parent = _extend(frontier, step)
-        return succ, succ.sums(), parent
+        dense = np.array([np.frombuffer(k) for k in ids])[new]
+        r, c = np.nonzero(dense)
+        spent += int(n_symbols[c].sum())
+        succ, _, parent = _extend(CSR(np.searchsorted(r, np.arange(
+            len(new) + 1)), c, dense[r, c], n_rows), rows)
+        q, at = succ.sums(), succ.row_ids()
+        child = np.zeros((succ.n_rows, n_rows))
+        child[at, succ.indices] = succ.data / q[at]
+        edges.append((new[parent], np.array([ids.setdefault(
+            v.tobytes(), len(ids)) for v in child], dtype=np.int64), q))
+        h.update(zip(new.tolist(), -np.bincount(parent, q * np.log(q))))
 
-    up, p, _ = advance(_row(hidden.nu))
-    joint_prev = -np.sum(p * np.log(p))
-    # Conditioning on the initial enriched pair is, by the Markov property,
-    # conditioning on the second state; one start vector per state suffices.
-    live = np.flatnonzero(hidden.nu > 0)
-    low = CSR(np.arange(len(live) + 1), live, hidden.nu[live],
-              len(hidden.nu))
-    uppers, lowers = [], []
-    n = 1
+    # the upper side starts from nu's belief, expanded once; the lower one
+    # from each table row's unit belief, weighted by nu's mass on that row
+    mass = np.bincount(step.row_of, weights=hidden.nu, minlength=n_rows)
+    live = np.flatnonzero(mass)
+    low = [ids.setdefault(v.tobytes(), len(ids)) for v in np.eye(n_rows)[live]]
+    expand(np.array([ids.setdefault((mass / mass.sum()).tobytes(), len(ids))]))
+    w = np.array([np.bincount(edges[0][1], mass.sum() * edges[0][2], len(ids)),
+                  np.bincount(low, mass[live], len(ids))])
+    uppers, lowers, n = [], [], 1
     while n < n_max:
         n += 1
         if spent > budget:
             mc = _sandwich_mc(hidden, n, gap_tol, mc_samples, seed)
             mc.exact_gap = uppers[-1] - lowers[-1] if uppers else None
+            mc.beliefs, mc.spent = len(h), spent
             return mc
-        up, p, _ = advance(up)
-        joint = -np.sum(p * np.log(p))
-        uppers.append(float(joint - joint_prev))
-        joint_prev = joint
-        p_node = low.sums()
-        low, p, parent = advance(low)
-        lowers.append(float(-np.sum(p * np.log(p / p_node[parent]))))
+        live = np.flatnonzero(w.any(axis=0))
+        expand(live[[b not in h for b in live]])
+        up, lo = w[:, live] @ [h[b] for b in live]
+        uppers.append(float(up))
+        lowers.append(float(lo))
         if uppers[-1] - lowers[-1] < gap_tol:
             break
+        parent, child, q = map(np.concatenate, zip(*edges))
+        w = np.bincount(np.r_[child, child + len(ids)], (w[:, parent] * q)
+                        .ravel(), 2 * len(ids)).reshape(2, -1)
 
     gap = uppers[-1] - lowers[-1]
-    return EntropyBounds(uppers, lowers, n, gap,
-                         0.5 * (uppers[-1] + lowers[-1]), gap < gap_tol)
+    return EntropyBounds(uppers, lowers, n, gap, (uppers[-1] + lowers[-1]) / 2,
+                         gap < gap_tol, beliefs=len(h), spent=spent)
 
 
 def _sandwich_mc(hidden, n, gap_tol, samples, seed):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from rlentropy.entropy import (HiddenChain, WState, build_qhat,
                                sandwich_bounds, unambiguous_exact)
 from rlentropy.model import AssumptionError
 
-from rlentropy.entropy import ModifiedChain
+from rlentropy.entropy import ModifiedChain, StepTable
+from rlentropy.lastentry import stationary
 
 from conftest import get_analysis, get_atlas, get_chain, get_gf, get_model
 from marginal_oracle import enumerated_marginal_diff
@@ -385,7 +387,7 @@ def test_marginal_check_covers_lengths_beyond_one():
 
 
 def test_sandwich_matches_dict_oracle():
-    for name in ("t3", "multi", "twotype", "mixed", "fg2"):
+    for name in ("t3", "multi", "twotype", "mixed", "fg2", "fg2_biased", "ne"):
         chain, cls = _single_class(name)
         hidden = HiddenChain(chain, cls)
         bounds = sandwich_bounds(hidden)
@@ -395,36 +397,92 @@ def test_sandwich_matches_dict_oracle():
         assert np.allclose(bounds.lowers, lowers, rtol=0, atol=1e-12), name
 
 
+def _random_hidden(rng):
+    """A small ambiguous hidden chain: stochastic table rows shared by
+    several states, every symbol in several rows, each row with a repeated
+    (symbol, target) entry, started from the stationary law."""
+    n_states, n_rows, n_sym = rng.integers(3, 7), rng.integers(2, 4), 2
+    row_of = np.r_[np.arange(n_rows), rng.integers(0, n_rows,
+                                                   n_states - n_rows)]
+    start, sym, tgt = [0], [], []
+    for _ in range(n_rows):
+        k = rng.integers(3, 6)
+        s = np.r_[np.arange(n_sym), rng.integers(0, n_sym, k - n_sym)]
+        t = rng.integers(0, n_states, k)
+        sym += [*s, s[0]]
+        tgt += [*t, t[0]]
+        start.append(start[-1] + k + 1)
+    prob = rng.uniform(0.05, 1.0, start[-1])
+    prob /= np.add.reduceat(prob, start[:-1]).repeat(np.diff(start))
+    step = StepTable(row_of, np.array(start), np.array(sym), np.array(tgt),
+                     prob)
+    q = np.zeros((n_states, n_states))
+    for x, r in enumerate(row_of):
+        e = np.arange(start[r], start[r + 1])
+        np.add.at(q[x], step.tgt[e], step.prob[e])
+    return SimpleNamespace(step=step, nu=stationary(q),
+                           symbols=list(range(n_sym)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sandwich_ambiguous_tables_match_dict_oracle(seed):
+    hidden = _random_hidden(np.random.default_rng(seed))
+    bounds = sandwich_bounds(hidden, n_max=8)
+    uppers, lowers, n_final = dict_sandwich(hidden, n_max=8)
+    assert bounds.n_final == n_final
+    assert np.allclose(bounds.uppers, uppers, rtol=0, atol=1e-12)
+    assert np.allclose(bounds.lowers, lowers, rtol=0, atol=1e-12)
+
+
+def test_sandwich_counts_beliefs_and_budget():
+    # each distinct belief (forward vector per table row, normalised) is
+    # expanded once; on a telescoped class every word ends in a unit belief
+    expected = {"fg2": (13, 648), "t3": (7, 96), "multi": (347, 2752)}
+    for name, counts in expected.items():
+        hidden = HiddenChain(*_single_class(name))
+        bounds = sandwich_bounds(hidden)
+        assert (bounds.beliefs, bounds.spent) == counts, name
+        if name != "multi":
+            assert bounds.beliefs <= len(hidden.step.start) - 1 + 1, name
+            # deeper levels meet no new belief (a negative gap_tol runs on)
+            deep = sandwich_bounds(hidden, n_max=5, gap_tol=-1)
+            assert (deep.n_final, deep.beliefs) == (5, bounds.beliefs), name
+            assert np.allclose(deep.uppers, deep.lowers, rtol=0, atol=1e-12)
+    mc = sandwich_bounds(HiddenChain(*_single_class("multi")), budget=4)
+    assert mc.monte_carlo and (mc.beliefs, mc.spent) == (1, 8)
+
+
 def test_sandwich_monte_carlo_substitute():
     # past the expansion budget a sampled estimate replaces the exact sums;
-    # with a budget of 10 multi switches at depth 2, with 2000 at depth 7
+    # the budget counts the symbols out of each expanded belief's rows: with
+    # a budget of 4 multi switches at depth 2, with 600 at depth 7
     chain, cls = _single_class("multi")
     hidden = HiddenChain(chain, cls)
     exact = sandwich_bounds(hidden, n_max=2, gap_tol=0, budget=10**9)
-    mc = sandwich_bounds(hidden, budget=10)
+    mc = sandwich_bounds(hidden, budget=4)
     assert mc.monte_carlo and mc.n_final == 2 and mc.std_error > 0
     assert abs(mc.uppers[-1] - exact.uppers[-1]) <= 4 * mc.std_error
     assert abs(mc.lowers[-1] - exact.lowers[-1]) <= 4 * mc.std_error
-    again = sandwich_bounds(hidden, budget=10)
+    again = sandwich_bounds(hidden, budget=4)
     assert (again.uppers, again.lowers, again.std_error) == \
         (mc.uppers, mc.lowers, mc.std_error)
-    assert sandwich_bounds(hidden, budget=2000).n_final == 7
+    assert sandwich_bounds(hidden, budget=600).n_final == 7
 
 
 def test_report_notes_unconverged_sandwich():
     model = get_model("multi")
-    notes = pipeline.analyze(model, budget=10).report.notes
+    notes = pipeline.analyze(model, budget=4).report.notes
     assert any("Monte Carlo estimate at depth 2, standard error" in n
                for n in notes)
     assert any(n.endswith("(sampling error only; no exact level)")
                for n in notes)
     bounds = sandwich_bounds(HiddenChain(*_single_class("multi")),
-                             budget=2000)
+                             budget=600)
     exact = sandwich_bounds(HiddenChain(*_single_class("multi")), n_max=6,
                             gap_tol=0, budget=10**9)
     assert bounds.monte_carlo and bounds.n_final == 7
     assert bounds.exact_gap == exact.gap
-    notes = pipeline.analyze(model, budget=2000).report.notes
+    notes = pipeline.analyze(model, budget=600).report.notes
     assert any(f"(sampling error only; gap {exact.gap:.3g} at the last "
                "exact level, depth 6)" in n for n in notes)
     notes = pipeline.analyze(model, n_max=3).report.notes
