@@ -15,6 +15,8 @@ import numpy as np
 
 from .model import AssumptionError
 
+MAX_PAIRS = 1024    # 32 letters; the closures are dense pair x pair matrices
+
 
 # -- support saturation ------------------------------------------------------
 
@@ -38,6 +40,9 @@ class ReachRelation:
     def __init__(self, model):
         self.model = model
         A = model.alphabet
+        if len(A) ** 2 > MAX_PAIRS:
+            raise AssumptionError(f"{len(A) ** 2} letter pairs exceed the "
+                                  f"reach relation's {MAX_PAIRS}")
         self.pairs = [a + b for a in A for b in A]
         self.pair_index = {p: i for i, p in enumerate(self.pairs)}
         self.letter_index = {a: i for i, a in enumerate(A)}

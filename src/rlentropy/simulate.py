@@ -3,11 +3,13 @@ analytic tables: pooled |X_n|/n against ell, and the surprisal and
 hitting-probability rates against h.
 
 A run makes two passes.  The lockstep sampler advances all trajectories
-together on letter ids and records, at each checkpoint and per trajectory,
-the word length, ``keep`` (the number of leading letters no step has touched
-since the previous checkpoint: the least ``length - 2`` over the segment)
-and the letters after ``keep``.  One row evaluator then replays these
-records for all trajectories at once, and the rates are read from its rows.
+together on letter ids, taking each step's rule from one table indexed by
+the word's last two letters and the bucket of the step's uniform.  It
+records, at each checkpoint and per trajectory, the word length, ``keep``
+(the number of leading letters no step has touched since the previous
+checkpoint: the least ``length - 2`` over the segment) and the letters
+after ``keep``.  One row evaluator then replays these records for all
+trajectories at once, and the rates are read from its rows.
 
 Reproducibility contract: trajectory ``i`` of a run with seed ``s`` uses a
 Philox counter-based generator keyed with ``(s << 64) + i`` and takes one
@@ -38,8 +40,9 @@ class SimConfig:
     checkpoints: tuple = ()
 
     def __post_init__(self):
-        if self.steps < 1 or self.trajectories < 1:
-            raise ValueError("steps and trajectories must be >= 1")
+        if self.steps < 1 or self.trajectories < 2:
+            raise ValueError("steps must be >= 1 and trajectories >= 2 "
+                             "(the standard errors divide by n - 1)")
         if not self.checkpoints:      # every steps // 10 steps, and steps
             k = max(1, self.steps // 10)
             self.checkpoints = (*range(k, self.steps, k), self.steps)
@@ -88,41 +91,54 @@ class _Checkpoint:
     tails: list | None              # bytes of letter ids past keep
 
 
+def _rule_table(model):
+    """``(thresholds, table)``: the sorted distinct cumulated rule
+    probabilities of all rows (each row's last raised to 1.0), and one row
+    per left-hand side (``model.rules`` order) by one column per distinct
+    threshold plus one.  ``table[row, searchsorted(thresholds, u, "right")]``
+    is the id (rules numbered row after row) of the rule ``bisect_right``
+    picks for u in [0, 1): between adjacent thresholds a row's count of
+    entries <= u is constant."""
+    cums = [list(accumulate(r.prob for r in rules))
+            for rules in model.rules.values()]
+    for cum in cums:
+        cum[-1] = max(cum[-1], 1.0)
+    thresholds = np.array(sorted({c for cum in cums for c in cum}))
+    lows = np.concatenate(([0.0], thresholds))     # each column's least u
+    first = np.cumsum([0] + [len(cum) for cum in cums])
+    return thresholds, np.array([f + np.searchsorted(cum, lows, side="right")
+                                 for f, cum in zip(first, cums)])
+
+
 def _lockstep(model, cfg, tails=True):
     """Sample all trajectories together, one step of each at a time, and
     record every checkpoint (with the letters past ``keep`` if ``tails``).
 
     Words are rows of letter ids behind two slots that hold the id |A|, "no
-    letter"; a word's last two slots (letters, or these markers for the root
-    and one-letter words) give the code of its rule row.  The row's
-    cumulated probabilities, padded with inf, choose the rule by counting
-    the entries at or below the step's uniform, as a bisection would."""
-    alphabet = model.alphabet
-    ids = {c: i for i, c in enumerate(alphabet)}
-    none = len(alphabet)
+    letter".  A step reads the last two slots as one pair code through a
+    byte-stride ``'<u2'`` view, takes the rule from ``_rule_table`` at the
+    pair's row and the uniform's bucket, and stores the right-hand side,
+    padded with "no letter", through a ``'<u4'`` view where the left side
+    starts: the second-last letter, or the first slot."""
+    ids = {c: i for i, c in enumerate(model.alphabet)}
+    none = len(ids)
     if none > 255:
         raise ValueError("the sampler stores letter ids as bytes: at most "
                          "255 letters")
-    width = max(len(rules) for rules in model.rules.values())
-    n_codes = (none + 1) ** 2
-    cum = np.full((n_codes, width), np.inf)
-    shift = np.zeros(n_codes, dtype=np.intp)    # first rewritten slot - L
-    rhs = np.full((n_codes * width, 3), none, dtype=np.uint8)
-    grow = np.zeros(n_codes * width, dtype=np.intp)
-    for lhs, rules in model.rules.items():
+    thresholds, table = _rule_table(model)
+    compact = np.zeros(1 << 16, dtype=np.uint16)    # pair code -> table row
+    rhs, grow = [], []                              # per rule id
+    for row, (lhs, rules) in enumerate(model.rules.items()):
         p2, p1 = ([none, none] + [ids[c] for c in lhs])[-2:]
-        code = p2 * (none + 1) + p1
-        row = list(accumulate(r.prob for r in rules))
-        row[-1] = max(row[-1], 1.0)
-        cum[code, :len(row)] = row
-        shift[code] = 2 - len(lhs)
-        for k, r in enumerate(rules):
-            rhs[code * width + k, :len(r.rhs)] = [ids[c] for c in r.rhs]
-            grow[code * width + k] = len(r.rhs) - len(lhs)
+        compact[p2 | p1 << 8] = row
+        for r in rules:
+            rhs.append(bytes([ids[c] for c in r.rhs]).ljust(4, bytes([none])))
+            grow.append(len(r.rhs) - len(lhs))
+    rhs = np.frombuffer(b"".join(rhs), dtype="<u4")
+    grow = np.array(grow, dtype=np.intp)
 
     n_traj = cfg.trajectories
     rngs = [trajectory_rng(cfg.seed, i) for i in range(n_traj)]
-    radix, window = np.intp(none + 1), np.arange(3)
     words = np.empty((n_traj, 0), dtype=np.uint8)
     length = np.zeros(n_traj, dtype=np.intp)
     low = length.copy()         # least length since the last checkpoint
@@ -135,31 +151,33 @@ def _lockstep(model, cfg, tails=True):
         u = np.empty((chunk, n_traj))
         for i, rng in enumerate(rngs):
             u[:, i] = rng.random(chunk)
-        # a step grows a word by at most one letter and writes three slots
-        need = 2 + int(length.max()) + chunk + 3
+        # a step grows a word by at most one letter and stores four slots
+        need = 2 + int(length.max()) + chunk + 4
         if need > words.shape[1]:
             grown = np.full((n_traj, max(need, 2 * words.shape[1])), none,
                             dtype=np.uint8)
             grown[:, :words.shape[1]] = words
             words, flat = grown, grown.reshape(-1)
-            base = np.arange(n_traj) * words.shape[1]
-        for draws in u:
-            pos = base + length             # slot of the second-last letter
-            code = flat[pos] * radix + flat[pos + 1]
-            below = cum[code] <= draws[:, None]     # bisect_right, per row
-            rule = code * width + np.add.reduce(below, axis=1)
-            flat[(pos + shift[code])[:, None] + window] = rhs[rule]
-            length += grow[rule]
-            np.minimum(low, length, out=low)
+            pairs = np.ndarray(flat.size - 1, "<u2", flat, strides=(1,))
+            quads = np.ndarray(flat.size - 3, "<u4", flat, strides=(1,))
+            start = np.arange(n_traj) * words.shape[1] + 2  # first letters
+        pos, low = start - 2 + length, start - 2 + low  # second-last slots
+        for bucket in np.searchsorted(thresholds, u, side="right"):
+            rule = table[compact[pairs[pos]], bucket]
+            quads[np.maximum(pos, start)] = rhs[rule]
+            pos += grow[rule]
+            np.minimum(low, pos, out=low)
             n += 1
             if n == target:
-                keep = np.maximum(low - 2, 0)
-                records.append(_Checkpoint(n, length.copy(), keep, [
+                length = pos - start + 2
+                keep = np.maximum(low - start, 0)
+                records.append(_Checkpoint(n, length, keep, [
                     words[i, 2 + k:2 + m].tobytes()
                     for i, (k, m) in enumerate(zip(keep, length))]
                     if tails else None))
-                low = length.copy()
+                low = pos.copy()
                 target = next(checkpoints, None)
+        length, low = pos - start + 2, low - start + 2
     return records
 
 

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import rlentropy
-from rlentropy import cli, genfun, pipeline
+from rlentropy import cli, cones, genfun, pipeline
 
 from conftest import fixture_path
 
@@ -230,6 +231,29 @@ def test_out_of_memory_is_domain_failure(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 1
     assert err.strip() == "domain failure: out of memory"
+
+
+def test_256_letter_model_is_a_quick_domain_failure(capsys, monkeypatch,
+                                                    tmp_path):
+    # o -> x and back for 256 letters: the reach relation's pair x pair
+    # matrices would take 4 GiB each
+    letters = [chr(0x100 + i) for i in range(256)]
+    path = tmp_path / "star256.rw"
+    path.write_text("\n".join(["alphabet: " + " ".join(letters),
+                               *(f"rule: o -> {x} : 1/256" for x in letters),
+                               *(f"rule: {x} -> o : 1" for x in letters)]))
+
+    def allocated(*args):
+        raise AssertionError("pair matrix allocated")
+    monkeypatch.setattr(cones.ReachRelation, "_saturate_reach22", allocated)
+    start = time.perf_counter()
+    code = cli.main(["simulate", str(path), "--steps", "10",
+                     "--trajectories", "2"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("domain failure: 65536 letter pairs exceed")
+    assert elapsed < 1.0
 
 
 def test_generating_functions_solved_once_per_command(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 import rlentropy as rle
 from rlentropy import simulate
 from rlentropy.genfun import L_word
+from rlentropy.model import Rule, WalkModel
 
-from conftest import get_gf, get_model
+from conftest import free_group_text, get_gf, get_model
 from simulate_oracle import _Sampler, checkpoint_words
 from simulate_oracle import run_trajectories as oracle_run
 
@@ -90,6 +92,67 @@ def test_checkpoint_records_rebuild_every_word(name):
         _assert_same_as_oracle(name, cfg)
 
 
+@pytest.mark.parametrize("name, shape", [
+    ("fg2_biased", (17, 23)), ("glued", (53, 17)), ("mixed", (7, 6)),
+    ("F3", (37, 7)), ("F5", (101, 11))])
+def test_rule_table_agrees_with_bisect_at_thresholds(name, shape):
+    # a Philox stream almost never hits a threshold exactly, so the oracle
+    # comparisons cannot see an off-by-one there
+    model = (rle.parse_model(free_group_text(int(name[1])))
+             if name[0] == "F" else get_model(name))
+    thresholds, table = simulate._rule_table(model)
+    assert table.shape == shape == (len(model.rules), len(thresholds) + 1)
+    points = [0.0, np.nextafter(1.0, 0.0)]
+    for t in thresholds:
+        points += [np.nextafter(t, 0.0), t, np.nextafter(t, 2.0)]
+    points = [u for u in points if 0.0 <= u < 1.0]
+    first = 0
+    for row, (lhs, (rhs, cum)) in enumerate(_Sampler(model).rows.items()):
+        for u in points:
+            bucket = np.searchsorted(thresholds, u, side="right")
+            assert table[row, bucket] == first + bisect_right(cum, u), (
+                lhs, u)
+        first += len(rhs)
+
+
+def _successor_walk(n_letters):
+    """Words x s(x) s(s(x)) ... with s(x) the next letter, cyclically: the
+    root jumps to any letter, a letter goes back or on, a pair drops its
+    last letter or grows by the next one."""
+    letters = [chr(0x100 + i) for i in range(n_letters)]
+    nxt = dict(zip(letters, letters[1:] + letters[:1]))
+    rules = [Rule("", x, 1 / n_letters) for x in letters]
+    for x, y in nxt.items():
+        rules += [Rule(x, "", 0.5), Rule(x, x + y, 0.5),
+                  Rule(x + y, x, 0.25),
+                  Rule(x + y, x + y + nxt[y], 0.75)]
+    return WalkModel(letters, rules, check_stochastic=False)
+
+
+def test_lockstep_rebuilds_words_over_255_letters():
+    # the "no letter" id is 255 and the root's pair code is 0xFFFF
+    model = _successor_walk(255)
+    cfg = simulate.SimConfig(steps=600, trajectories=3, seed=19,
+                             checkpoints=(1, 2, 3, 50, 300, 301, 600))
+    records = simulate._lockstep(model, cfg, tails=True)
+    for i in range(cfg.trajectories):
+        word = ""
+        for rec, ref in zip(records, checkpoint_words(model, cfg, i)):
+            word = word[:rec.keep[i]] + "".join(
+                model.alphabet[c] for c in rec.tails[i])
+            assert word == ref and len(word) == rec.lengths[i]
+    assert max(rec.lengths.max() for rec in records) > 100
+
+
+def test_lockstep_rejects_256_letters_before_drawing(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("a uniform was drawn")
+    monkeypatch.setattr(simulate, "trajectory_rng", drawn)
+    with pytest.raises(ValueError, match="at most 255 letters"):
+        simulate._lockstep(_successor_walk(256),
+                           simulate.SimConfig(steps=10, trajectories=2))
+
+
 def test_saves_are_the_later_running_minima_above_the_keep():
     # replay 2 restarts at 3 and pushes past 4, which replay 3 reads;
     # replay 0 saves 5, 3 and 2, which replays 1, 2 and 4 read
@@ -121,6 +184,10 @@ def test_config_checkpoints_sorted_and_in_range():
     for bad in ((20,), (0,), (3, 11), (-1,)):
         with pytest.raises(ValueError):
             simulate.SimConfig(10, 2, checkpoints=bad)
+    # the standard errors divide by trajectories - 1
+    for steps, trajectories in ((0, 2), (10, 1), (10, 0)):
+        with pytest.raises(ValueError):
+            simulate.SimConfig(steps, trajectories)
 
 
 def test_default_checkpoints_end_at_steps():
