@@ -9,6 +9,7 @@ cones up to the covering depth.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,8 @@ import numpy as np
 from .model import AssumptionError
 
 MAX_PAIRS = 1024    # 32 letters; the closures are dense pair x pair matrices
+WORD_BUDGET = 2_000_000     # words one level of a cone enumeration may hold
+CUT_BUDGET = 100_000        # type-level cuts one covering search may visit
 
 
 # -- support saturation ------------------------------------------------------
@@ -286,7 +289,6 @@ class Covering:
     owner_type: int    # -1 for the root covering of the language
     slots: list
     depth_bound: int
-    level: int | None
     method: str
     certified: bool = False
 
@@ -346,9 +348,10 @@ class ConeAtlas:
         return [slot.root[:-2] + cd for cd in bset]
 
 
-def _cone_level_words(model, rel, roots2, level, budget=2_000_000):
-    """All relative words of the cone with 2-letter members ``roots2`` at the
-    given level, as full strings in the 2-letter root frame."""
+def _cone_level_words(model, rel, roots2, level):
+    """All relative words ``level - 2`` levels below the member words
+    ``roots2``: for a type's 2-letter members, its cone at that level in the
+    2-letter root frame."""
     words = list(roots2)
     for _ in range(level - 2):
         nxt = set()
@@ -356,24 +359,19 @@ def _cone_level_words(model, rel, roots2, level, budget=2_000_000):
             for c, mask in rel.up_step[rel.pair_index[w[-2:]]].items():
                 nxt.update(w[:-2] + c + fg for fg in rel.pairs_of(mask))
         words = sorted(nxt)
-        if len(words) > budget:
-            raise AssumptionError(f"cone enumeration exceeded budget at level {level}")
+        if len(words) > WORD_BUDGET:
+            raise AssumptionError(f"cone enumeration exceeded {WORD_BUDGET} words")
     return words
 
 
-def _group_same_level_cones(rel, words):
-    """Group equal-length words into cone classes (same prefix, mutually
-    reachable suffixes); returns {lex-least root: member list}."""
+def _children_classes(model, rel, roots):
+    """The child cones one level below the cones whose member words at their
+    own level are ``roots`` (whole classes of last pairs), as {lex-least
+    root: member list}; a cone class is one prefix and one class of pairs."""
     groups = {}
-    for w in words:
+    for w in _cone_level_words(model, rel, roots, 3):
         groups.setdefault((w[:-2], rel.class_of[w[-2:]]), []).append(w)
     return dict(sorted((min(ms), ms) for ms in groups.values()))
-
-
-def _children_classes(model, rel, roots):
-    """The child cones one level below ``roots`` (2-letter members of a
-    type, or one longer root)."""
-    return _group_same_level_cones(rel, _cone_level_words(model, rel, roots, 3))
 
 
 def _type_graph(model, rel, types, type_of):
@@ -392,14 +390,18 @@ def _type_graph(model, rel, types, type_of):
     return forward, children, expanding
 
 
-def build_atlas(model, order_key=None, method="auto", level_bump=0):
+def build_atlas(model, order_key=None, level_bump=0):
     """Classify types, decide expansion, and build one covering per type plus
     the root covering of the language.
 
-    ``order_key`` permutes the deterministic slot ordering (used by the
-    covering-robustness checks); ``level_bump`` forces uniform coverings one
-    level deeper than minimal; ``method="recursive"`` skips the search for
-    a uniform level, which "auto" falls back from.
+    The child-cone tree below a cone depends only on the cone's type, so a
+    covering is a finite cut of that tree whose leaf types include every
+    forward type.  The cut is searched on types, then spelled out as words:
+    the shallowest uniform level ("uniform"), else the first cut of a
+    breadth-first search ("cut"; free products of cyclic groups such as
+    Z_2 * Z_3 need it), or a non-expanding type's only child ("single-child").
+    ``order_key`` permutes the slot order; ``level_bump`` moves uniform cuts
+    that many qualifying levels deeper (both for robustness checks).
     """
     rel = saturate_supports(model)
     types, type_of = classify_types(model, rel)
@@ -409,8 +411,7 @@ def build_atlas(model, order_key=None, method="auto", level_bump=0):
     key = order_key or (lambda w: w)
 
     for ct in types:
-        atlas.coverings[ct.id] = _build_type_covering(
-            atlas, ct, key, method=method, level_bump=level_bump)
+        atlas.coverings[ct.id] = _build_type_covering(atlas, ct, key, level_bump)
     atlas.root_covering = _build_root_covering(atlas, key)
     return atlas
 
@@ -426,93 +427,91 @@ def _make_slots(atlas, roots, key):
     return slots
 
 
-def _build_type_covering(atlas, ct, key, method="auto", level_bump=0):
-    model, rel = atlas.model, atlas.rel
-    needed = atlas.forward_types[ct.id]
+# A type-level cut maps (depth, type id) to a number of leaves; depth 1
+# holds the child cones of the covered type.
+
+def _build_type_covering(atlas, ct, key, level_bump):
+    kids = atlas.children[ct.id]
     if not atlas.expanding_types[ct.id]:
-        groups = _children_classes(model, rel, ct.members)
-        if len(groups) != 1:
-            raise AssumptionError("non-expanding type with several child cones")
-        root = next(iter(groups))
-        cov = Covering(ct.id, _make_slots(atlas, [root], key),
-                       depth_bound=4, level=3, method="single-child")
-        _certify(atlas, ct.members, cov)
-        return cov
-
-    def covering_groups(level):
-        groups = _group_same_level_cones(
-            rel, _cone_level_words(model, rel, ct.members, level))
-        return groups if needed <= {atlas.type_of[r[-2:]] for r in groups} else None
-
-    if method == "auto":
-        found = None
-        for level in range(3, atlas.depth_cap + 3):
-            groups = covering_groups(level)
-            if groups:
-                found = (level, groups)
-                break
-        if found and level_bump:
-            groups = covering_groups(found[0] + level_bump)
-            if groups:
-                found = (found[0] + level_bump, groups)
-        if found:
-            level, groups = found
-            cov = Covering(ct.id, _make_slots(atlas, list(groups), key),
-                           depth_bound=level + 1, level=level, method="uniform")
-            _certify(atlas, ct.members, cov)
-            return cov
-    return _build_recursive_covering(atlas, ct, key)
-
-
-def _build_recursive_covering(atlas, ct, key):
-    """Exemplar search by repeated splitting into disjoint subcones (a
-    breadth-balanced pool keeps exemplar depths small), then a lexicographic
-    sweep at the certificate depth."""
-    model, rel = atlas.model, atlas.rel
-    missing = set(atlas.forward_types[ct.id])
-    exemplars = []
-    # pool of pairwise-disjoint available cones, shallowest first
-    pool = [(len(r), r) for r in _children_classes(model, rel, ct.members)]
-    pool.sort()
-
-    while missing:
-        if not pool:
-            raise AssumptionError(
-                f"covering search for type {ct.representative} ran out of "
-                f"disjoint subcones within depth cap {atlas.depth_cap}")
-        depth, root = pool.pop(0)
-        if depth - 2 > atlas.depth_cap:
-            raise AssumptionError(
-                f"covering search for type {ct.representative} exceeded the "
-                f"depth cap {atlas.depth_cap}")
-        t = atlas.type_of[root[-2:]]
-        if t in missing and pool:
-            exemplars.append(root)
-            missing.discard(t)
-        else:
-            # expand into the child cones of this root, keeping the pool
-            # disjoint and (if the type is still needed) not losing it
-            kids = [(len(r), r) for r in _children_classes(model, rel, [root])]
-            if t in missing and len(kids) <= 1:
-                exemplars.append(root)
-                missing.discard(t)
-            else:
-                pool.extend(kids)
-                pool.sort()
-
-    depth = 1 + max(len(w) for w in exemplars)
-    sweep = sorted(_cone_level_words(model, rel, ct.members, depth), key=key)
-    kept = list(exemplars)
-    fills = []
-    for x in sweep:
-        if any(in_cone(rel, v, x) for v in kept):
-            continue
-        kept.append(x)
-        fills.append(x)
-    cov = Covering(ct.id, _make_slots(atlas, exemplars + fills, key),
-                   depth_bound=depth, level=None, method="recursive")
+        if len(kids) != 1:
+            raise AssumptionError(f"non-expanding type {ct.representative} "
+                                  f"has {len(kids)} child cones")
+        cut, method = {(1, kids[0][1]): 1}, "single-child"
+    else:
+        cut, method = _uniform_cut(atlas, ct, level_bump), "uniform"
+        if cut is None:
+            cut, method = _search_cut(atlas, ct), "cut"
+    cov = Covering(ct.id, _make_slots(atlas, _spell_cut(atlas, ct, cut), key),
+                   depth_bound=max(d for d, _ in cut) + 3, method=method)
     _certify(atlas, ct.members, cov)
     return cov
+
+
+def _uniform_cut(atlas, ct, level_bump):
+    """All cones at the shallowest depth within the cap whose types include
+    every forward type (or at the ``level_bump``-th such depth after it, as
+    far as there are any); None if no depth qualifies."""
+    needed, hits = atlas.forward_types[ct.id], []
+    level = Counter(c for _, c in atlas.children[ct.id])
+    for depth in range(1, atlas.depth_cap + 1):
+        if needed <= level.keys():
+            hits.append({(depth, t): n for t, n in level.items()})
+            if len(hits) > level_bump:
+                break
+        deeper = Counter()
+        for t, n in level.items():
+            for _, c in atlas.children[t]:
+                deeper[c] += n
+        level = deeper
+    return hits[-1] if hits else None
+
+
+def _search_cut(atlas, ct):
+    """Breadth-first search over cuts, one leaf expanded per step and none
+    deeper than the depth cap, for the first whose leaf types include every
+    forward type."""
+    needed, children = atlas.forward_types[ct.id], atlas.children
+    start = tuple(sorted(Counter((1, c) for _, c in children[ct.id]).items()))
+    frontier, seen = [start], {start}
+    while frontier:
+        if len(seen) > CUT_BUDGET:
+            raise AssumptionError(f"covering search for type {ct.representative}"
+                                  f" exceeded its budget of {CUT_BUDGET} cuts")
+        deeper = []
+        for cut in frontier:
+            if needed <= {t for (_, t), _ in cut}:
+                return dict(cut)
+            for (d, t), _ in cut:
+                grown = Counter(dict(cut))
+                grown[d, t] -= 1
+                grown += Counter((d + 1, c) for _, c in children[t])
+                grown = tuple(sorted(grown.items()))
+                if d < atlas.depth_cap and grown not in seen:
+                    seen.add(grown)
+                    deeper.append(grown)
+        frontier = deeper
+    raise AssumptionError(f"type {ct.representative} has no covering within "
+                          f"depth cap {atlas.depth_cap}")
+
+
+def _spell_cut(atlas, ct, cut):
+    """The slot roots of a type-level cut, spelled out one depth at a time
+    with each expanded node grown from all of its member words: the first
+    nodes of a type in root order stay leaves, as many as the cut holds."""
+    model, rel = atlas.model, atlas.rel
+    leaves = dict(cut)
+    nodes, roots = _children_classes(model, rel, ct.members), []
+    for depth in range(1, max(d for d, _ in cut) + 1):
+        expand = []
+        for root, members in nodes.items():
+            leaf = (depth, atlas.type_of[root[-2:]])
+            if leaves.get(leaf):
+                leaves[leaf] -= 1
+                roots.append(root)
+            else:
+                expand += members
+        nodes = _children_classes(model, rel, expand)
+    return roots
 
 
 def _certify(atlas, roots2, cov):
@@ -578,7 +577,7 @@ def _build_root_covering(atlas, key):
                 "level-2 root covering does not apply")
         roots.append(min(mem2))
     cov = Covering(-1, _make_slots(atlas, roots, key), depth_bound=3,
-                   level=2, method="root-level2")
+                   method="root-level2")
     for w in reachable_sets(model).words3:
         hits = sum(1 for s in cov.slots if in_cone(atlas.rel, s.root, w))
         if hits != 1:

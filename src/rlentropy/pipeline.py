@@ -63,9 +63,8 @@ class AnalysisResult:
 
 
 def analyze(model, n_max=16, gap_tol=1e-6, budget=entropy.SANDWICH_BUDGET,
-            order_key=None, level_bump=0, covering_method="auto",
-            check_marginals=False, tol=genfun.DEFAULT_TOL,
-            xi_tol=genfun.RECURRENCE_XI_TOL):
+            order_key=None, level_bump=0, check_marginals=False,
+            tol=genfun.DEFAULT_TOL, xi_tol=genfun.RECURRENCE_XI_TOL):
     """Full analytic pipeline; raises AssumptionError for unusable models."""
     ws = model_mod.check_weak_symmetry(model)
     if not ws.ok:
@@ -74,8 +73,7 @@ def analyze(model, n_max=16, gap_tol=1e-6, budget=entropy.SANDWICH_BUDGET,
     if not gf.transient:
         report = entropy.assemble_report(model, gf)
         return AnalysisResult(model, gf, None, None, report)
-    atlas = cones.build_atlas(model, order_key=order_key,
-                              method=covering_method, level_bump=level_bump)
+    atlas = cones.build_atlas(model, order_key=order_key, level_bump=level_bump)
     chain = lastentry.build_chain(model, gf, atlas)
     mc_note = None
     if chain.ell is None:

@@ -1,6 +1,24 @@
-"""Reference for cone membership: the boolean-row walk over the reach22
-closure, one letter of the tail at a time."""
+"""References for cone membership: the boolean-row walk over the reach22
+closure, one letter of the tail at a time, and breadth-first search over
+the walk's own successors."""
 import numpy as np
+
+
+def brute_cone_members(model, root, depth, headroom=4):
+    """Exhaustive membership oracle: BFS inside the cone with excursion
+    headroom above the collection depth."""
+    out = set()
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        w = frontier.pop()
+        if len(w) <= depth:
+            out.add(w)
+        for succ, _ in model.successors(w):
+            if len(root) <= len(succ) <= depth + headroom and succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    return out
 
 
 def tail_reachable_rows(rel, pair, tail):

@@ -1,4 +1,5 @@
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -70,12 +71,49 @@ def tree_text(d):
     return reduced_walk_text(letters, {c: c for c in letters})
 
 
+def free_product_text(orders, weights=None):
+    """Random walk on the free product Z_m * Z_n * ... of the given orders.
+
+    A letter is a non-identity element of a factor, named consecutively
+    (Z_2 * Z_3: a | b, c with b^2 = c); words alternate factors.  A step by
+    letter s multiplies the last letter within its factor (deleting it at
+    the identity) or appends s from another factor.  ``weights`` is the step
+    law over the letters in that order, uniform by default."""
+    names = iter("abcdefghijklmnpqrstuvwxyz")
+    factors = [[next(names) for _ in range(m - 1)] for m in orders]
+    where = {x: (f, k) for f, xs in enumerate(factors)
+             for k, x in enumerate(xs, start=1)}
+    letters = list(where)
+    weights = weights or [Fraction(1, len(letters))] * len(letters)
+    mu = dict(zip(letters, (Fraction(w) for w in weights)))
+
+    def times(x, s):
+        (f, j), (_, k) = where[x], where[s]
+        return factors[f][(j + k) % orders[f] - 1] if (j + k) % orders[f] else ""
+
+    rules = [f"rule: o -> {s} : {mu[s]}" for s in letters]
+    for lhs in letters + [x + y for x in letters for y in letters
+                          if where[x][0] != where[y][0]]:
+        y = lhs[-1]
+        for s in letters:
+            rhs = (lhs[:-1] + times(y, s) if where[s][0] == where[y][0]
+                   else lhs + s)
+            rules.append(f"rule: {lhs} -> {rhs or 'o'} : {mu[s]}")
+    return "\n".join(["alphabet: " + " ".join(letters), *rules])
+
+
+# generated free products of cyclic groups, by model name
+FREE_PRODUCTS = {"z2z3": (2, 3), "z3z3": (3, 3)}
+
 _cache = {}
 
 
 def get_model(name):
     if name not in _cache:
-        if name == "multi":
+        if name in FREE_PRODUCTS:
+            _cache[name] = rle.parse_model(
+                free_product_text(FREE_PRODUCTS[name]), source=name)
+        elif name == "multi":
             _cache[name] = rle.parse_model(MULTI_TEXT, source="multi")
         elif name == "twotype":
             _cache[name] = rle.parse_model(TWOTYPE_TEXT, source="twotype")

@@ -9,8 +9,9 @@ import pytest
 
 import rlentropy
 from rlentropy import cli, cones, genfun, pipeline
+from rlentropy.model import AssumptionError
 
-from conftest import fixture_path
+from conftest import fixture_path, free_product_text
 
 
 SRC = Path(rlentropy.__file__).resolve().parent.parent
@@ -254,6 +255,25 @@ def test_256_letter_model_is_a_quick_domain_failure(capsys, monkeypatch,
     assert code == 1
     assert err.startswith("domain failure: 65536 letter pairs exceed")
     assert elapsed < 1.0
+
+
+def test_covering_budgets_are_domain_failures(capsys, monkeypatch, tmp_path):
+    # Z_2 * Z_3 needs a non-uniform cut, found after a handful of cuts
+    path = tmp_path / "z2z3.rw"
+    path.write_text(free_product_text((2, 3)))
+    monkeypatch.setattr(cones, "CUT_BUDGET", 2)
+    with pytest.raises(AssumptionError, match="budget of 2 cuts"):
+        cones.build_atlas(rlentropy.load_model(path))
+    code = cli.main(["analyze", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("domain failure: covering search for type ab "
+                          "exceeded its budget of 2 cuts")
+    assert "Traceback" not in err
+    # fg2's uniform cut spells out 27 words at its depth
+    monkeypatch.setattr(cones, "WORD_BUDGET", 10)
+    with pytest.raises(AssumptionError, match="exceeded 10 words"):
+        cones.build_atlas(rlentropy.load_model(fixture_path("fg2")))
 
 
 def test_generating_functions_solved_once_per_command(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -6,34 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rlentropy as rle
-from rlentropy import cones, pipeline
+from rlentropy import cones
 from rlentropy.cones import (cones_disjoint, in_cone, limit_words,
                              saturate_supports, tail_reachable,
                              _cone_level_words)
 from rlentropy.model import AssumptionError
 
-from cone_oracle import tail_reachable_rows
+from cone_oracle import brute_cone_members, tail_reachable_rows
 from conftest import FIXTURES, get_atlas, get_gf, get_model
 
 ALL_MODELS = sorted(p.stem for p in FIXTURES.glob("*.rw")) + \
     ["mixed", "multi", "twotype"]
-
-
-def brute_cone_members(model, root, depth, headroom=4):
-    """Exhaustive membership oracle: BFS inside the cone with excursion
-    headroom above the collection depth."""
-    out = set()
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        w = frontier.pop()
-        if len(w) <= depth:
-            out.add(w)
-        for succ, _ in model.successors(w):
-            if len(root) <= len(succ) <= depth + headroom and succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
-    return out
 
 
 def test_supports_examples():
@@ -226,21 +209,72 @@ def test_uniform_covering_level_is_minimal_fg2():
     atlas = get_atlas("fg2")
     cov = atlas.coverings[0]
     assert cov.method == "uniform"
-    assert cov.level == 5
+    assert cov.depth_bound == 6
     assert len(cov.slots) == 27
 
 
-def test_recursive_covering_also_valid():
-    atlas = get_atlas("multi", method="recursive")
-    cov = atlas.coverings[0]
-    assert cov.method == "recursive"
-    assert cov.certified
-    assert {s.type_id for s in cov.slots} == {0}
-    rel = atlas.rel
-    roots = [s.root for s in cov.slots]
-    for i, r1 in enumerate(roots):
-        for r2 in roots[i + 1:]:
-            assert cones_disjoint(rel, r1, r2)
+def test_cut_covering_valid():
+    # Z_2 * Z_3 (a | b, c): type {ab, ac} has the child types {ba, ca} at
+    # odd depths and {ab, ac} at even ones, so no uniform level holds all
+    # three; likewise for Z_3 * Z_3
+    for name in ("z2z3", "z3z3"):
+        atlas = get_atlas(name)
+        for tid, cov in atlas.coverings.items():
+            assert (cov.method, cov.certified) == ("cut", True)
+            assert {s.type_id for s in cov.slots} == atlas.forward_types[tid]
+            roots = [s.root for s in cov.slots]
+            assert len({len(r) for r in roots}) > 1
+            for i, r1 in enumerate(roots):
+                for r2 in roots[i + 1:]:
+                    assert cones_disjoint(atlas.rel, r1, r2), (name, r1, r2)
+
+
+@pytest.mark.parametrize("name", ["z2z3", "z3z3"])
+def test_cut_coverings_against_brute(name):
+    # every cone word at the depth bound lies in exactly one slot cone, with
+    # both sides enumerated from the walk's own successors
+    model, atlas = get_model(name), get_atlas(name)
+    for ct in atlas.types:
+        cov = atlas.coverings[ct.id]
+        depth = cov.depth_bound
+
+        def words(root):
+            return {w for w in brute_cone_members(model, root, depth)
+                    if len(w) == depth}
+
+        cone = set().union(*(words(m) for m in ct.members))
+        slot_words = [words(s.root) for s in cov.slots]
+        assert set().union(*slot_words) == cone
+        assert sum(map(len, slot_words)) == len(cone), ct.representative
+
+
+@pytest.mark.parametrize("name", ["z2z3"] + ALL_MODELS)
+def test_spelled_children_match_in_cone(monkeypatch, name):
+    # the nodes the atlas expands get exactly the cones one level below
+    # that in_cone admits from any of their member words, one per class of
+    # last pairs
+    expanded = []
+    children = cones._children_classes
+
+    def recorded(model, rel, roots):
+        kids = children(model, rel, roots)
+        expanded.append((roots, kids))
+        return kids
+
+    monkeypatch.setattr(cones, "_children_classes", recorded)
+    model = get_model(name)
+    rel = saturate_supports(model)
+    cones.build_atlas(model)
+    tails = ["".join(t) for t in itertools.product(model.alphabet, repeat=3)]
+    for roots, kids in expanded:
+        below = {w[:-2] + t for w in set(roots) for t in tails
+                 if in_cone(rel, w, w[:-2] + t)}
+        assert sum(len(ms) for ms in kids.values()) == len(below), roots
+        for kid, members in kids.items():
+            assert {len(kid)} == {len(w) + 1 for w in roots}
+            assert set(members) == {w for w in below if in_cone(rel, kid, w)}
+    if name == "z2z3":
+        assert max(len(w) for roots, _ in expanded for w in roots) >= 4
 
 
 def test_reach22_symmetric_under_weak_symmetry():
@@ -262,23 +296,3 @@ def test_membership_automaton_matches_row_oracle(data):
     tail = data.draw(st.text(alphabet=sorted(rel.model.alphabet), max_size=6))
     tail += data.draw(st.sampled_from(rel.pairs))
     assert tail_reachable(rel, pair, tail) == tail_reachable_rows(rel, pair, tail)
-
-
-def test_recursive_children_one_level_deeper(monkeypatch):
-    expanded = []
-    children = cones._children_classes
-
-    def recorded(model, rel, roots):
-        kids = children(model, rel, roots)
-        expanded.append((roots, list(kids)))
-        return kids
-
-    monkeypatch.setattr(cones, "_children_classes", recorded)
-    res = pipeline.analyze(get_model("t3"), covering_method="recursive")
-    pool_roots = [(roots[0], kids) for roots, kids in expanded
-                  if len(roots) == 1]
-    assert any(len(root) > 2 for root, _ in pool_roots)
-    for root, kids in pool_roots:
-        assert all(len(k) == len(root) + 1 for k in kids), (root, kids)
-    assert {c.method for c in res.atlas.coverings.values()} == {"recursive"}
-    assert abs(res.report.h - math.log(2) / 3) <= 1e-12

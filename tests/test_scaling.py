@@ -1,15 +1,15 @@
 """Scaling regression: the structure layers on the free group F_3 (3750
-increment-chain states) and the exact sandwich on F_4, generated here as
-model files."""
+increment-chain states), the exact sandwich on F_4 and closed forms on free
+products of cyclic groups, generated here as model files."""
 import math
 
 import pytest
 
 import rlentropy as rle
-from rlentropy import pipeline
+from rlentropy import cli, pipeline
 from rlentropy.entropy import HiddenChain, sandwich_bounds
 
-from conftest import free_group_text
+from conftest import free_group_text, free_product_text
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +49,33 @@ def test_free_group_f4_exact_sandwich():
     assert abs(rep.hy - rep.classes[0].hy_exact) <= 1e-12
     assert abs(rep.h - 3 / 4 * math.log(7)) <= 1e-9
     assert abs(rep.ell - 3 / 4) <= 1e-9
+
+
+# Closed forms from the first-passage fixed point
+# H_x = sum_{s in F(x)} mu(s) H_{xs} + sum_{s not in F(x)} mu(s) H_s H_x,
+# H_e = 1 (F(x) the factor of letter x); the limit word alternates factors,
+# so h / ell is the entropy per letter of the harmonic measure.
+@pytest.mark.parametrize("orders, weights, ell, h_per_ell", [
+    ((2, 3), None, 2 / 15, math.log(2) / 2),
+    ((2, 3), ("1/2", "1/4", "1/4"), 1 / 7, math.log(2) / 2),
+    ((3, 3), None, 1 / 4, math.log(2)),
+])
+def test_free_product_closed_forms(orders, weights, ell, h_per_ell):
+    rep = pipeline.analyze(rle.parse_model(
+        free_product_text(orders, weights))).report
+    assert abs(rep.ell - ell) <= 1e-9
+    assert abs(rep.h - ell * h_per_ell) <= 1e-9
+
+
+def test_free_products_run(tmp_path):
+    # under uniform mu the walk inside a factor moves to a uniform other
+    # element, so each letter of the limit word is uniform on its factor
+    # and h / ell = (log(m - 1) + log(n - 1)) / 2; Z_2 * Z_2 is recurrent
+    for m in range(2, 6):
+        for n in range(m, 6):
+            path = tmp_path / f"z{m}z{n}.rw"
+            path.write_text(free_product_text((m, n)))
+            assert cli.main(["--format", "json", "analyze", str(path)]) == 0
+            rep = pipeline.analyze(rle.load_model(path)).report
+            ratio = (math.log(m - 1) + math.log(n - 1)) / 2
+            assert abs(rep.h - rep.ell * ratio) <= 1e-9, (m, n)
