@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import AssumptionError
 from .cones import limit_words
 from .genfun import DEFAULT_TOL, RECURRENCE_XI_TOL
+from .lastentry import unique
 
 SANDWICH_BUDGET = 5_000_000
 INEQ_SLACK = 1e-9
@@ -22,8 +24,7 @@ SPAN_CHUNK = 512      # marginal check: basis words extended at a time
 
 # -- the enriched state space -------------------------------------------------
 
-@dataclass(frozen=True)
-class WState:
+class WState(NamedTuple):
     source_type: int      # type of the cone whose covering was entered
     slot_type: int
     slot_index: int
@@ -146,9 +147,8 @@ def _extend(frontier, step):
     Returns the successors as the rows of one CSR, ordered by parent row
     and then by symbol, with the symbol and the parent row of each."""
     n_rows, n_sym = len(step.start) - 1, int(step.sym.max()) + 1
-    pair, inv = np.unique(frontier.row_ids() * n_rows
-                          + step.row_of[frontier.indices],
-                          return_inverse=True)
+    pair, inv = unique(frontier.row_ids() * n_rows
+                       + step.row_of[frontier.indices], return_inverse=True)
     mass = np.bincount(inv, weights=frontier.data)
     word, row = np.divmod(pair, n_rows)
     lens = step.start[row + 1] - step.start[row]
@@ -157,9 +157,9 @@ def _extend(frontier, step):
     keep = val != 0                   # products that underflowed
     entry = entry[keep]
     # one sort by (word, symbol, target); entries that meet are summed
-    key, inv = np.unique((np.repeat(word, lens)[keep] * n_sym
-                          + step.sym[entry]) * frontier.n_cols
-                         + step.tgt[entry], return_inverse=True)
+    key, inv = unique((np.repeat(word, lens)[keep] * n_sym
+                       + step.sym[entry]) * frontier.n_cols
+                      + step.tgt[entry], return_inverse=True)
     key, col = np.divmod(key, frontier.n_cols)
     first = np.flatnonzero(np.diff(key, prepend=-1))
     succ = CSR(np.r_[first, len(key)], col, np.bincount(inv, weights=val[keep]),
@@ -172,48 +172,60 @@ class HiddenChain:
     """Enriched last-entry chain of one essential class: states carry the
     slot through which each increment's cone was entered; ``step`` holds
     the transitions with their emitted hidden symbols, one table row per
-    suffix, and ``symbols[k]`` is the symbol with id k."""
+    suffix, and ``symbols[k]`` is the symbol with id k.  ``index`` maps
+    (owner type, word), which fixes the slot, to the state id."""
 
     def __init__(self, chain, cls):
         self.chain = chain
         self.atlas = atlas = chain.atlas
         class_words = {chain.states[i] for i in cls.state_ids}
 
-        self.states = []
-        self.index = {}
-        for m in sorted(cls.types):
-            for slot in atlas.coverings[m].slots:
-                for w in atlas.boundary_words(slot):
-                    if w in class_words:
-                        st = WState(m, slot.type_id, slot.local_index, w)
-                        self.index[st] = len(self.states)
-                        self.states.append(st)
+        # chain.slot_of lists (owner type, word) by type id, then by slot
+        self.states, self.index = [], {}
+        for (m, w), slot in chain.slot_of.items():
+            if m in cls.types and w in class_words:
+                self.index[(m, w)] = len(self.states)
+                self.states.append(WState(m, slot.type_id, slot.local_index,
+                                          w))
 
         # A step depends on a state only through its two-letter suffix, so
-        # each suffix's row is built once and shared by the states ending in it
-        targets = {}          # suffix -> [(target idx, prob), ...]
-        for sfx in {w[-2:] for w in class_words}:
-            i, row = atlas.type_of[sfx], chain.suffix_rows[sfx]
-            slots = [chain.slot_of[(i, y)] for y in row.targets]
-            targets[sfx] = [
-                (self.index[WState(i, s.type_id, s.local_index, y)], float(p))
-                for s, y, p in zip(slots, row.targets, row.probs)]
+        # each suffix's row is one table row, shared by the states ending in
+        # it.  The row of a suffix of type i enters the covering of type i,
+        # so an entry's symbol depends only on its target state j: it is
+        # the symbol of entering j from any state whose suffix has j's
+        # owner type.
+        row_id = {}
+        row_of = [row_id.setdefault(st.word[-2:], len(row_id))
+                  for st in self.states]
+        rows = [chain.suffix_rows[sfx] for sfx in row_id]
+        targets = {sfx: np.array([self.index[(atlas.type_of[sfx], y)]
+                                  for y in row.targets], dtype=np.int64)
+                   for sfx, row in zip(row_id, rows)}
+        tgt = np.concatenate(list(targets.values()))
+        prev = {}
+        for st in self.states:
+            prev.setdefault(atlas.type_of[st.word[-2:]], st)
+        state_sym = [hidden_symbol(atlas, prev[st.source_type], st)
+                     for st in self.states]
         sym_id = {}
-        self.step = _step_table(
-            self, [targets[st.word[-2:]] for st in self.states], sym_id)
+        sym = [sym_id.setdefault(state_sym[j], len(sym_id))
+               for j in tgt.tolist()]
+        self.step = StepTable(np.array(row_of),
+                              np.cumsum([0] + [len(r.targets) for r in rows]),
+                              np.array(sym), tgt,
+                              np.concatenate([r.probs for r in rows]))
         self.symbols = list(sym_id)
         self.nu = np.zeros(len(self.states))
         for sfx, mass in _suffix_mass(chain, cls).items():
-            k, p = zip(*targets[sfx])
-            np.add.at(self.nu, list(k), mass * np.array(p))
+            np.add.at(self.nu, targets[sfx],
+                      mass * chain.suffix_rows[sfx].probs)
 
     def initial_mu1(self):
         """Law of the first enriched state restricted to this class."""
         mu = np.zeros(len(self.states))
-        for (m, slot, word), mass in self.chain.mu1_w.items():
-            st = WState(m, slot[0], slot[1], word)
-            if st in self.index:
-                mu[self.index[st]] += mass
+        for (m, _, word), mass in self.chain.mu1_w.items():
+            if (m, word) in self.index:
+                mu[self.index[(m, word)]] += mass
         s = mu.sum()
         if s <= 0:
             raise AssumptionError("first-state law has no mass in this class")
@@ -256,8 +268,11 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     step = hidden.step
     n_rows = len(step.start) - 1
-    n_symbols = np.array([len(np.unique(step.sym[a:b]))
-                          for a, b in zip(step.start, step.start[1:])])
+    # symbols per table row: its distinct (row, symbol) keys
+    n_sym = int(step.sym.max()) + 1
+    entry_row = np.repeat(np.arange(n_rows), np.diff(step.start))
+    n_symbols = np.bincount(unique(entry_row * n_sym + step.sym) // n_sym,
+                            minlength=n_rows)
     rows = StepTable(np.arange(n_rows), step.start, step.sym,
                      step.row_of[step.tgt], step.prob)
     ids, h, edges, spent = {}, {}, [], 0  # belief bytes -> id, id -> entropy
@@ -434,12 +449,12 @@ def build_qhat(chain, cls):
             own = source == i
             fold = ~own & np.array(can_fold)[key_of]
             split = fold | (own & first)
-            for a in np.unique(key_of[fold]):
+            for a in unique(key_of[fold]):
                 if ybar[a] is None:
                     raise AssumptionError(
                         "no first slot of type {} with boundary {} in the "
                         "covering of type {}".format(*keys[a], i))
-            for a in np.unique(key_of[split]):
+            for a in unique(key_of[split]):
                 fold_counts[(i, *keys[a])] = count[a]
             q = np.array([qrow.get(t.word, 0.0) for t in states])
             q_bar = np.array([qrow.get(y, 0.0) for y in ybar])[key_of]
@@ -528,7 +543,7 @@ def check_marginal_equality(chain, cls, modified, max_len=None):
     n = len(hidden.states)
     pair = _pair_table(hidden, modified)
     # symbol s's successors occupy the coordinates keys[first[s]:first[s+1]]
-    keys = np.unique(pair.sym * 2 * n + pair.tgt)
+    keys = unique(pair.sym * 2 * n + pair.tgt)
     first = np.searchsorted(keys, 2 * n * np.arange(keys[-1] // (2 * n) + 2))
     bases = [np.empty((0, w)) for w in np.diff(first)]
     mu1 = hidden.initial_mu1()

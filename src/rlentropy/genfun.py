@@ -1,10 +1,11 @@
 """Generating-function tables at z = 1: values and first z-derivatives.
 
 The descent functions solve a quadratic system (least fixed point from the
-all-zeros table); the within-level Green values and the one-level-up
-last-entry values follow from finite linear systems.  Derivatives come from
-implicit differentiation at the solved point, one linear solve each, with
-finite differencing kept only as a test oracle.
+all-zeros table, Newton steps on a Jacobian built by one scatter); the
+within-level Green values and the one-level-up last-entry values follow
+from finite linear systems.  Derivatives come from implicit
+differentiation at the solved point, one linear solve each, with finite
+differencing kept only as a test oracle.
 """
 from __future__ import annotations
 
@@ -41,41 +42,60 @@ class SingularSystemError(RuntimeError):
 
 class _HSystem:
     """Vectorized evaluation of the first-step case distinction for the
-    descent functions, plus its Jacobian."""
+    descent functions, plus its Jacobian.  Both add their terms in rule
+    order, level rules first, so each entry gets the bits of a loop over
+    the rules."""
 
     def __init__(self, model):
         rel = saturate_supports(model)
-        self.pairs, self.level, self.up = rel.pairs, rel.level, rel.up
-        self.nA = len(model.alphabet)
-        self.base = np.zeros((len(self.pairs), self.nA))
+        self.pairs = rel.pairs
+        self.nA = nA = len(model.alphabet)
+        N = len(self.pairs) * nA
+        self.base = np.zeros((len(self.pairs), nA))
         for i, c, p in rel.down:
             self.base[i, c] += p
+        level = np.array(rel.level, dtype=float).reshape(-1, 3)
+        asc = np.array(rel.up, dtype=float).reshape(-1, 4)
+        li, lj = level[:, :2].T.astype(np.intp)
+        ui, ud, uef = asc[:, :3].T.astype(np.intp)
+        # apply: row i takes p * x[j] per level rule ab -> cd, then
+        # p * (x[ef] @ x[d*nA:(d+1)*nA]) per ascent ab -> d ef
+        self.rows, self.lj, self.ud, self.uef = np.r_[li, ui], lj, ud, uef
+        self.lp, self.up = level[:, 2], asc[:, 3]
+        # the Jacobian as a scatter: flat entry at[k] takes
+        # z * coef[k] * x.flat[src[k]], where src N reads 1.0.  A level rule
+        # fills the diagonal of its block (i, j); an ascent the block
+        # (i, ef) with x[d*nA:(d+1)*nA].T, then for each g the diagonal of
+        # the block (i, d*nA + g) with x[ef, g]
+        c = np.arange(nA)
+        at = [((li[:, None] * nA + c) * N + lj[:, None] * nA + c).ravel()]
+        src = [np.full(len(li) * nA, N)]
+        coef = [self.lp.repeat(nA)]
+        i, d, ef = ui[:, None, None], ud[:, None, None], uef[:, None, None]
+        c, g = c[:, None], c[None, :]
+        ef_at = (i * nA + c) * N + ef * nA + g
+        dg_at = (i * nA + c) * N + (d * nA + g) * nA + c
+        ef_src = (d * nA + g) * nA + c
+        dg_src = np.broadcast_to(ef * nA + g, dg_at.shape)
+        at.append(np.concatenate([ef_at, dg_at], axis=1).ravel())
+        src.append(np.concatenate([ef_src, dg_src], axis=1).ravel())
+        coef.append(self.up.repeat(2 * nA * nA))
+        self.at, self.src, self.coef = map(np.concatenate, (at, src, coef))
 
     def apply(self, x, z):
+        terms = np.concatenate([
+            self.lp[:, None] * x[self.lj],
+            self.up[:, None] * np.matmul(
+                x[self.uef][:, None, :],
+                x.reshape(-1, self.nA, self.nA)[self.ud])[:, 0]])
         out = self.base.copy()
-        for i, j, p in self.level:
-            out[i] += p * x[j]
-        nA = self.nA
-        for i, d, ef, p in self.up:
-            out[i] += p * (x[ef] @ x[d * nA:(d + 1) * nA])
+        np.add.at(out, self.rows, terms)
         return z * out
 
     def jacobian(self, x, z):
-        nP, nA = len(self.pairs), self.nA
-        N = nP * nA
-        J = np.zeros((N, N))
-        eye = np.eye(nA)
-        for i, j, p in self.level:
-            J[i * nA:(i + 1) * nA, j * nA:(j + 1) * nA] += z * p * eye
-        for i, d, ef, p in self.up:
-            # d/dx[ef, g] -> x[(d,g), c];  d/dx[(d,g), c] -> x[ef, g]
-            J[i * nA:(i + 1) * nA, ef * nA:(ef + 1) * nA] += \
-                z * p * x[d * nA:(d + 1) * nA].T
-            for g in range(nA):
-                dg = d * nA + g
-                J[i * nA:(i + 1) * nA, dg * nA:(dg + 1) * nA] += \
-                    z * p * x[ef, g] * eye
-        return J
+        N = x.size
+        vals = (z * self.coef) * np.r_[x.ravel(), 1.0][self.src]
+        return np.bincount(self.at, vals, N * N).reshape(N, N)
 
 
 @dataclass
@@ -298,16 +318,20 @@ def solve_green_short(model, h, z=1.0):
     index = {w: i for i, w in enumerate(words)}
     n = len(words)
     T = np.zeros((n, n))
+    folds = {}      # suffix -> [(last two letters after the fold, value)]
     for w, i in index.items():
         for succ, p in model.successors(w):
             if len(succ) <= 3:
                 T[i, index[succ]] += z * p
         if len(w) == 3:
-            for rhs, p in model.up_rules.get(w[-2:], ()):
-                c, hp = rhs[0], rel.pair_index[rhs[1:]]
-                for f in np.flatnonzero(rel.supp_h[hp]):
-                    target = w[0] + c + model.alphabet[f]
-                    T[i, index[target]] += z * p * h.values[hp, f]
+            if w[-2:] not in folds:
+                folds[w[-2:]] = [
+                    (rhs[0] + model.alphabet[f], z * p * h.values[hp, f])
+                    for rhs, p in model.up_rules.get(w[-2:], ())
+                    for hp in [rel.pair_index[rhs[1:]]]
+                    for f in np.flatnonzero(rel.supp_h[hp])]
+            for tail, v in folds[w[-2:]]:
+                T[i, index[w[0] + tail]] += v
     lhs = np.eye(n) - T
     if abs(np.linalg.det(lhs)) < 1e-300 or np.linalg.cond(lhs) > 1e14:
         raise SingularSystemError("short-word Green system is singular "

@@ -3,7 +3,9 @@ measures, the mean level gain and the rate of escape.
 
 States are the relative increment words between consecutive final entries
 into nested covering subcones.  Transition rows depend on a state only
-through its two-letter suffix, so rows are computed once per suffix.
+through its two-letter suffix, so rows are computed once per suffix; the
+law of the first increment reuses them, weighted by the final-entry
+probabilities of the root-covering words.
 """
 from __future__ import annotations
 
@@ -21,6 +23,21 @@ log = logging.getLogger("rlentropy")
 ROW_ABORT = 1e-8
 ROW_RENORM = 1e-10
 XI_ZERO = 1e-12
+
+
+def unique(a, return_inverse=False):
+    """The sorted distinct values of the 1-d array ``a`` and, if asked, the
+    position of each entry among them: ``np.unique``'s sort and compare of
+    neighbours, without its first-use import of numpy.ma."""
+    order = np.argsort(a)
+    s = a[order]
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = s[1:] != s[:-1]
+    if not return_inverse:
+        return s[new]
+    inv = np.empty(len(s), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return s[new], inv
 
 
 # -- the multi-level last-entry value -----------------------------------------
@@ -158,15 +175,10 @@ def build_chain(model, gf, atlas):
     with_deriv = gf.has_derivs
 
     suffix_rows = {}
-    slot_words_of_type = {}
-    for ct in atlas.types:
-        cov = atlas.coverings[ct.id]
-        ws = sorted(w for s in cov.slots for w in atlas.boundary_words(s))
-        slot_words_of_type[ct.id] = ws
+    slot_words = _slot_words(slot_of)
     for ab in sorted({w[-2:] for w in states}):
-        t = atlas.type_of[ab]
-        suffix_rows[ab] = _suffix_row(gf, ab, slot_words_of_type[t],
-                                      with_deriv)
+        suffix_rows[ab] = _suffix_row(
+            gf, ab, slot_words.get(atlas.type_of[ab], []), with_deriv)
 
     chain = EntryChain(model, gf, atlas, states, state_index, state_type,
                        suffix_rows, slot_of, entry_mass={}, mu0=None)
@@ -176,8 +188,21 @@ def build_chain(model, gf, atlas):
     return chain
 
 
+def _slot_words(slot_of):
+    """Per type, the sorted slot boundary words of its covering with
+    positive escape probability (those ``_entries`` keeps)."""
+    words = {}
+    for t, w in slot_of:
+        words.setdefault(t, []).append(w)
+    return {t: sorted(ws) for t, ws in words.items()}
+
+
 def _initial_distribution(chain):
-    """Law of the first increment, from the root-covering entry weights."""
+    """Law of the first increment, from the root-covering entry weights.
+
+    The first increment y after the entry into the root word w0 has mass
+    entry(w0) xi(w0) q(w0, y): the suffix row of w0 times its final-entry
+    probability.  A root word that no state ends in gets its row here."""
     gf, atlas, model = chain.gf, chain.atlas, chain.model
     gs = gf.green_short
     entry = {}
@@ -200,17 +225,17 @@ def _initial_distribution(chain):
     mu1_w = {}
     for slot in atlas.root_covering.slots:
         t = slot.type_id
-        cov = atlas.coverings[t]
         for w0 in atlas.boundary_words(slot):
             if w0 not in entry:
                 continue
-            words = [y for ts in cov.slots for y in atlas.boundary_words(ts)]
-            for y, xi_y, val, _ in _entries(gf, w0, words, False):
-                mass = entry[w0] / total * xi_y * val
-                mu0[chain.state_index[y]] += mass
+            row = chain.suffix_rows.get(w0) or _suffix_row(
+                gf, w0, _slot_words(chain.slot_of).get(t, []), False)
+            mass = entry[w0] / total * gf.xi[w0] * row.probs
+            np.add.at(mu0, [chain.state_index[y] for y in row.targets], mass)
+            for y, m in zip(row.targets, mass.tolist()):
                 ts = chain.slot_of[(t, y)]
                 key = (t, (ts.type_id, ts.local_index), y)
-                mu1_w[key] = mu1_w.get(key, 0.0) + mass
+                mu1_w[key] = mu1_w.get(key, 0.0) + m
     s = mu0.sum()
     if abs(s - 1.0) > 1e-6:
         raise AssumptionError(f"first-increment law sums to {s!r}")
@@ -265,7 +290,7 @@ def _decompose(chain):
     classes = []
     for c in essential:
         E = np.flatnonzero(labels == c)
-        classes.append((np.unique(np.concatenate([cols[a] for a in E])), c, E))
+        classes.append((unique(np.concatenate([cols[a] for a in E])), c, E))
     classes.sort(key=lambda t: t[0][0])
     chain.classes, chain.nu0 = [], np.zeros(n)
     for idx, (ids, c, E) in enumerate(classes):

@@ -1,11 +1,12 @@
 """Reference for the increment chain's classes and stationary laws: strong
 components, absorption and stationary solves on the dense state-level
-transition matrix, and power iteration for the stationary law."""
+transition matrix, and power iteration for the stationary law; and for the
+first-increment law, re-contracted from every root-covering word."""
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from rlentropy.lastentry import stationary
+from rlentropy.lastentry import _entries, stationary
 
 
 def stationary_power(q, tol=1e-14, max_iter=200000):
@@ -60,3 +61,36 @@ def dense_decomposition(chain):
         T = None if None in times else float(np.dot(nu, times))
         out.append((ids.tolist(), float(weight), nu, float(lam), T))
     return sorted(out, key=lambda cls: cls[0][0])
+
+
+def initial_law(chain):
+    """(mu0, mu1_w) by contracting every covering word of the root word's
+    type from each root-covering word afresh, with the first-increment mass
+    entry(w0) / total * xi(y) * L(w0, y)."""
+    gf, atlas, model = chain.gf, chain.atlas, chain.model
+    gs = gf.green_short
+    entry = {}
+    for slot in atlas.root_covering.slots:
+        for w0 in atlas.boundary_words(slot):
+            mass = sum(gs.value("", b) * model.prob(b, w0)
+                       for b in model.alphabet if b in gs.index)
+            if mass > 0:
+                entry[w0] = mass
+    total = sum(entry[w] * gf.xi[w[-2:]] for w in entry)
+    mu0 = np.zeros(len(chain.states))
+    mu1_w = {}
+    for slot in atlas.root_covering.slots:
+        t = slot.type_id
+        cov = atlas.coverings[t]
+        for w0 in atlas.boundary_words(slot):
+            if w0 not in entry:
+                continue
+            words = [y for ts in cov.slots for y in atlas.boundary_words(ts)]
+            for y, xi_y, val, _ in _entries(gf, w0, words, False):
+                mass = entry[w0] / total * xi_y * val
+                mu0[chain.state_index[y]] += mass
+                ts = chain.slot_of[(t, y)]
+                key = (t, (ts.type_id, ts.local_index), y)
+                mu1_w[key] = mu1_w.get(key, 0.0) + mass
+    s = mu0.sum()
+    return mu0 / s, {k: v / s for k, v in mu1_w.items()}

@@ -48,6 +48,24 @@ def test_commands_run_without_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_entropy_command_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on first use, which costs a one-shot
+    # command about 10 ms; the entropy path sorts without it
+    snippet = ("import contextlib, io, sys\n"
+               "sys.path.insert(0, sys.argv[1])\n"
+               "from rlentropy import cli\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    assert cli.main(['--format', 'json', 'entropy',"
+               " sys.argv[2]]) == 0\n"
+               "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", snippet, str(SRC),
+         str(fixture_path("fg2"))], capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_module_entry_point_warns_nothing():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(

@@ -16,6 +16,7 @@ from rlentropy.entropy import ModifiedChain, StepTable
 from rlentropy.lastentry import stationary
 
 from conftest import get_analysis, get_atlas, get_chain, get_gf, get_model
+from hidden_oracle import hidden_chain
 from marginal_oracle import enumerated_marginal_diff
 from regeneration_oracle import regeneration_mc
 from sandwich_oracle import dict_sandwich, state_transitions
@@ -488,3 +489,25 @@ def test_report_notes_unconverged_sandwich():
     notes = pipeline.analyze(model, n_max=3).report.notes
     assert any("not converged at depth 3, gap" in n for n in notes)
     assert get_analysis("multi").report.notes == []
+
+
+@pytest.mark.parametrize("name", ["fg2", "glued", "multi", "z2z3"])
+def test_hidden_chain_matches_state_built_reference(name):
+    """Indexing states by (owner type, word) and taking each entry's symbol
+    from its target gives the chain built from hashed enriched states."""
+    chain = get_chain(name)
+    for cls in chain.classes:
+        hidden, ref = HiddenChain(chain, cls), hidden_chain(chain, cls)
+        assert hidden.states == ref.states
+        assert hidden.symbols == ref.symbols
+        for f in ("row_of", "start", "sym", "tgt", "prob"):
+            a, b = getattr(hidden.step, f), getattr(ref.step, f)
+            assert a.dtype == b.dtype and np.array_equal(a, b), f
+        assert np.array_equal(hidden.nu, ref.nu)
+        assert np.array_equal(hidden.initial_mu1(), ref.mu1)
+        step, states = hidden.step, hidden.states
+        for x, st in enumerate(states):
+            r = step.row_of[x]
+            for e in range(step.start[r], step.start[r + 1]):
+                assert hidden.symbols[step.sym[e]] == hidden_symbol(
+                    chain.atlas, st, states[step.tgt[e]])

@@ -8,6 +8,12 @@ from rlentropy.genfun import L_word, solve_Gbar, solve_H, _HSystem
 from rlentropy.lastentry import mathL
 
 from conftest import get_gf, get_model
+import descent_oracle
+
+# every model the suite builds: the seven fixtures, the models written out
+# in conftest, then the generated free products
+ALL_MODELS = ("fg2", "fg2_biased", "t3", "ne", "line", "glued", "a2", "multi",
+              "twotype", "mixed", "z2z3", "z3z3")
 
 
 # -- independent oracles -------------------------------------------------------
@@ -256,3 +262,41 @@ def test_h_solve_reports_iterations():
     gf = get_gf("fg2")
     assert gf.h.iterations >= 1
     assert gf.h.residual < 1e-12
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_descent_system_matches_rule_loops(name):
+    """The scattered Jacobian and the stacked evaluation give the bits of
+    the loops over the rules, at the solution and away from it."""
+    model = get_model(name)
+    sys_ = _HSystem(model)
+    x_solved = get_gf(name).h.values
+    x_random = np.random.default_rng(15).random(x_solved.shape)
+    for x, z in ((x_solved, 1.0), (x_random, 0.9)):
+        assert np.array_equal(sys_.apply(x, z),
+                              descent_oracle.apply(model, x, z))
+        assert np.array_equal(sys_.jacobian(x, z),
+                              descent_oracle.jacobian(model, x, z))
+
+
+def test_descent_oracle_covers_level_rules():
+    from rlentropy.cones import saturate_supports
+    with_level = [n for n in ALL_MODELS if saturate_supports(get_model(n)).level]
+    assert with_level == ["multi", "twotype", "mixed", "z2z3", "z3z3"]
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_solve_H_unchanged_under_rule_loops(name, monkeypatch):
+    model = get_model(name)
+    fast = solve_H(model)
+    monkeypatch.setattr(_HSystem, "apply", lambda self, x, z:
+                        descent_oracle.apply(model, x, z))
+    monkeypatch.setattr(_HSystem, "jacobian", lambda self, x, z:
+                        descent_oracle.jacobian(model, x, z))
+    slow = solve_H(model)
+    assert np.array_equal(fast.values, slow.values)
+    assert (fast.derivs is None) == (slow.derivs is None)
+    if fast.derivs is not None:
+        assert np.array_equal(fast.derivs, slow.derivs)
+    assert fast.iterations == slow.iterations
+    assert fast.residual == slow.residual

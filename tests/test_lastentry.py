@@ -7,9 +7,11 @@ import pytest
 import rlentropy as rle
 from rlentropy.lastentry import _entries, enumerate_W0, mathL, stationary
 
-from chain_oracle import dense_decomposition, q_matrix, stationary_power
+from chain_oracle import (dense_decomposition, initial_law, q_matrix,
+                          stationary_power)
 from contraction_oracle import UnnormalizedContraction
-from conftest import get_atlas, get_chain, get_gf, get_model
+from conftest import (free_group_text, free_product_text, get_atlas,
+                      get_chain, get_gf, get_model)
 
 
 def test_W0_ne():
@@ -251,3 +253,42 @@ def test_suffix_quotient_with_transient_states():
     _decompose(chain)
     assert [c.state_ids for c in chain.classes] == [[1, 2, 4], [3, 5]]
     _assert_matches_dense(chain)
+
+
+# chains built from generated text, beside the conftest models
+GENERATED = {"F3": (free_group_text, 3), "z2z3z4": (free_product_text,
+                                                    (2, 3, 4))}
+
+
+@pytest.mark.parametrize("name", ["fg2", "fg2_biased", "t3", "ne", "glued",
+                                  "z2z3", *GENERATED])
+def test_initial_law_matches_recontraction(name):
+    """The first-increment law read from the suffix rows agrees with the
+    one contracted afresh from every root-covering word."""
+    from rlentropy import pipeline
+    if name in GENERATED:
+        make, arg = GENERATED[name]
+        chain = pipeline.analyze(rle.parse_model(make(arg))).chain
+    else:
+        chain = get_chain(name)
+    mu0, mu1_w = initial_law(chain)
+    assert np.max(np.abs(chain.mu0 - mu0)) <= 1e-15
+    assert list(chain.mu1_w) == list(mu1_w)
+    assert max(abs(chain.mu1_w[k] - v) for k, v in mu1_w.items()) <= 1e-15
+
+
+def test_initial_law_builds_missing_root_rows():
+    """A root word whose suffix row is not in the chain gets the same row
+    from its own contraction."""
+    import copy
+    from rlentropy.lastentry import _initial_distribution
+    chain = get_chain("multi")
+    root = [w for s in chain.atlas.root_covering.slots
+            for w in chain.atlas.boundary_words(s)]
+    bare = copy.copy(chain)
+    bare.suffix_rows = {ab: r for ab, r in chain.suffix_rows.items()
+                        if ab not in root}
+    assert len(bare.suffix_rows) < len(chain.suffix_rows)
+    _initial_distribution(bare)
+    assert np.array_equal(bare.mu0, chain.mu0)
+    assert bare.mu1_w == chain.mu1_w
