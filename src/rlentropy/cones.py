@@ -4,8 +4,8 @@ The rule table is indexed here once; the generating-function systems read
 the same lists with their probabilities.  Everything else is support-level
 (boolean): which transitions are possible, never with what probability.  All
 reachability questions are answered on the two-letter suffix system with
-ascent/descent saturation; explicit word enumeration only happens inside
-cones up to the covering depth.
+ascent/descent saturation; words are enumerated only one level below each
+cone type's members, for the child table the coverings are spelled from.
 """
 from __future__ import annotations
 
@@ -375,8 +375,9 @@ def _children_classes(model, rel, roots):
 
 
 def _type_graph(model, rel, types, type_of):
-    """Forward-reachable types and child cones (first letter, type) of each
-    type, and whether each type reaches one with two or more child cones."""
+    """Forward-reachable types, the child table of each type (first letter,
+    type) of its child cones in root order, and whether each type reaches
+    one with two or more child cones."""
     P = rel.pair_index
     forward, children = {}, {}
     for ct in types:
@@ -396,10 +397,11 @@ def build_atlas(model, order_key=None, level_bump=0):
 
     The child-cone tree below a cone depends only on the cone's type, so a
     covering is a finite cut of that tree whose leaf types include every
-    forward type.  The cut is searched on types, then spelled out as words:
-    the shallowest uniform level ("uniform"), else the first cut of a
-    breadth-first search ("cut"; free products of cyclic groups such as
-    Z_2 * Z_3 need it), or a non-expanding type's only child ("single-child").
+    forward type.  The cut is searched on types, then spelled out as words
+    from the child tables: the shallowest uniform level ("uniform"), else
+    the first cut of a breadth-first search ("cut"; free products of cyclic
+    groups such as Z_2 * Z_3 need it), or a non-expanding type's only child
+    ("single-child").  The coverings' certificates share one memo.
     ``order_key`` permutes the slot order; ``level_bump`` moves uniform cuts
     that many qualifying levels deeper (both for robustness checks).
     """
@@ -408,10 +410,10 @@ def build_atlas(model, order_key=None, level_bump=0):
     forward, children, expanding_types = _type_graph(model, rel, types, type_of)
     atlas = ConeAtlas(model, rel, types, type_of, forward, children,
                       expanding_types, depth_cap=4 * len(types) + 8)
-    key = order_key or (lambda w: w)
-
+    key, passed = order_key or (lambda w: w), set()
     for ct in types:
-        atlas.coverings[ct.id] = _build_type_covering(atlas, ct, key, level_bump)
+        atlas.coverings[ct.id] = _build_type_covering(atlas, ct, key,
+                                                      level_bump, passed)
     atlas.root_covering = _build_root_covering(atlas, key)
     return atlas
 
@@ -430,7 +432,7 @@ def _make_slots(atlas, roots, key):
 # A type-level cut maps (depth, type id) to a number of leaves; depth 1
 # holds the child cones of the covered type.
 
-def _build_type_covering(atlas, ct, key, level_bump):
+def _build_type_covering(atlas, ct, key, level_bump, passed):
     kids = atlas.children[ct.id]
     if not atlas.expanding_types[ct.id]:
         if len(kids) != 1:
@@ -443,7 +445,7 @@ def _build_type_covering(atlas, ct, key, level_bump):
             cut, method = _search_cut(atlas, ct), "cut"
     cov = Covering(ct.id, _make_slots(atlas, _spell_cut(atlas, ct, cut), key),
                    depth_bound=max(d for d, _ in cut) + 3, method=method)
-    _certify(atlas, ct.members, cov)
+    _certify(atlas, ct.members, cov, passed)
     return cov
 
 
@@ -496,25 +498,34 @@ def _search_cut(atlas, ct):
 
 def _spell_cut(atlas, ct, cut):
     """The slot roots of a type-level cut, spelled out one depth at a time
-    with each expanded node grown from all of its member words: the first
-    nodes of a type in root order stay leaves, as many as the cut holds."""
-    model, rel = atlas.model, atlas.rel
-    leaves = dict(cut)
-    nodes, roots = _children_classes(model, rel, ct.members), []
+    from the child tables: the first nodes of a type in root order stay
+    leaves, as many as the cut holds; WORD_BUDGET bounds a level's words."""
+    leaves, expand, roots = dict(cut), [ct.representative], []
     for depth in range(1, max(d for d, _ in cut) + 1):
+        nodes = sorted({kid for u in expand for kid in _spelled_children(atlas, u)})
+        kinds = [atlas.type_of[r[-2:]] for r in nodes]
+        if sum(len(atlas.types[t].members) for t in kinds) > WORD_BUDGET:
+            raise AssumptionError(f"cone enumeration exceeded {WORD_BUDGET} words")
         expand = []
-        for root, members in nodes.items():
-            leaf = (depth, atlas.type_of[root[-2:]])
-            if leaves.get(leaf):
-                leaves[leaf] -= 1
+        for root, t in zip(nodes, kinds):
+            if leaves.get((depth, t)):
+                leaves[depth, t] -= 1
                 roots.append(root)
             else:
-                expand += members
-        nodes = _children_classes(model, rel, expand)
+                expand.append(root)
     return roots
 
 
-def _certify(atlas, roots2, cov):
+def _spelled_children(atlas, root):
+    """The child cone roots below the node ``root``: its frozen letters and
+    its type's child table (ascent masks are reach22 closures, so a child
+    cone holds a whole class of pairs and ends in its representative)."""
+    u = root[:-2]
+    return [u + c + atlas.types[t].representative
+            for c, t in atlas.children[atlas.type_of[root[-2:]]]]
+
+
+def _certify(atlas, roots2, cov, passed):
     """Exact-cover certificate: every cone word at the covering depth lies in
     exactly one slot cone.
 
@@ -523,9 +534,10 @@ def _certify(atlas, roots2, cov):
     root's closure where the root's prefix ends.  A depth-first walk over
     the frozen prefixes carries the cone mask and one mask per entered slot
     and checks at depth ``depth_bound - 2`` that each cone pair lies in
-    exactly one slot mask.  Below the last slot prefix a node is determined
-    by its masks and depth, so nodes that passed are memoised on those.
-    """
+    exactly one slot mask.  Below the last slot prefix a node is decided by
+    its masks and remaining depth, so nodes that passed are memoised on
+    those in ``passed``, shared by all coverings of the atlas (failures are
+    not, so the first failing word never depends on the memo)."""
     rel, P = atlas.rel, atlas.rel.pair_index
     leaf = cov.depth_bound - 2
     starts = {}
@@ -533,19 +545,14 @@ def _certify(atlas, roots2, cov):
         starts.setdefault(s.root[:-2], []).append(rel.closure[P[s.root[-2:]]])
     pending = {u[:k] for u in starts for k in range(len(u))}
     letters = sorted(atlas.model.alphabet)
-    passed = set()
 
     def walk(u, mask, active):
         active = sorted(active + starts.get(u, []))
-        key = None if u in pending else (mask, tuple(active), len(u))
+        key = None if u in pending else (mask, tuple(active), leaf - len(u))
         if key in passed:
             return
         if len(u) == leaf:
-            seen = twice = 0
-            for m in active:
-                twice |= seen & m
-                seen |= m
-            bad = mask & (twice | ~seen)
+            bad = mask & ~_covered_once(active)
             if bad:
                 w = min(u + fg for fg in rel.pairs_of(bad))
                 hits = sum(m >> P[w[-2:]] & 1 for m in active)
@@ -564,9 +571,19 @@ def _certify(atlas, roots2, cov):
     cov.certified = True
 
 
+def _covered_once(masks):
+    """The bits set in exactly one of ``masks``."""
+    seen = twice = 0
+    for m in masks:
+        twice |= seen & m
+        seen |= m
+    return seen & ~twice
+
+
 def _build_root_covering(atlas, key):
-    """Cover the language by the distinct level-2 cones."""
-    model = atlas.model
+    """Cover the language by the distinct level-2 cones; the word cw lies
+    in the cone of the pair r iff the ascent by c from r's closure holds w."""
+    model, rel = atlas.model, atlas.rel
     w2 = set(reachable_sets(model).words2)
     roots = []
     for ct in atlas.types:
@@ -578,9 +595,10 @@ def _build_root_covering(atlas, key):
         roots.append(min(mem2))
     cov = Covering(-1, _make_slots(atlas, roots, key), depth_bound=3,
                    method="root-level2")
+    once = {c: _covered_once(rel.advance(rel.closure[rel.pair_index[s.root]], c)
+                             for s in cov.slots) for c in model.alphabet}
     for w in reachable_sets(model).words3:
-        hits = sum(1 for s in cov.slots if in_cone(atlas.rel, s.root, w))
-        if hits != 1:
+        if not once[w[0]] >> rel.pair_index[w[1:]] & 1:
             raise AssumptionError(f"root covering certificate failed at {w}")
     cov.certified = True
     return cov

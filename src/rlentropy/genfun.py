@@ -255,13 +255,8 @@ def solve_Gbar(model, h, z=1.0):
                 Kz[i, j] += p * h.values[hp, f]
                 if have_hd:
                     Kh[i, j] += z * p * h.derivs[hp, f]
-    lhs = np.eye(n) - K
-    if abs(np.linalg.det(lhs)) < 1e-300 or np.linalg.cond(lhs) > 1e14:
-        raise SingularSystemError("within-level Green system is singular "
-                                  "(recurrent or critical model)")
-    inv = np.linalg.inv(lhs)
-    values = inv
-    derivs = inv @ (Kz + Kh) @ values if have_hd else None
+    values = _checked_inverse(np.eye(n) - K, "within-level Green")
+    derivs = values @ (Kz + Kh) @ values if have_hd else None
     return GBarTable(rpairs, index, values, derivs)
 
 
@@ -332,11 +327,21 @@ def solve_green_short(model, h, z=1.0):
                     for f in np.flatnonzero(rel.supp_h[hp])]
             for tail, v in folds[w[-2:]]:
                 T[i, index[w[0] + tail]] += v
-    lhs = np.eye(n) - T
-    if abs(np.linalg.det(lhs)) < 1e-300 or np.linalg.cond(lhs) > 1e14:
-        raise SingularSystemError("short-word Green system is singular "
-                                  "(recurrent or critical model)")
-    return ShortGreen(words, index, np.linalg.inv(lhs))
+    return ShortGreen(words, index,
+                      _checked_inverse(np.eye(n) - T, "short-word Green"))
+
+
+def _checked_inverse(lhs, name):
+    """The inverse of the n x n system ``lhs``, refused as singular when its
+    determinant underflows or kappa_1 > 1e14 / n, so whenever kappa_2 > 1e14
+    (kappa_2 <= n kappa_1: Higham, Accuracy and Stability, 2nd ed., 6.2)."""
+    if abs(np.linalg.det(lhs)) >= 1e-300:
+        inv = np.linalg.inv(lhs)
+        kappa1 = np.linalg.norm(lhs, 1) * np.linalg.norm(inv, 1)
+        if kappa1 <= 1e14 / len(lhs):
+            return inv
+    raise SingularSystemError(f"{name} system is singular "
+                              "(recurrent or critical model)")
 
 
 # -- bundle --------------------------------------------------------------------

@@ -10,7 +10,9 @@ probabilities of the root-covering words.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from os.path import commonprefix
 
 import numpy as np
@@ -52,20 +54,29 @@ def mathL(gf, x, y, with_deriv=False):
 
 
 def _entries(gf, ab, words, with_deriv):
-    """(word, escape probability, last-entry value from the suffix ``ab``,
-    its z-derivative) for each word in turn whose escape probability and
-    value are positive.  A word keeps the stack entries of its common
-    prefix with the one before, so sorted words share the most."""
+    """(words, escape probabilities, last-entry values from the suffix
+    ``ab``, z-derivatives or None) of the words in turn whose probability
+    and value are positive.  The evaluator steps once per run of words with
+    the same frozen letters, keeping the stack entries of the common prefix
+    with the run before (sorted words share the most); a run reads its top."""
     ev = LWordEvaluator(gf.model, gf, ab, with_deriv)
-    for y in words:
-        xi_y = gf.xi.get(y[-2:], 0.0)
-        if xi_y > XI_ZERO:
-            prev = ev.word[:-2]     # the stacked letters
-            ev.step(y, keep=len(prev) if y.startswith(prev)
-                    else len(commonprefix((prev, y))))
-            val, dval = ev.last_entry()
-            if val > 0.0:
-                yield y, xi_y, val, dval
+    kept = [y for y in words if gf.xi.get(y[-2:], 0.0) > XI_ZERO]
+    vals, dvals = np.empty(len(kept)), np.empty(len(kept))
+    i = 0
+    for frozen, run in groupby(kept, key=lambda y: y[:-2]):
+        prev, run = ev.word[:-2], list(run)     # the stacked letters
+        ev.step(run[0], keep=len(prev) if frozen.startswith(prev)
+                else len(commonprefix((prev, frozen))))
+        alpha, dalpha, scale = ev.stack[-1]
+        js, f = [ev.index[y[-2:]] for y in run], math.exp(scale)
+        vals[i:i + len(run)] = alpha[js] * f
+        if with_deriv:
+            dvals[i:i + len(run)] = dalpha[js] * f
+        i += len(run)
+    pos = vals > 0.0
+    xi = np.array([gf.xi[y[-2:]] for y in kept])[pos]
+    return ([y for y, p in zip(kept, pos.tolist()) if p], xi, vals[pos],
+            dvals[pos] if with_deriv else None)
 
 
 # -- state space ---------------------------------------------------------------
@@ -128,31 +139,22 @@ class EntryChain:
 def enumerate_W0(atlas, gf):
     """All covering-slot boundary words with positive escape probability,
     with the (owner type, word) -> slot map."""
-    words = set()
+    ends = [[cd for cd in ct.boundary_suffixes if gf.xi.get(cd, 0.0) > XI_ZERO]
+            for ct in atlas.types]
     slot_of = {}
     for ct in atlas.types:
-        cov = atlas.coverings[ct.id]
-        for slot in cov.slots:
-            for w in atlas.boundary_words(slot):
-                if gf.xi.get(w[-2:], 0.0) <= XI_ZERO:
-                    continue
+        for slot in atlas.coverings[ct.id].slots:
+            for w in [slot.root[:-2] + cd for cd in ends[slot.type_id]]:
                 if len(w) < 3:
                     raise AssumptionError(f"covering slot boundary {w!r} too short")
-                words.add(w)
-                slot_of[(ct.id, w)] = slot
-    return sorted(words), slot_of
+                slot_of[ct.id, w] = slot
+    return sorted({w for _, w in slot_of}), slot_of
 
 
 def _suffix_row(gf, ab, slot_words, with_deriv):
-    xi_ab = gf.xi[ab]
-    targets, probs, times = [], [], []
-    for y, xi_y, val, dval in _entries(gf, ab, slot_words, with_deriv):
-        targets.append(y)
-        probs.append(xi_y / xi_ab * val)
-        if with_deriv:
-            times.append(xi_y / xi_ab * dval)
-    probs = np.array(probs)
-    times = np.array(times) if with_deriv else None
+    targets, xi, vals, dvals = _entries(gf, ab, slot_words, with_deriv)
+    probs = xi / gf.xi[ab] * vals
+    times = xi / gf.xi[ab] * dvals if with_deriv else None
     total = probs.sum()
     defect = abs(total - 1.0)
     if defect >= ROW_ABORT:

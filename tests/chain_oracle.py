@@ -86,7 +86,7 @@ def initial_law(chain):
             if w0 not in entry:
                 continue
             words = [y for ts in cov.slots for y in atlas.boundary_words(ts)]
-            for y, xi_y, val, _ in _entries(gf, w0, words, False):
+            for y, xi_y, val in zip(*_entries(gf, w0, words, False)[:3]):
                 mass = entry[w0] / total * xi_y * val
                 mu0[chain.state_index[y]] += mass
                 ts = chain.slot_of[(t, y)]

@@ -1,7 +1,9 @@
 """References for cone membership: the boolean-row walk over the reach22
 closure, one letter of the tail at a time, and breadth-first search over
-the walk's own successors."""
+the walk's own successors; and the word-level spelling of a covering cut."""
 import numpy as np
+
+from rlentropy.cones import _children_classes
 
 
 def brute_cone_members(model, root, depth, headroom=4):
@@ -36,3 +38,23 @@ def tail_reachable_rows(rel, pair, tail):
         if not cur.any():
             return False
     return bool(cur[P[tail[-2:]]])
+
+
+def word_spelled_cut(atlas, ct, cut):
+    """The slot roots of a type-level cut, spelled out one depth at a time
+    with each expanded node grown from all of its member words: the first
+    nodes of a type in root order stay leaves, as many as the cut holds."""
+    model, rel = atlas.model, atlas.rel
+    leaves = dict(cut)
+    nodes, roots = _children_classes(model, rel, ct.members), []
+    for depth in range(1, max(d for d, _ in cut) + 1):
+        expand = []
+        for root, members in nodes.items():
+            leaf = (depth, atlas.type_of[root[-2:]])
+            if leaves.get(leaf):
+                leaves[leaf] -= 1
+                roots.append(root)
+            else:
+                expand += members
+        nodes = _children_classes(model, rel, expand)
+    return roots

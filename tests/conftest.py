@@ -78,7 +78,9 @@ def free_product_text(orders, weights=None):
     (Z_2 * Z_3: a | b, c with b^2 = c); words alternate factors.  A step by
     letter s multiplies the last letter within its factor (deleting it at
     the identity) or appends s from another factor.  ``weights`` is the step
-    law over the letters in that order, uniform by default."""
+    law over the letters in that order, uniform by default; a letter of
+    weight zero stays in the alphabet (as a product of steps) but has no
+    step rules."""
     names = iter("abcdefghijklmnpqrstuvwxyz")
     factors = [[next(names) for _ in range(m - 1)] for m in orders]
     where = {x: (f, k) for f, xs in enumerate(factors)
@@ -91,11 +93,12 @@ def free_product_text(orders, weights=None):
         (f, j), (_, k) = where[x], where[s]
         return factors[f][(j + k) % orders[f] - 1] if (j + k) % orders[f] else ""
 
-    rules = [f"rule: o -> {s} : {mu[s]}" for s in letters]
+    steps = [s for s in letters if mu[s] > 0]
+    rules = [f"rule: o -> {s} : {mu[s]}" for s in steps]
     for lhs in letters + [x + y for x in letters for y in letters
                           if where[x][0] != where[y][0]]:
         y = lhs[-1]
-        for s in letters:
+        for s in steps:
             rhs = (lhs[:-1] + times(y, s) if where[s][0] == where[y][0]
                    else lhs + s)
             rules.append(f"rule: {lhs} -> {rhs or 'o'} : {mu[s]}")

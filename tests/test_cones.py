@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,8 +13,10 @@ from rlentropy.cones import (cones_disjoint, in_cone, limit_words,
                              _cone_level_words)
 from rlentropy.model import AssumptionError
 
-from cone_oracle import brute_cone_members, tail_reachable_rows
-from conftest import FIXTURES, get_atlas, get_gf, get_model
+from cone_oracle import (brute_cone_members, tail_reachable_rows,
+                         word_spelled_cut)
+from conftest import (FIXTURES, free_group_text, free_product_text,
+                      get_atlas, get_gf, get_model, tree_text)
 
 ALL_MODELS = sorted(p.stem for p in FIXTURES.glob("*.rw")) + \
     ["mixed", "multi", "twotype"]
@@ -251,30 +254,106 @@ def test_cut_coverings_against_brute(name):
 @pytest.mark.parametrize("name", ["z2z3"] + ALL_MODELS)
 def test_spelled_children_match_in_cone(monkeypatch, name):
     # the nodes the atlas expands get exactly the cones one level below
-    # that in_cone admits from any of their member words, one per class of
-    # last pairs
+    # that in_cone admits from any of their member words (the node's
+    # frozen letters followed by each member pair of its type), one per
+    # class of last pairs
     expanded = []
-    children = cones._children_classes
+    children = cones._spelled_children
 
-    def recorded(model, rel, roots):
-        kids = children(model, rel, roots)
-        expanded.append((roots, kids))
+    def recorded(atlas, root):
+        kids = children(atlas, root)
+        expanded.append((root, kids))
         return kids
 
-    monkeypatch.setattr(cones, "_children_classes", recorded)
+    monkeypatch.setattr(cones, "_spelled_children", recorded)
     model = get_model(name)
     rel = saturate_supports(model)
-    cones.build_atlas(model)
+    atlas = cones.build_atlas(model)
     tails = ["".join(t) for t in itertools.product(model.alphabet, repeat=3)]
-    for roots, kids in expanded:
-        below = {w[:-2] + t for w in set(roots) for t in tails
+
+    def members(root):
+        return {root[:-2] + cd
+                for cd in atlas.types[atlas.type_of[root[-2:]]].members}
+
+    assert expanded
+    for root, kids in expanded:
+        below = {w[:-2] + t for w in members(root) for t in tails
                  if in_cone(rel, w, w[:-2] + t)}
-        assert sum(len(ms) for ms in kids.values()) == len(below), roots
-        for kid, members in kids.items():
-            assert {len(kid)} == {len(w) + 1 for w in roots}
-            assert set(members) == {w for w in below if in_cone(rel, kid, w)}
+        assert sum(len(members(kid)) for kid in kids) == len(below), root
+        assert len(set(kids)) == len(kids)
+        for kid in kids:
+            assert len(kid) == len(root) + 1
+            assert members(kid) == {w for w in below if in_cone(rel, kid, w)}
+            assert kid == min(members(kid))
     if name == "z2z3":
-        assert max(len(w) for roots, _ in expanded for w in roots) >= 4
+        assert max(len(root) for root, _ in expanded) >= 4
+
+
+# generated models for the spelling oracle: F_3, F_4, T_5 and the transient
+# free products of cyclic groups
+SPELLING_TEXTS = {
+    "F3": free_group_text(3), "F4": free_group_text(4), "T5": tree_text(5),
+    **{"z" + "z".join(map(str, o)): free_product_text(o)
+       for o in [(m, n) for m in range(2, 6) for n in range(m, 6)
+                 if (m, n) != (2, 2)] + [(2, 3, 4), (4, 5, 5)]}}
+
+
+@pytest.mark.parametrize("name", ALL_MODELS + list(SPELLING_TEXTS))
+def test_type_spelling_matches_word_oracle(monkeypatch, name):
+    # spelling a cut from the per-type child table gives the slots (root,
+    # type, local index and order) that expanding every member word does,
+    # also under a permuted slot order and a deeper uniform cut
+    model = (rle.parse_model(SPELLING_TEXTS[name]) if name in SPELLING_TEXTS
+             else get_model(name))
+    for kw in ({}, {"order_key": lambda w: w[::-1]}, {"level_bump": 1}):
+        atlas = cones.build_atlas(model, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(cones, "_spell_cut", word_spelled_cut)
+            oracle = cones.build_atlas(model, **kw)
+        for tid, cov in atlas.coverings.items():
+            assert cov.slots == oracle.coverings[tid].slots, (name, kw, tid)
+        assert atlas.root_covering.slots == oracle.root_covering.slots
+
+
+class _RecordingSet(set):
+    """A set that records the keys found in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.found = []
+
+    def __contains__(self, key):
+        hit = set.__contains__(self, key)
+        if hit:
+            self.found.append(key)
+        return hit
+
+
+@pytest.mark.parametrize("name", ["fg2", "glued", "z2z3"])
+def test_shared_certificate_memo_keeps_failures(name):
+    # after the earlier types' certificates have filled the shared memo, a
+    # later covering with its last slot dropped or doubled fails at the same
+    # word with the same hit count as under a memo of its own, and the
+    # shared memo's earlier entries were used on the way
+    atlas = get_atlas(name)
+    *earlier, last = atlas.types
+    passed = _RecordingSet()
+    for ct in earlier:
+        cones._certify(atlas, ct.members, atlas.coverings[ct.id], passed)
+    filled = set(passed)
+    assert filled
+    cov = atlas.coverings[last.id]
+    for slots in (cov.slots[:-1], cov.slots + cov.slots[-1:]):
+        bad = dataclasses.replace(cov, slots=slots, certified=False)
+        errors = []
+        for memo in (passed, set()):
+            with pytest.raises(AssumptionError) as err:
+                cones._certify(atlas, last.members, bad, memo)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert "covering certificate failed" in errors[0]
+        assert not bad.certified
+    assert any(key in filled for key in passed.found)
 
 
 def test_reach22_symmetric_under_weak_symmetry():

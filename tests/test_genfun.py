@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rlentropy as rle
-from rlentropy.genfun import L_word, solve_Gbar, solve_H, _HSystem
+from rlentropy.genfun import (L_word, SingularSystemError, solve_Gbar,
+                              solve_H, _checked_inverse, _HSystem)
 from rlentropy.lastentry import mathL
 
 from conftest import get_gf, get_model
@@ -300,3 +303,35 @@ def test_solve_H_unchanged_under_rule_loops(name, monkeypatch):
         assert np.array_equal(fast.derivs, slow.derivs)
     assert fast.iterations == slow.iterations
     assert fast.residual == slow.residual
+
+
+def _near_singular(kind, n, seed, decades):
+    """An n x n matrix about ``decades`` decades from singular: singular
+    values spread between two random orthogonal factors, a first-step
+    system I - (1 - eps) P with P row-stochastic, or a rank-deficient matrix
+    plus a small perturbation."""
+    rng = np.random.default_rng(seed)
+    if kind == "spread":
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (u * np.logspace(0, -decades, n)) @ v.T
+    if kind == "stochastic":
+        P = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+        P[:, 0] += 1e-3
+        P /= P.sum(axis=1, keepdims=True)
+        return np.eye(n) - (1 - 10.0 ** -decades) * P
+    B = rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, n))
+    return B + 10.0 ** -decades * rng.standard_normal((n, n))
+
+
+@given(st.sampled_from(["spread", "stochastic", "rank"]), st.integers(2, 40),
+       st.integers(0, 2 ** 32 - 1), st.floats(12.0, 18.0))
+@settings(max_examples=300, deadline=None)
+def test_norm_check_refuses_every_system_the_svd_check_refused(
+        kind, n, seed, decades):
+    # kappa_2 <= n kappa_1, so a 2-norm condition number above 1e14 puts the
+    # 1-norm one above 1e14 / n
+    A = _near_singular(kind, n, seed, decades)
+    assume(np.linalg.cond(A) > 1e14)
+    with pytest.raises(SingularSystemError, match="test system is singular"):
+        _checked_inverse(A, "test")

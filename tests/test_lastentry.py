@@ -56,7 +56,8 @@ def test_contraction_matches_unnormalized_oracle(name):
         shuffled = list(row.targets)
         rng.shuffle(shuffled)
         for order in (row.targets, shuffled):
-            got = {y: (v, d) for y, _, v, d in _entries(gf, ab, order, True)}
+            ys, _, vals, dvals = _entries(gf, ab, order, True)
+            got = dict(zip(ys, zip(vals, dvals)))
             assert list(got) == order
             for y, (v, d) in got.items():
                 assert v == pytest.approx(expected[y][0], rel=1e-12), (ab, y)

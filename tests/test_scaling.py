@@ -67,6 +67,17 @@ def test_free_product_closed_forms(orders, weights, ell, h_per_ell):
     assert abs(rep.h - ell * h_per_ell) <= 1e-9
 
 
+def test_free_product_with_zero_weight_letters():
+    # nearest-neighbour Z_4 * Z_4 (g and g^-1 of each factor, 1/4 each): g^2
+    # is a letter of the words but no step; ell = (sqrt 5 - 1) / 4
+    text = free_product_text((4, 4), ["1/4", 0, "1/4"] * 2)
+    assert "o -> b :" not in text and "o -> e :" not in text
+    model = rle.parse_model(text)
+    assert model.alphabet == tuple("abcdef")
+    rep = pipeline.analyze(model).report
+    assert abs(rep.ell - (math.sqrt(5) - 1) / 4) <= 1e-9
+
+
 def test_free_products_run(tmp_path):
     # under uniform mu the walk inside a factor moves to a uniform other
     # element, so each letter of the limit word is uniform on its factor
