@@ -292,9 +292,6 @@ class Covering:
     method: str
     certified: bool = False
 
-    def n_of_type(self, type_id):
-        return sum(1 for s in self.slots if s.type_id == type_id)
-
 
 def classify_types(model, rel=None):
     """Partition reachable suffixes into cone-type classes by mutual

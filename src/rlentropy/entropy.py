@@ -6,6 +6,7 @@ assembly of the final report.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -68,7 +69,7 @@ def _step_table(hidden, state_rows, sym_id):
     share a table row when they share their suffix and their row object
     (``HiddenChain`` and ``build_qhat`` give all states of a suffix one row
     object).  ``sym_id`` numbers the hidden symbols and grows with new
-    ones."""
+    ones, in sorted order."""
     row_id, reps = {}, []
     row_of = np.empty(len(state_rows), dtype=np.int64)
     for x, row in enumerate(state_rows):
@@ -78,12 +79,33 @@ def _step_table(hidden, state_rows, sym_id):
             row_id[key] = len(reps)
             reps.append((st, row))
         row_of[x] = row_id[key]
-    sym = [sym_id.setdefault(hidden_symbol(hidden.atlas, st,
-                                           hidden.states[j]), len(sym_id))
-           for st, row in reps for j, _ in row]
-    tgt, prob = zip(*[e for _, row in reps for e in row])
-    return StepTable(row_of, np.cumsum([0] + [len(row) for _, row in reps]),
-                     np.array(sym), np.array(tgt), np.array(prob))
+    lens = [len(row) for _, row in reps]
+    entries = np.concatenate([np.array(row).reshape(-1, 2) for _, row in reps])
+    tgt, prob = entries[:, 0].astype(np.int64), entries[:, 1]
+    # hidden_symbol per entry, from per-state arrays: the row's type i, the
+    # target's slot type, and its slot index, or 1 when the target lies in
+    # a foreign covering
+    source, slot_type, slot_index = np.array(
+        [(st.source_type, st.slot_type, st.slot_index)
+         for st in hidden.states]).T
+    i = np.repeat([hidden.atlas.type_of[st.word[-2:]] for st, _ in reps], lens)
+    n_t, n_k = int(slot_type.max()) + 1, int(slot_index.max()) + 1
+    code, inv = unique((i * n_t + slot_type[tgt]) * n_k + np.where(
+        source[tgt] == i, slot_index[tgt], 1), return_inverse=True)
+    ids = np.array([sym_id.setdefault((c // (n_t * n_k), c // n_k % n_t,
+                                       c % n_k), len(sym_id))
+                    for c in code.tolist()], dtype=np.int64)
+    return StepTable(row_of, np.cumsum([0] + lens), ids[inv], tgt, prob)
+
+
+def _row_quotient(step):
+    """The chain of the table rows' masses.  A step depends on a state only
+    through its table row, so the chain lumps exactly onto its rows (strong
+    lumpability: Kemeny & Snell, Finite Markov Chains, 6.3): a forward
+    vector summed per row moves by the rows alone, each entry's target
+    replaced by the target's row."""
+    return StepTable(np.arange(len(step.start) - 1), step.start, step.sym,
+                     step.row_of[step.tgt], step.prob)
 
 
 def _ranges(starts, lens):
@@ -273,8 +295,7 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
     entry_row = np.repeat(np.arange(n_rows), np.diff(step.start))
     n_symbols = np.bincount(unique(entry_row * n_sym + step.sym) // n_sym,
                             minlength=n_rows)
-    rows = StepTable(np.arange(n_rows), step.start, step.sym,
-                     step.row_of[step.tgt], step.prob)
+    rows = _row_quotient(step)
     ids, h, edges, spent = {}, {}, [], 0  # belief bytes -> id, id -> entropy
 
     def expand(new):
@@ -419,54 +440,59 @@ def build_qhat(chain, cls):
     atlas = chain.atlas
     class_types = sorted(cls.types)
 
-    n_slots = {(m, j): atlas.coverings[m].n_of_type(j)
-               for m in class_types for j in class_types}
+    # slots of type j in the covering of type m, and in all coverings
+    n_slots = Counter((m, slot.type_id) for m in class_types
+                      for slot in atlas.coverings[m].slots)
+    all_slots = Counter(j for _, j in n_slots.elements())
     first_slot_word = {(m, slot.type_id, w[-2:]): w for m in class_types
                        for slot in atlas.coverings[m].slots
                        if slot.local_index == 1
                        for w in atlas.boundary_words(slot)}
 
-    # per target: covering, first-slot flag, (slot type, suffix) key index
+    # per target: covering, first-slot flag, key (slot type, suffix), word
     states = hidden.states
     source = np.array([st.source_type for st in states])
     first = np.array([st.slot_index == 1 for st in states])
     keys = sorted({(st.slot_type, st.word[-2:]) for st in states})
-    key_of = np.array([keys.index((st.slot_type, st.word[-2:]))
-                       for st in states])
-    fold_counts, rows, shared = {}, [], {}
+    key_id = {k: a for a, k in enumerate(keys)}
+    key_of = np.array([key_id[(st.slot_type, st.word[-2:])] for st in states])
+    word_id, reps = {}, {}
+    word_of = np.array([word_id.setdefault(st.word, len(word_id))
+                        for st in states])
     for st in states:
-        sfx = st.word[-2:]
-        if sfx not in shared:
-            i, row = atlas.type_of[sfx], chain.suffix_rows[sfx]
-            qrow = dict(zip(row.targets, map(float, row.probs)))
-            # a foreign target takes the mass of the local first slot with
-            # its type and suffix; own first slots and foreign targets split
-            # their mass with the type-j slots of the other coverings
-            ybar, count, can_fold = zip(*[
-                (first_slot_word.get((i, j, ab)),
-                 sum(n_slots[(m, j)] for m in class_types if m != i),
-                 n_slots[(i, j)] > 0) for j, ab in keys])
-            own = source == i
-            fold = ~own & np.array(can_fold)[key_of]
-            split = fold | (own & first)
-            for a in unique(key_of[fold]):
-                if ybar[a] is None:
-                    raise AssumptionError(
-                        "no first slot of type {} with boundary {} in the "
-                        "covering of type {}".format(*keys[a], i))
-            for a in unique(key_of[split]):
-                fold_counts[(i, *keys[a])] = count[a]
-            q = np.array([qrow.get(t.word, 0.0) for t in states])
-            q_bar = np.array([qrow.get(y, 0.0) for y in ybar])[key_of]
-            p = np.where(own, q, np.where(fold, q_bar, 0.0))
-            p = np.where(split, p / (np.array(count)[key_of] + 1), p)
-            nz = np.flatnonzero(p > 0)
-            total = sum(p[nz].tolist())
-            if abs(total - 1.0) > 1e-12:
+        reps.setdefault(st.word[-2:], st)
+    fold_counts, shared = {}, {}
+    for sfx, st in reps.items():
+        i, row = atlas.type_of[sfx], chain.suffix_rows[sfx]
+        qrow = dict(zip(row.targets, map(float, row.probs)))
+        # a foreign target takes the mass of the local first slot with its
+        # type and suffix; own first slots and foreign targets split their
+        # mass with the type-j slots of the other coverings
+        ybar = [first_slot_word.get((i, j, ab)) for j, ab in keys]
+        own_slots = np.array([n_slots[(i, j)] for j, _ in keys])
+        count = np.array([all_slots[j] for j, _ in keys]) - own_slots
+        own = source == i
+        fold = ~own & (own_slots > 0)[key_of]
+        split = fold | (own & first)
+        for a in unique(key_of[fold]):
+            if ybar[a] is None:
                 raise AssumptionError(
-                    f"modified row for {st} sums to {total!r}, not 1 +- 1e-12")
-            shared[sfx] = list(zip(nz.tolist(), p[nz].tolist()))
-        rows.append(shared[sfx])
+                    "no first slot of type {} with boundary {} in the "
+                    "covering of type {}".format(*keys[a], i))
+        for a in unique(key_of[split]):
+            fold_counts[(i, *keys[a])] = int(count[a])
+        q = np.zeros(len(word_id) + 1)    # the last: words of no state
+        q[[word_id.get(y, -1) for y in qrow]] = list(qrow.values())
+        q_bar = np.array([qrow.get(y, 0.0) for y in ybar])[key_of]
+        p = np.where(own, q[word_of], np.where(fold, q_bar, 0.0))
+        p = np.where(split, p / (count[key_of] + 1), p)
+        nz = np.flatnonzero(p > 0)
+        total = sum(p[nz].tolist())
+        if abs(total - 1.0) > 1e-12:
+            raise AssumptionError(
+                f"modified row for {st} sums to {total!r}, not 1 +- 1e-12")
+        shared[sfx] = list(zip(nz.tolist(), p[nz].tolist()))
+    rows = [shared[st.word[-2:]] for st in states]
     return ModifiedChain(hidden, rows, fold_counts)
 
 
@@ -482,47 +508,24 @@ def _pair_table(hidden, modified):
                      np.r_[m.prob, q.prob])
 
 
-def _symbol_blocks(succ, sym, starts, keys, first):
-    """Scatter the rows of ``succ``, sorted by symbol (``sym``), into one
-    dense block per symbol s, over the columns keys[first[s]:first[s + 1]]."""
-    width = first[sym + 1] - first[sym]
-    at = np.cumsum(width) - width        # each row's start in the blocks
-    lens = np.diff(succ.indptr)
-    buf = np.zeros(width.sum())
-    buf[np.searchsorted(keys, (sym * succ.n_cols).repeat(lens) + succ.indices)
-        + (at - first[sym]).repeat(lens)] = succ.data
-    return [b.reshape(-1, w) for b, w in zip(np.split(buf, at[starts[1:]]),
-                                             width[starts].tolist())]
-
-
-def _grow_spans(bases, syms, blocks):
+def _grow_span(basis, rows):
     """Column-pivoted Gram-Schmidt (Businger & Golub, Numer. Math. 7, 1965)
-    of each block i against the orthonormal rows ``bases[syms[i]]``: once
-    the basis is projected out of the normalised rows twice, the largest
-    residual joins the basis (grown in place) and is projected out twice,
-    while it exceeds SPAN_RTOL.  Blocks of one shape (rows, columns, basis
-    size) run as one stack.  Returns per block the rows taken, in order."""
-    groups, picks = {}, [[] for _ in blocks]
-    for i, (s, x) in enumerate(zip(syms, blocks)):
-        groups.setdefault((*x.shape, len(bases[s])), []).append(i)
-    for ids in groups.values():
-        x = np.stack([blocks[i] for i in ids])
-        x /= np.linalg.norm(x, axis=2, keepdims=True)
-        basis = np.stack([bases[syms[i]] for i in ids])
-        for _ in range(2):             # project out the basis, then again
-            x -= (x @ basis.swapaxes(1, 2)) @ basis
-        norms, live = np.linalg.norm(x, axis=2), np.array(ids)
-        while (top := norms.max(axis=1) > SPAN_RTOL).any():
-            x, norms, live = x[top], norms[top], live[top]
-            at, pick = np.arange(len(live)), norms.argmax(axis=1)
-            f = x[at, pick] / norms[at, pick, None]
-            for _ in range(2):
-                x -= (x @ f[:, :, None]) * f[:, None, :]
-            norms = np.linalg.norm(x, axis=2)
-            for i, p, v in zip(live.tolist(), pick.tolist(), f):
-                picks[i].append(p)
-                bases[syms[i]] = np.vstack([bases[syms[i]], v])
-    return [np.array(p, dtype=np.int64) for p in picks]
+    of ``rows`` against the orthonormal rows ``basis``: once the basis is
+    projected out of the normalised rows twice, the largest residual joins
+    the basis and is projected out twice, while it exceeds SPAN_RTOL.
+    Returns the positions of the rows taken, in order, and the grown
+    basis."""
+    x = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    for _ in range(2):                 # project out the basis, then again
+        x -= (x @ basis.T) @ basis
+    norms, picks, found = np.linalg.norm(x, axis=1), [], [basis]
+    while norms.max(initial=0.0) > SPAN_RTOL:
+        picks.append(int(norms.argmax()))
+        found.append(x[picks[-1]] / norms[picks[-1]])
+        for _ in range(2):
+            x -= np.outer(x @ found[-1], found[-1])
+        norms = np.linalg.norm(x, axis=1)
+    return np.array(picks, dtype=np.int64), np.vstack(found)
 
 
 def check_marginal_equality(chain, cls, modified, max_len=None):
@@ -530,40 +533,37 @@ def check_marginal_equality(chain, cls, modified, max_len=None):
     original chain and of Q-hat, both started from the first-state law,
     over the basis words of a breadth-first forward-span construction on
     the pair automaton (Tzeng, SIAM J. Comput. 21, 1992) and their
-    one-symbol extensions.  The pair vector of w is (mu1 M_w, mu1 N_w), and
-    P(w) - P-hat(w) is linear in it.  Each level extends the newest basis
-    words by every symbol, SPAN_CHUNK words at a time, and keeps the
-    extensions by s that leave the span of the basis words ending in s
-    (relative residual above SPAN_RTOL after projecting that span out
+    one-symbol extensions.  The construction runs on the row quotient of
+    the pair automaton: the vector of w holds the mass of mu1 M_w on each
+    original table row and of mu1 N_w on each Q-hat row, and P(w) -
+    P-hat(w) is its signed sum.  The empty word's vector starts the basis.
+    Each level extends the newest basis words by every symbol, SPAN_CHUNK
+    words at a time, and keeps the extensions that leave the span of the
+    basis (relative residual above SPAN_RTOL after projecting the span out
     twice).  Once a level keeps nothing the span is closed under every
     symbol, so the laws agree at every length iff they agree on the basis
     words.  ``max_len=None`` runs to closure; an integer stops after words
     of that length."""
     hidden = modified.hidden
-    n = len(hidden.states)
     pair = _pair_table(hidden, modified)
-    # symbol s's successors occupy the coordinates keys[first[s]:first[s+1]]
-    keys = unique(pair.sym * 2 * n + pair.tgt)
-    first = np.searchsorted(keys, 2 * n * np.arange(keys[-1] // (2 * n) + 2))
-    bases = [np.empty((0, w)) for w in np.diff(first)]
+    rows = _row_quotient(pair)
+    n_rows = len(rows.start) - 1
+    sign = np.where(np.arange(n_rows) < len(hidden.step.start) - 1, 1.0, -1.0)
     mu1 = hidden.initial_mu1()
-    frontier = _row(np.r_[mu1, mu1])
+    start = np.bincount(pair.row_of, np.r_[mu1, mu1], n_rows)
+    basis, frontier = start[None] / np.linalg.norm(start), _row(start)
     worst, depth = 0.0, 0
     while frontier.n_rows and (max_len is None or depth < max_len):
         depth += 1
         kept = []
         for a in range(0, frontier.n_rows, SPAN_CHUNK):
-            succ, sym, _ = _extend(frontier.take(slice(a, a + SPAN_CHUNK)),
-                                   pair)
-            order = np.argsort(sym, kind="stable")
-            succ, sym = succ.take(order), sym[order]
-            diff = succ.sums(np.r_[np.ones(n), -np.ones(n)])  # P(w) - P-hat(w)
+            succ, _, _ = _extend(frontier.take(slice(a, a + SPAN_CHUNK)), rows)
+            diff = succ.sums(sign)                    # P(w) - P-hat(w)
             worst = max(worst, float(np.abs(diff).max(initial=0.0)))
-            starts = np.flatnonzero(np.diff(sym, prepend=-1))
-            picks = _grow_spans(bases, sym[starts].tolist(), _symbol_blocks(
-                succ, sym, starts, keys, first))
-            kept.append(succ.take(np.concatenate([np.empty(0, np.int64), *(
-                b + p for b, p in zip(starts, picks))])))
+            dense = np.zeros((succ.n_rows, n_rows))
+            dense[succ.row_ids(), succ.indices] = succ.data
+            picks, basis = _grow_span(basis, dense)
+            kept.append(succ.take(picks))
         frontier = CSR.stack(kept)
     return worst
 

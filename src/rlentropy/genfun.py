@@ -332,14 +332,15 @@ def solve_green_short(model, h, z=1.0):
 
 
 def _checked_inverse(lhs, name):
-    """The inverse of the n x n system ``lhs``, refused as singular when its
-    determinant underflows or kappa_1 > 1e14 / n, so whenever kappa_2 > 1e14
-    (kappa_2 <= n kappa_1: Higham, Accuracy and Stability, 2nd ed., 6.2)."""
-    if abs(np.linalg.det(lhs)) >= 1e-300:
+    """The inverse of the n x n system ``lhs``, refused as singular at a zero
+    pivot or when kappa_1 > 1e14 / n, so whenever kappa_2 > 1e14 (kappa_2 <=
+    n kappa_1: Higham, Accuracy and Stability, 2nd ed., 6.2)."""
+    try:
         inv = np.linalg.inv(lhs)
-        kappa1 = np.linalg.norm(lhs, 1) * np.linalg.norm(inv, 1)
-        if kappa1 <= 1e14 / len(lhs):
+        if np.linalg.norm(lhs, 1) * np.linalg.norm(inv, 1) <= 1e14 / len(lhs):
             return inv
+    except np.linalg.LinAlgError:
+        pass
     raise SingularSystemError(f"{name} system is singular "
                               "(recurrent or critical model)")
 

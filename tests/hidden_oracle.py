@@ -5,7 +5,27 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from rlentropy.entropy import WState, _step_table, _suffix_mass
+from rlentropy.entropy import StepTable, WState, _suffix_mass, hidden_symbol
+
+
+def step_table(hidden, state_rows, sym_id):
+    """``entropy._step_table`` with one ``hidden_symbol`` call per entry of
+    each distinct row."""
+    row_id, reps = {}, []
+    row_of = np.empty(len(state_rows), dtype=np.int64)
+    for x, row in enumerate(state_rows):
+        st = hidden.states[x]
+        key = (st.word[-2:], id(row))
+        if key not in row_id:
+            row_id[key] = len(reps)
+            reps.append((st, row))
+        row_of[x] = row_id[key]
+    sym = [sym_id.setdefault(hidden_symbol(hidden.atlas, st,
+                                           hidden.states[j]), len(sym_id))
+           for st, row in reps for j, _ in row]
+    tgt, prob = zip(*[e for _, row in reps for e in row])
+    return StepTable(row_of, np.cumsum([0] + [len(row) for _, row in reps]),
+                     np.array(sym), np.array(tgt), np.array(prob))
 
 
 def hidden_chain(chain, cls):
@@ -30,8 +50,8 @@ def hidden_chain(chain, cls):
             for s, y, p in zip(slots, row.targets, row.probs)]
     sym_id = {}
     hidden = SimpleNamespace(atlas=atlas, states=states)
-    step = _step_table(hidden, [targets[st.word[-2:]] for st in states],
-                       sym_id)
+    step = step_table(hidden, [targets[st.word[-2:]] for st in states],
+                      sym_id)
     nu = np.zeros(len(states))
     for sfx, mass in _suffix_mass(chain, cls).items():
         k, p = zip(*targets[sfx])

@@ -1,6 +1,7 @@
 """References for the marginal check: the hidden-symbol laws of the original
 chain and of Q-hat, enumerated sequence by sequence up to a fixed length; and
-the forward-span construction with its span test run one symbol at a time."""
+the forward-span construction on all 2n states of the pair automaton, with
+one basis per symbol and its span test run one symbol at a time."""
 import numpy as np
 
 from rlentropy.entropy import (CSR, SPAN_CHUNK, SPAN_RTOL, _extend,
@@ -89,9 +90,12 @@ def _new_directions(bases, s, rows):
 
 
 def per_symbol_marginal_check(chain, cls, modified, max_len=None):
-    """``check_marginal_equality`` with its span test run symbol by symbol:
-    returns the worst |P(w) - P-hat(w)| and the number of basis words kept
-    at each level, the last level keeping none when run to closure."""
+    """The forward-span construction on the full pair state space: the
+    vector of w is (mu1 M_w, mu1 N_w) over all 2n states, and an extension
+    by s joins the basis of the words ending in s when it leaves that
+    basis's span.  Returns the worst |P(w) - P-hat(w)| and the number of
+    basis words kept at each level, the last level keeping none when run
+    to closure."""
     hidden = modified.hidden
     n = len(hidden.states)
     pair = _pair_table(hidden, modified)

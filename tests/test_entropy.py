@@ -12,12 +12,13 @@ from rlentropy.entropy import (HiddenChain, WState, build_qhat,
                                sandwich_bounds, unambiguous_exact)
 from rlentropy.model import AssumptionError
 
-from rlentropy.entropy import ModifiedChain, StepTable
+from rlentropy.entropy import ModifiedChain, StepTable, _step_table
 from rlentropy.lastentry import stationary
 
 from conftest import get_analysis, get_atlas, get_chain, get_gf, get_model
-from hidden_oracle import hidden_chain
-from marginal_oracle import enumerated_marginal_diff
+from hidden_oracle import hidden_chain, step_table
+from marginal_oracle import (enumerated_marginal_diff,
+                             per_symbol_marginal_check)
 from regeneration_oracle import regeneration_mc
 from sandwich_oracle import dict_sandwich, state_transitions
 
@@ -385,6 +386,53 @@ def test_marginal_check_covers_lengths_beyond_one():
     assert enumerated_marginal_diff(chain, cls, bad, 3) > 1e-6
     assert check_marginal_equality(chain, cls, bad, max_len=1) < 1e-12
     assert check_marginal_equality(chain, cls, bad) > 1e-6
+
+
+@pytest.mark.parametrize("name, length", [
+    ("t3", 3), ("multi", 3), ("twotype", 3), ("mixed", 3),
+    ("fg2", 2), ("fg2_biased", 2)])        # F_2's length-3 laws take 30 s
+@pytest.mark.parametrize("seed", range(2))
+def test_marginal_check_detects_seeded_moved_mass(name, length, seed):
+    """Half the mass of one entry of a random Q-hat row moves to another
+    entry of that row.  The quotient check and the full-state per-symbol
+    construction agree on whether the laws differ, and the quotient's
+    difference up to ``length`` is one of the enumerated differences."""
+    chain, cls = _single_class(name)
+    modified = build_qhat(chain, cls)
+    rng = np.random.default_rng(seed)
+    idx = int(rng.choice([x for x, r in enumerate(modified.rows)
+                          if len(r) > 1]))
+    a, b = rng.choice(len(modified.rows[idx]), 2, replace=False)
+    (src, p), (dst, _) = modified.rows[idx][a], modified.rows[idx][b]
+    bad = _moved_mass(modified, idx, src, dst, eps=p / 2)
+    found = check_marginal_equality(chain, cls, bad)
+    ref, _ = per_symbol_marginal_check(chain, cls, bad)
+    assert (found > 1e-6 and ref > 1e-6) or (found < 1e-12 and ref < 1e-12)
+    assert (check_marginal_equality(chain, cls, bad, max_len=length)
+            <= enumerated_marginal_diff(chain, cls, bad, length) + 1e-15)
+
+
+@pytest.mark.parametrize("name", ["fg2", "t3", "glued", "multi", "twotype",
+                                  "mixed"])
+def test_step_table_numbers_symbols_as_per_entry_reference(name):
+    """Q-hat's step table, its symbols numbered from per-state arrays, is
+    the table built with one hidden_symbol call per entry, also when one
+    state has a row of its own."""
+    chain, cls = get_chain(name), get_chain(name).classes[0]
+    modified = build_qhat(chain, cls)
+    hidden = modified.hidden
+    rows = list(modified.rows)
+    rows[0] = list(rows[0])
+    for state_rows in (modified.rows, rows):
+        got = {s: k for k, s in enumerate(hidden.symbols)}
+        ref = dict(got)
+        a, b = _step_table(hidden, state_rows, got), step_table(
+            hidden, state_rows, ref)
+        assert list(got.items()) == list(ref.items())
+        for f in ("row_of", "start", "sym", "tgt", "prob"):
+            x, y = getattr(a, f), getattr(b, f)
+            assert x.dtype == y.dtype and np.array_equal(x, y), f
+    assert np.count_nonzero(a.row_of == a.row_of[0]) == 1
 
 
 def test_sandwich_matches_dict_oracle():

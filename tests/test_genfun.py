@@ -335,3 +335,17 @@ def test_norm_check_refuses_every_system_the_svd_check_refused(
     assume(np.linalg.cond(A) > 1e14)
     with pytest.raises(SingularSystemError, match="test system is singular"):
         _checked_inverse(A, "test")
+
+
+def test_checked_inverse_accepts_large_well_conditioned_systems():
+    # det(0.5 I) = 2^-1100 underflows, yet kappa_1 = 1: the system is
+    # accepted and inverted exactly
+    A = 0.5 * np.eye(1100)
+    assert np.array_equal(_checked_inverse(A, "test"), 2.0 * np.eye(1100))
+
+
+@pytest.mark.parametrize("A", [np.zeros((3, 3)), np.ones((4, 4)),
+                               np.eye(5) - np.eye(5, k=1) - np.eye(5, k=-4)])
+def test_checked_inverse_refuses_exactly_singular_systems(A):
+    with pytest.raises(SingularSystemError, match="test system is singular"):
+        _checked_inverse(A, "test")
