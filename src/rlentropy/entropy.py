@@ -2,13 +2,18 @@
 classes whose cone types all have a single boundary suffix, the
 positive-entry modified chain with its marginal-equality check, and
 assembly of the final report.
+
+A step of the enriched last-entry chain depends on a state only through its
+two-letter suffix, so the chain lumps exactly onto its suffix rows (strong
+lumpability: Kemeny & Snell, Finite Markov Chains, 6.3).  Every chain here
+is a step table over those rows: the rows are the states of the hidden
+layer, and forward vectors hold one mass per row.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,89 +28,26 @@ SPAN_RTOL = 1e-9      # marginal check: relative residual of a new direction
 SPAN_CHUNK = 512      # marginal check: basis words extended at a time
 
 
-# -- the enriched state space -------------------------------------------------
-
-class WState(NamedTuple):
-    source_type: int      # type of the cone whose covering was entered
-    slot_type: int
-    slot_index: int
-    word: str
-
-
-def hidden_symbol(atlas, prev_state, next_state):
-    """Project one transition of the enriched chain to its hidden symbol
-    (current cone type, entered slot); entries into slots of foreign
-    coverings fold onto the local first slot of the same type."""
-    i = atlas.type_of[prev_state.word[-2:]]
-    if next_state.source_type == i:
-        return (i, next_state.slot_type, next_state.slot_index)
-    return (i, next_state.slot_type, 1)
-
+# -- the hidden chain, on its table rows ---------------------------------------
 
 def _suffix_mass(chain, cls):
     """Stationary mass of the class's states, summed per two-letter suffix."""
     mass = {}
-    for a, i in enumerate(cls.state_ids):
+    for i, m in zip(cls.state_ids, cls.nu0.tolist()):
         sfx = chain.states[i][-2:]
-        mass[sfx] = mass.get(sfx, 0.0) + cls.nu0[a]
+        mass[sfx] = mass.get(sfx, 0.0) + m
     return mass
 
 
 @dataclass
 class StepTable:
-    """One step of a chain over the enriched states, factored through the
-    rows its states share: state x moves by table row ``row_of[x]``, whose
-    entries (symbol id, target, probability) are ``sym``, ``tgt`` and
-    ``prob`` from ``start[r]`` to ``start[r + 1]``."""
-    row_of: np.ndarray
+    """One step of a chain over table rows: the entries (symbol id, target
+    row, probability) of row r are ``sym``, ``tgt`` and ``prob`` from
+    ``start[r]`` to ``start[r + 1]``."""
     start: np.ndarray
     sym: np.ndarray
     tgt: np.ndarray
     prob: np.ndarray
-
-
-def _step_table(hidden, state_rows, sym_id):
-    """The step table of per-state rows [(target idx, prob), ...].  States
-    share a table row when they share their suffix and their row object
-    (``HiddenChain`` and ``build_qhat`` give all states of a suffix one row
-    object).  ``sym_id`` numbers the hidden symbols and grows with new
-    ones, in sorted order."""
-    row_id, reps = {}, []
-    row_of = np.empty(len(state_rows), dtype=np.int64)
-    for x, row in enumerate(state_rows):
-        st = hidden.states[x]
-        key = (st.word[-2:], id(row))
-        if key not in row_id:
-            row_id[key] = len(reps)
-            reps.append((st, row))
-        row_of[x] = row_id[key]
-    lens = [len(row) for _, row in reps]
-    entries = np.concatenate([np.array(row).reshape(-1, 2) for _, row in reps])
-    tgt, prob = entries[:, 0].astype(np.int64), entries[:, 1]
-    # hidden_symbol per entry, from per-state arrays: the row's type i, the
-    # target's slot type, and its slot index, or 1 when the target lies in
-    # a foreign covering
-    source, slot_type, slot_index = np.array(
-        [(st.source_type, st.slot_type, st.slot_index)
-         for st in hidden.states]).T
-    i = np.repeat([hidden.atlas.type_of[st.word[-2:]] for st, _ in reps], lens)
-    n_t, n_k = int(slot_type.max()) + 1, int(slot_index.max()) + 1
-    code, inv = unique((i * n_t + slot_type[tgt]) * n_k + np.where(
-        source[tgt] == i, slot_index[tgt], 1), return_inverse=True)
-    ids = np.array([sym_id.setdefault((c // (n_t * n_k), c // n_k % n_t,
-                                       c % n_k), len(sym_id))
-                    for c in code.tolist()], dtype=np.int64)
-    return StepTable(row_of, np.cumsum([0] + lens), ids[inv], tgt, prob)
-
-
-def _row_quotient(step):
-    """The chain of the table rows' masses.  A step depends on a state only
-    through its table row, so the chain lumps exactly onto its rows (strong
-    lumpability: Kemeny & Snell, Finite Markov Chains, 6.3): a forward
-    vector summed per row moves by the rows alone, each entry's target
-    replaced by the target's row."""
-    return StepTable(np.arange(len(step.start) - 1), step.start, step.sym,
-                     step.row_of[step.tgt], step.prob)
 
 
 def _ranges(starts, lens):
@@ -163,23 +105,20 @@ def _row(v):
 def _extend(frontier, step):
     """Every nonzero successor of every frontier row, one per (row, symbol).
 
-    A frontier row is the forward vector of one word over the states (CSR).
-    A step depends on a state only through its table row, so each word's
-    mass is summed per table row and then spread over that row's entries.
-    Returns the successors as the rows of one CSR, ordered by parent row
-    and then by symbol, with the symbol and the parent row of each."""
-    n_rows, n_sym = len(step.start) - 1, int(step.sym.max()) + 1
-    pair, inv = unique(frontier.row_ids() * n_rows
-                       + step.row_of[frontier.indices], return_inverse=True)
-    mass = np.bincount(inv, weights=frontier.data)
-    word, row = np.divmod(pair, n_rows)
+    A frontier row is the forward vector of one word over the table rows
+    (CSR); the mass of each of its entries spreads over that table row's
+    entries.  Returns the successors as the rows of one CSR, ordered by
+    parent row and then by symbol, with the symbol and the parent row of
+    each."""
+    n_sym = int(step.sym.max()) + 1
+    row = frontier.indices
     lens = step.start[row + 1] - step.start[row]
     entry = _ranges(step.start[row], lens)
-    val = np.repeat(mass, lens) * step.prob[entry]
+    val = np.repeat(frontier.data, lens) * step.prob[entry]
     keep = val != 0                   # products that underflowed
     entry = entry[keep]
     # one sort by (word, symbol, target); entries that meet are summed
-    key, inv = unique((np.repeat(word, lens)[keep] * n_sym
+    key, inv = unique((np.repeat(frontier.row_ids(), lens)[keep] * n_sym
                        + step.sym[entry]) * frontier.n_cols
                       + step.tgt[entry], return_inverse=True)
     key, col = np.divmod(key, frontier.n_cols)
@@ -191,67 +130,37 @@ def _extend(frontier, step):
 
 
 class HiddenChain:
-    """Enriched last-entry chain of one essential class: states carry the
-    slot through which each increment's cone was entered; ``step`` holds
-    the transitions with their emitted hidden symbols, one table row per
-    suffix, and ``symbols[k]`` is the symbol with id k.  ``index`` maps
-    (owner type, word), which fixes the slot, to the state id."""
+    """The enriched last-entry chain of one essential class, on its table
+    rows: ``states`` lists the class's two-letter suffixes, one row each.
+    The row of a suffix of type i enters the covering of type i, so its
+    entry into the word y fills the slot ``slot_of[(i, y)]``: it emits the
+    hidden symbol (i, slot type, local index) and moves to the row of y's
+    suffix.  ``step`` holds these entries and ``symbols[k]`` is the symbol
+    with id k.  ``nu`` is the class's stationary law and ``mu1`` its part of
+    the first-state law (not normalised), both summed per row."""
 
     def __init__(self, chain, cls):
-        self.chain = chain
-        self.atlas = atlas = chain.atlas
-        class_words = {chain.states[i] for i in cls.state_ids}
-
-        # chain.slot_of lists (owner type, word) by type id, then by slot
-        self.states, self.index = [], {}
-        for (m, w), slot in chain.slot_of.items():
-            if m in cls.types and w in class_words:
-                self.index[(m, w)] = len(self.states)
-                self.states.append(WState(m, slot.type_id, slot.local_index,
-                                          w))
-
-        # A step depends on a state only through its two-letter suffix, so
-        # each suffix's row is one table row, shared by the states ending in
-        # it.  The row of a suffix of type i enters the covering of type i,
-        # so an entry's symbol depends only on its target state j: it is
-        # the symbol of entering j from any state whose suffix has j's
-        # owner type.
-        row_id = {}
-        row_of = [row_id.setdefault(st.word[-2:], len(row_id))
-                  for st in self.states]
-        rows = [chain.suffix_rows[sfx] for sfx in row_id]
-        targets = {sfx: np.array([self.index[(atlas.type_of[sfx], y)]
-                                  for y in row.targets], dtype=np.int64)
-                   for sfx, row in zip(row_id, rows)}
-        tgt = np.concatenate(list(targets.values()))
-        prev = {}
-        for st in self.states:
-            prev.setdefault(atlas.type_of[st.word[-2:]], st)
-        state_sym = [hidden_symbol(atlas, prev[st.source_type], st)
-                     for st in self.states]
-        sym_id = {}
-        sym = [sym_id.setdefault(state_sym[j], len(sym_id))
-               for j in tgt.tolist()]
-        self.step = StepTable(np.array(row_of),
-                              np.cumsum([0] + [len(r.targets) for r in rows]),
-                              np.array(sym), tgt,
+        mass = _suffix_mass(chain, cls)
+        self.states = list(mass)
+        row_id = {sfx: r for r, sfx in enumerate(self.states)}
+        rows = [chain.suffix_rows[sfx] for sfx in self.states]
+        sym_id, sym, tgt = {}, [], []
+        for sfx, row in zip(self.states, rows):
+            i = chain.atlas.type_of[sfx]
+            slots = [chain.slot_of[i, y] for y in row.targets]
+            sym += [sym_id.setdefault((i, s.type_id, s.local_index),
+                                      len(sym_id)) for s in slots]
+            tgt += [row_id[y[-2:]] for y in row.targets]
+        self.step = StepTable(np.cumsum([0] + [len(r.targets) for r in rows]),
+                              np.array(sym), np.array(tgt),
                               np.concatenate([r.probs for r in rows]))
         self.symbols = list(sym_id)
-        self.nu = np.zeros(len(self.states))
-        for sfx, mass in _suffix_mass(chain, cls).items():
-            np.add.at(self.nu, targets[sfx],
-                      mass * chain.suffix_rows[sfx].probs)
-
-    def initial_mu1(self):
-        """Law of the first enriched state restricted to this class."""
-        mu = np.zeros(len(self.states))
-        for (m, _, word), mass in self.chain.mu1_w.items():
-            if (m, word) in self.index:
-                mu[self.index[(m, word)]] += mass
-        s = mu.sum()
-        if s <= 0:
-            raise AssumptionError("first-state law has no mass in this class")
-        return mu / s
+        self.nu = np.array(list(mass.values()))
+        words = {chain.states[i] for i in cls.state_ids}
+        self.mu1 = np.zeros(len(self.states))
+        for (t, y), m in chain.mu1_w.items():
+            if t in cls.types and y in words:
+                self.mu1[row_id[y[-2:]]] += m
 
 
 # -- sandwich bounds -----------------------------------------------------------
@@ -276,12 +185,12 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
     """Two-sided conditional-entropy bounds on the hidden-chain entropy rate.
 
     The upper bound conditions on the visible history, the lower bound
-    additionally on the initial enriched state (Birch, 1962); both are exact
-    sums on the belief chain (Blackwell, 1957), stopping once the gap closes
-    below ``gap_tol`` or at ``n_max`` (at least 2: the first bounds are
-    those of the second symbol).  A word's future depends only on its
-    forward vector summed per table row and normalised, so each distinct
-    such belief is expanded once.  The budget counts, per belief expanded,
+    additionally on the initial state, through its table row (Birch, 1962);
+    both are exact sums on the belief chain (Blackwell, 1957), stopping
+    once the gap closes below ``gap_tol`` or at ``n_max`` (at least 2: the
+    first bounds are those of the second symbol).  A word's future depends
+    only on its forward vector over the table rows, normalised, so each
+    distinct such belief is expanded once.  The budget counts, per belief expanded,
     the symbols out of its nonzero table rows; past it a stationary Monte
     Carlo estimator substitutes, with standard errors and the gap of the
     last exact level (None when there is none).
@@ -295,7 +204,6 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
     entry_row = np.repeat(np.arange(n_rows), np.diff(step.start))
     n_symbols = np.bincount(unique(entry_row * n_sym + step.sym) // n_sym,
                             minlength=n_rows)
-    rows = _row_quotient(step)
     ids, h, edges, spent = {}, {}, [], 0  # belief bytes -> id, id -> entropy
 
     def expand(new):
@@ -305,7 +213,7 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
         r, c = np.nonzero(dense)
         spent += int(n_symbols[c].sum())
         succ, _, parent = _extend(CSR(np.searchsorted(r, np.arange(
-            len(new) + 1)), c, dense[r, c], n_rows), rows)
+            len(new) + 1)), c, dense[r, c], n_rows), step)
         q, at = succ.sums(), succ.row_ids()
         child = np.zeros((succ.n_rows, n_rows))
         child[at, succ.indices] = succ.data / q[at]
@@ -315,7 +223,7 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
 
     # the upper side starts from nu's belief, expanded once; the lower one
     # from each table row's unit belief, weighted by nu's mass on that row
-    mass = np.bincount(step.row_of, weights=hidden.nu, minlength=n_rows)
+    mass = hidden.nu
     live = np.flatnonzero(mass)
     low = [ids.setdefault(v.tobytes(), len(ids)) for v in np.eye(n_rows)[live]]
     expand(np.array([ids.setdefault((mass / mass.sum()).tobytes(), len(ids))]))
@@ -348,24 +256,23 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
 def _sandwich_mc(hidden, n, gap_tol, samples, seed):
     """Monte Carlo estimates of the two conditional entropies at depth n.
 
-    Trajectories of the enriched chain are sampled from stationarity with a
-    counter-based generator, all samples one step at a time (an entry of
-    each sample's table row by inversion of the cumulated probabilities);
-    the per-sample conditional probabilities are evaluated exactly by
+    Row trajectories of the hidden chain are sampled from stationarity with
+    a counter-based generator, all samples one step at a time (an entry of
+    each sample's row by inversion of the cumulated probabilities); the
+    per-sample conditional probabilities are evaluated exactly by
     filtering, all samples at once."""
     step = hidden.step
     rng = np.random.Generator(np.random.Philox(key=seed))
     nu = hidden.nu / hidden.nu.sum()
     cum = np.r_[0.0, np.cumsum(step.prob)]
-    state = rng.choice(len(nu), size=samples, p=nu)
+    row = rng.choice(len(nu), size=samples, p=nu)
     syms, visited = np.empty((samples, n), dtype=np.int64), []
     for i in range(n):
-        r = step.row_of[state]
-        a, b = step.start[r], step.start[r + 1]
+        a, b = step.start[row], step.start[row + 1]
         u = cum[a] + rng.random(samples) * (cum[b] - cum[a])
         e = np.minimum(np.searchsorted(cum, u, side="right") - 1, b - 1)
-        syms[:, i], state = step.sym[e], step.tgt[e]
-        visited.append(state)
+        syms[:, i], row = step.sym[e], step.tgt[e]
+        visited.append(row)
 
     # every sample starts from nu: filter its first symbol once for all
     first, sym, _ = _extend(_row(nu), step)
@@ -427,15 +334,18 @@ def unambiguous_exact(chain, cls):
 @dataclass
 class ModifiedChain:
     hidden: HiddenChain
-    rows: list          # per state: list of (target idx, prob)
+    step: StepTable     # Q-hat on the hidden chain's rows and symbol ids
     fold_counts: dict   # (type i, type j, suffix ab) -> split count
 
 
 def build_qhat(chain, cls):
-    """Transition table over the enriched states whose rows spread entries
-    into first slots across all coverings, splitting the mass evenly; the
-    projected hidden process keeps the law of the original one.  Rows are
-    computed once per state suffix, over all targets at a time."""
+    """Q-hat's step table on the rows of the hidden chain: a row spreads its
+    entries into first slots across all coverings, splitting the mass
+    evenly, so that the projected hidden process keeps the law of the
+    original one.  Its targets are the class's enriched states (owner type,
+    word), enumerated here as arrays: one entry per target, whose symbol is
+    that of the local first slot of its type when it lies in a foreign
+    covering, and whose target row is its word's suffix."""
     hidden = HiddenChain(chain, cls)
     atlas = chain.atlas
     class_types = sorted(cls.types)
@@ -449,20 +359,25 @@ def build_qhat(chain, cls):
                        if slot.local_index == 1
                        for w in atlas.boundary_words(slot)}
 
-    # per target: covering, first-slot flag, key (slot type, suffix), word
-    states = hidden.states
-    source = np.array([st.source_type for st in states])
-    first = np.array([st.slot_index == 1 for st in states])
-    keys = sorted({(st.slot_type, st.word[-2:]) for st in states})
+    # per target state: covering, slot type and index, key (slot type,
+    # suffix), word and row
+    words = {chain.states[i] for i in cls.state_ids}
+    states = [(m, slot, w) for (m, w), slot in chain.slot_of.items()
+              if m in cls.types and w in words]
+    source, slot_type, slot_index = np.array(
+        [(m, slot.type_id, slot.local_index) for m, slot, _ in states]).T
+    first = slot_index == 1
+    keys = sorted({(slot.type_id, w[-2:]) for _, slot, w in states})
     key_id = {k: a for a, k in enumerate(keys)}
-    key_of = np.array([key_id[(st.slot_type, st.word[-2:])] for st in states])
-    word_id, reps = {}, {}
-    word_of = np.array([word_id.setdefault(st.word, len(word_id))
-                        for st in states])
-    for st in states:
-        reps.setdefault(st.word[-2:], st)
-    fold_counts, shared = {}, {}
-    for sfx, st in reps.items():
+    key_of = np.array([key_id[(slot.type_id, w[-2:])]
+                       for _, slot, w in states])
+    row_id = {sfx: r for r, sfx in enumerate(hidden.states)}
+    row_of = np.array([row_id[w[-2:]] for _, _, w in states])
+    word_id = {}
+    word_of = np.array([word_id.setdefault(w, len(word_id))
+                        for _, _, w in states])
+    fold_counts, entries = {}, []
+    for sfx in hidden.states:
         i, row = atlas.type_of[sfx], chain.suffix_rows[sfx]
         qrow = dict(zip(row.targets, map(float, row.probs)))
         # a foreign target takes the mass of the local first slot with its
@@ -489,22 +404,34 @@ def build_qhat(chain, cls):
         nz = np.flatnonzero(p > 0)
         total = sum(p[nz].tolist())
         if abs(total - 1.0) > 1e-12:
-            raise AssumptionError(
-                f"modified row for {st} sums to {total!r}, not 1 +- 1e-12")
-        shared[sfx] = list(zip(nz.tolist(), p[nz].tolist()))
-    rows = [shared[st.word[-2:]] for st in states]
-    return ModifiedChain(hidden, rows, fold_counts)
+            raise AssumptionError(f"modified row for suffix {sfx!r} sums to "
+                                  f"{total!r}, not 1 +- 1e-12")
+        entries.append((np.full(len(nz), i), nz, p[nz]))
+
+    # the symbols: the row's type i, the target's slot type, and its slot
+    # index, or 1 when the target lies in a foreign covering.  An entry
+    # with mass emits a symbol of the hidden chain's same row (its own
+    # target, or the local first slot whose mass it shares), so the ids
+    # are the hidden chain's.
+    i, x, prob = map(np.concatenate, zip(*entries))   # row type, target
+    n_t, n_k = int(slot_type.max()) + 1, int(slot_index.max()) + 1
+    code, inv = unique((i * n_t + slot_type[x]) * n_k + np.where(
+        source[x] == i, slot_index[x], 1), return_inverse=True)
+    sym_id = {s: k for k, s in enumerate(hidden.symbols)}
+    ids = np.array([sym_id[c // (n_t * n_k), c // n_k % n_t, c % n_k]
+                    for c in code.tolist()], dtype=np.int64)
+    step = StepTable(np.cumsum([0] + [len(e[1]) for e in entries]), ids[inv],
+                     row_of[x], prob)
+    return ModifiedChain(hidden, step, fold_counts)
 
 
-def _pair_table(hidden, modified):
-    """The step table of the pair automaton: the enriched chain on states
-    0..n-1 beside Q-hat on states n..2n-1, with one symbol numbering."""
-    n = len(hidden.states)
-    m, q = hidden.step, _step_table(
-        hidden, modified.rows, {s: k for k, s in enumerate(hidden.symbols)})
-    return StepTable(np.r_[m.row_of, q.row_of + len(m.start) - 1],
-                     np.r_[m.start, q.start[1:] + m.start[-1]],
-                     np.r_[m.sym, q.sym], np.r_[m.tgt, q.tgt + n],
+def _pair_table(modified):
+    """The step table of the pair automaton: the hidden chain's rows
+    0..R-1 beside Q-hat's rows R..2R-1, with one symbol numbering."""
+    m, q = modified.hidden.step, modified.step
+    return StepTable(np.r_[m.start, q.start[1:] + m.start[-1]],
+                     np.r_[m.sym, q.sym],
+                     np.r_[m.tgt, q.tgt + len(m.start) - 1],
                      np.r_[m.prob, q.prob])
 
 
@@ -533,10 +460,10 @@ def check_marginal_equality(chain, cls, modified, max_len=None):
     original chain and of Q-hat, both started from the first-state law,
     over the basis words of a breadth-first forward-span construction on
     the pair automaton (Tzeng, SIAM J. Comput. 21, 1992) and their
-    one-symbol extensions.  The construction runs on the row quotient of
-    the pair automaton: the vector of w holds the mass of mu1 M_w on each
-    original table row and of mu1 N_w on each Q-hat row, and P(w) -
-    P-hat(w) is its signed sum.  The empty word's vector starts the basis.
+    one-symbol extensions.  The pair automaton runs on table rows: the
+    vector of w holds the mass of mu1 M_w on each row of the hidden chain
+    and of mu1 N_w on each row of Q-hat, and P(w) - P-hat(w) is its signed
+    sum.  The empty word's vector starts the basis.
     Each level extends the newest basis words by every symbol, SPAN_CHUNK
     words at a time, and keeps the extensions that leave the span of the
     basis (relative residual above SPAN_RTOL after projecting the span out
@@ -544,20 +471,20 @@ def check_marginal_equality(chain, cls, modified, max_len=None):
     symbol, so the laws agree at every length iff they agree on the basis
     words.  ``max_len=None`` runs to closure; an integer stops after words
     of that length."""
-    hidden = modified.hidden
-    pair = _pair_table(hidden, modified)
-    rows = _row_quotient(pair)
-    n_rows = len(rows.start) - 1
-    sign = np.where(np.arange(n_rows) < len(hidden.step.start) - 1, 1.0, -1.0)
-    mu1 = hidden.initial_mu1()
-    start = np.bincount(pair.row_of, np.r_[mu1, mu1], n_rows)
+    pair = _pair_table(modified)
+    mu1 = modified.hidden.mu1
+    if not mu1.sum() > 0:
+        raise AssumptionError("first-state law has no mass in this class")
+    start = np.r_[mu1, mu1] / mu1.sum()
+    sign = np.repeat([1.0, -1.0], len(mu1))
+    n_rows = len(start)
     basis, frontier = start[None] / np.linalg.norm(start), _row(start)
     worst, depth = 0.0, 0
     while frontier.n_rows and (max_len is None or depth < max_len):
         depth += 1
         kept = []
         for a in range(0, frontier.n_rows, SPAN_CHUNK):
-            succ, _, _ = _extend(frontier.take(slice(a, a + SPAN_CHUNK)), rows)
+            succ, _, _ = _extend(frontier.take(slice(a, a + SPAN_CHUNK)), pair)
             diff = succ.sums(sign)                    # P(w) - P-hat(w)
             worst = max(worst, float(np.abs(diff).max(initial=0.0)))
             dense = np.zeros((succ.n_rows, n_rows))

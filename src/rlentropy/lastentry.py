@@ -125,16 +125,6 @@ class EntryChain:
     ell: float | None = None
     nu0: np.ndarray | None = None    # stationary mix weighted over classes
 
-    def row(self, state_word):
-        return self.suffix_rows[state_word[-2:]]
-
-    def q(self, x, y):
-        r = self.suffix_rows[x[-2:]]
-        try:
-            return float(r.probs[r.targets.index(y)])
-        except ValueError:
-            return 0.0
-
 
 def enumerate_W0(atlas, gf):
     """All covering-slot boundary words with positive escape probability,
@@ -204,7 +194,9 @@ def _initial_distribution(chain):
 
     The first increment y after the entry into the root word w0 has mass
     entry(w0) xi(w0) q(w0, y): the suffix row of w0 times its final-entry
-    probability.  A root word that no state ends in gets its row here."""
+    probability.  A root word that no state ends in gets its row here.
+    ``mu1_w`` keeps the same mass per enriched first state: the covering
+    entered, the root word's type t, with the word y, keyed (t, y)."""
     gf, atlas, model = chain.gf, chain.atlas, chain.model
     gs = gf.green_short
     entry = {}
@@ -235,9 +227,7 @@ def _initial_distribution(chain):
             mass = entry[w0] / total * gf.xi[w0] * row.probs
             np.add.at(mu0, [chain.state_index[y] for y in row.targets], mass)
             for y, m in zip(row.targets, mass.tolist()):
-                ts = chain.slot_of[(t, y)]
-                key = (t, (ts.type_id, ts.local_index), y)
-                mu1_w[key] = mu1_w.get(key, 0.0) + m
+                mu1_w[t, y] = mu1_w.get((t, y), 0.0) + m
     s = mu0.sum()
     if abs(s - 1.0) > 1e-6:
         raise AssumptionError(f"first-increment law sums to {s!r}")

@@ -28,7 +28,7 @@ def q_matrix(chain):
     n = len(chain.states)
     rows, cols, vals = [], [], []
     for i, w in enumerate(chain.states):
-        r = chain.row(w)
+        r = chain.suffix_rows[w[-2:]]
         for y, p in zip(r.targets, r.probs):
             rows.append(i)
             cols.append(chain.state_index[y])
@@ -57,7 +57,8 @@ def dense_decomposition(chain):
             weight += chain.mu0[trans] @ np.linalg.solve(fund, b)
         nu = stationary(Qd[np.ix_(ids, ids)])
         lam = sum(p * (len(chain.states[i]) - 2) for p, i in zip(nu, ids))
-        times = [chain.row(chain.states[i]).expected_time for i in ids]
+        times = [chain.suffix_rows[chain.states[i][-2:]].expected_time
+                 for i in ids]
         T = None if None in times else float(np.dot(nu, times))
         out.append((ids.tolist(), float(weight), nu, float(lam), T))
     return sorted(out, key=lambda cls: cls[0][0])
@@ -89,8 +90,6 @@ def initial_law(chain):
             for y, xi_y, val in zip(*_entries(gf, w0, words, False)[:3]):
                 mass = entry[w0] / total * xi_y * val
                 mu0[chain.state_index[y]] += mass
-                ts = chain.slot_of[(t, y)]
-                key = (t, (ts.type_id, ts.local_index), y)
-                mu1_w[key] = mu1_w.get(key, 0.0) + mass
+                mu1_w[t, y] = mu1_w.get((t, y), 0.0) + mass
     s = mu0.sum()
     return mu0 / s, {k: v / s for k, v in mu1_w.items()}

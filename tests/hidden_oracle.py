@@ -1,16 +1,40 @@
-"""Reference for the hidden chain: states found by building and hashing an
-enriched state per boundary word and per row target, and each entry's
-symbol computed from its source state."""
+"""Reference for the hidden chain and Q-hat, state by state: the enriched
+states found by building and hashing one state per boundary word, each
+entry's symbol computed from its source and target states, and Q-hat's rows
+read off its definition one target state at a time.  ``lumped`` sums a
+state-level chain onto its rows, for comparison with the row tables of
+``rlentropy.entropy``."""
+from collections import Counter
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from rlentropy.entropy import StepTable, WState, _suffix_mass, hidden_symbol
+from rlentropy.entropy import StepTable, _suffix_mass
+
+
+class WState(NamedTuple):
+    source_type: int      # type of the cone whose covering was entered
+    slot_type: int
+    slot_index: int
+    word: str
+
+
+def hidden_symbol(atlas, prev_state, next_state):
+    """Project one transition of the enriched chain to its hidden symbol
+    (current cone type, entered slot); entries into slots of foreign
+    coverings fold onto the local first slot of the same type."""
+    i = atlas.type_of[prev_state.word[-2:]]
+    if next_state.source_type == i:
+        return (i, next_state.slot_type, next_state.slot_index)
+    return (i, next_state.slot_type, 1)
 
 
 def step_table(hidden, state_rows, sym_id):
-    """``entropy._step_table`` with one ``hidden_symbol`` call per entry of
-    each distinct row."""
+    """The per-state step table of the rows [(target idx, prob), ...]:
+    ``row_of[x]`` is the table row of state x, shared by the states with
+    the same suffix and row object, and each entry's symbol is one
+    ``hidden_symbol`` call."""
     row_id, reps = {}, []
     row_of = np.empty(len(state_rows), dtype=np.int64)
     for x, row in enumerate(state_rows):
@@ -24,13 +48,15 @@ def step_table(hidden, state_rows, sym_id):
                                            hidden.states[j]), len(sym_id))
            for st, row in reps for j, _ in row]
     tgt, prob = zip(*[e for _, row in reps for e in row])
-    return StepTable(row_of, np.cumsum([0] + [len(row) for _, row in reps]),
-                     np.array(sym), np.array(tgt), np.array(prob))
+    return SimpleNamespace(
+        row_of=row_of, start=np.cumsum([0] + [len(row) for _, row in reps]),
+        sym=np.array(sym), tgt=np.array(tgt), prob=np.array(prob))
 
 
 def hidden_chain(chain, cls):
     """(states, symbols, step table, nu, first-state law) of the class's
-    hidden chain."""
+    hidden chain over its enriched states; the first-state law is the
+    class's part, not normalised."""
     atlas = chain.atlas
     class_words = {chain.states[i] for i in cls.state_ids}
     states, index = [], {}
@@ -57,9 +83,82 @@ def hidden_chain(chain, cls):
         k, p = zip(*targets[sfx])
         np.add.at(nu, list(k), mass * np.array(p))
     mu1 = np.zeros(len(states))
-    for (m, slot, word), mass in chain.mu1_w.items():
-        st = WState(m, slot[0], slot[1], word)
+    for (m, word), mass in chain.mu1_w.items():
+        slot = chain.slot_of[(m, word)]
+        st = WState(m, slot.type_id, slot.local_index, word)
         if st in index:
             mu1[index[st]] += mass
-    return SimpleNamespace(states=states, symbols=list(sym_id), step=step,
-                           nu=nu, mu1=mu1 / mu1.sum())
+    return SimpleNamespace(atlas=atlas, states=states, symbols=list(sym_id),
+                           step=step, nu=nu, mu1=mu1)
+
+
+def qhat_rows(chain, cls, ref):
+    """Per state of the reference ``ref``: Q-hat's row [(target idx, prob),
+    ...].  The row of a suffix of type i keeps q on the targets of its own
+    covering, except that it splits the mass of each own first slot evenly
+    with every slot of the same type in the other coverings; a slot of a
+    foreign covering takes that share of the own first slot with its type
+    and suffix (none when the own covering has no slot of that type)."""
+    atlas, rows = chain.atlas, {}
+    n_slots = Counter((m, s.type_id) for m in cls.types
+                      for s in atlas.coverings[m].slots)
+    all_slots = Counter()
+    for (m, j), k in n_slots.items():
+        all_slots[j] += k
+    first = {(m, s.type_id, w[-2:]): w for m in cls.types
+             for s in atlas.coverings[m].slots if s.local_index == 1
+             for w in atlas.boundary_words(s)}
+    for sfx in {st.word[-2:] for st in ref.states}:
+        i, row = atlas.type_of[sfx], chain.suffix_rows[sfx]
+        q = dict(zip(row.targets, row.probs))
+        out = []
+        for x, st in enumerate(ref.states):
+            j = st.slot_type
+            others = all_slots[j] - n_slots[i, j]
+            if st.source_type == i:
+                p = q.get(st.word, 0.0)
+                if st.slot_index == 1:
+                    p /= others + 1
+            elif n_slots[i, j]:
+                ybar = first[i, j, st.word[-2:]]
+                p = q.get(ybar, 0.0) / (others + 1)
+            else:
+                p = 0.0
+            if p > 0:
+                out.append((x, float(p)))
+        rows[sfx] = out
+    return [rows[st.word[-2:]] for st in ref.states]
+
+
+def lumped(ref, step):
+    """A per-state table of ``ref`` summed onto its rows, each row named by
+    its states' suffix: {suffix: [(symbol, target suffix, prob), ...]}, the
+    entries in table order."""
+    out = {}
+    for x, r in enumerate(step.row_of):
+        sfx = ref.states[x].word[-2:]
+        if sfx not in out:
+            out[sfx] = [(ref.symbols[step.sym[e]],
+                         ref.states[step.tgt[e]].word[-2:], step.prob[e])
+                        for e in range(step.start[r], step.start[r + 1])]
+    return out
+
+
+def row_masses(ref, v):
+    """A per-state vector of ``ref`` summed per suffix."""
+    out = {}
+    for st, m in zip(ref.states, v):
+        out[st.word[-2:]] = out.get(st.word[-2:], 0.0) + m
+    return out
+
+
+def row_table(ref):
+    """A per-state chain lumped onto its table rows (strong lumpability:
+    Kemeny & Snell, Finite Markov Chains, 6.3): the row-level chain that
+    ``sandwich_bounds`` takes."""
+    step = ref.step
+    return SimpleNamespace(
+        step=StepTable(step.start, step.sym, step.row_of[step.tgt], step.prob),
+        nu=np.bincount(step.row_of, weights=ref.nu,
+                       minlength=len(step.start) - 1),
+        symbols=ref.symbols)

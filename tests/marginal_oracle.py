@@ -1,30 +1,45 @@
 """References for the marginal check: the hidden-symbol laws of the original
-chain and of Q-hat, enumerated sequence by sequence up to a fixed length; and
-the forward-span construction on all 2n states of the pair automaton, with
-one basis per symbol and its span test run one symbol at a time."""
+chain and of Q-hat, enumerated sequence by sequence up to a fixed length
+with one dict per forward vector; and the forward-span construction on the
+pair automaton with one basis per symbol, its span test run one symbol at a
+time."""
 import numpy as np
 
 from rlentropy.entropy import (CSR, SPAN_CHUNK, SPAN_RTOL, _extend,
-                               _pair_table, _row, hidden_symbol)
+                               _pair_table, _row)
 
-from sandwich_oracle import state_transitions
+
+def row_transitions(step):
+    """Per table row: {symbol id: [(target row, prob), ...]}."""
+    out = []
+    for r in range(len(step.start) - 1):
+        by_symbol = {}
+        for e in range(step.start[r], step.start[r + 1]):
+            by_symbol.setdefault(int(step.sym[e]), []).append(
+                (int(step.tgt[e]), float(step.prob[e])))
+        out.append(by_symbol)
+    return out
 
 
 def enumerated_marginal_diff(chain, cls, modified, max_len=3):
     """Maximum |P(w) - P-hat(w)| over every hidden-symbol sequence w of
     length 1..max_len with positive probability under either chain, both
     started from the first-state law."""
-    hidden = modified.hidden
-    trans = state_transitions(hidden)
-    mu1 = hidden.initial_mu1()
+    mu1 = modified.hidden.mu1 / modified.hidden.mu1.sum()
 
     def laws(step):
-        out = {}
+        trans, out = row_transitions(step), {}
         frontier = [((), {i: m for i, m in enumerate(mu1) if m > 0})]
         for _ in range(max_len):
             nxt = []
             for seq, vec in frontier:
-                for sym, d in step(vec).items():
+                succ = {}
+                for idx, mass in vec.items():
+                    for sym, targets in trans[idx].items():
+                        d = succ.setdefault(sym, {})
+                        for j, p in targets:
+                            d[j] = d.get(j, 0.0) + mass * p
+                for sym, d in succ.items():
                     p = sum(d.values())
                     if p > 0:
                         out[seq + (sym,)] = p
@@ -32,27 +47,8 @@ def enumerated_marginal_diff(chain, cls, modified, max_len=3):
             frontier = nxt
         return out
 
-    def orig_step(vec):
-        succ = {}
-        for idx, mass in vec.items():
-            for sym, targets in trans[idx].items():
-                d = succ.setdefault(sym, {})
-                for j, p in targets:
-                    d[j] = d.get(j, 0.0) + mass * p
-        return succ
-
-    def mod_step(vec):
-        succ = {}
-        for idx, mass in vec.items():
-            for j, p in modified.rows[idx]:
-                sym = hidden_symbol(chain.atlas, hidden.states[idx],
-                                    hidden.states[j])
-                d = succ.setdefault(sym, {})
-                d[j] = d.get(j, 0.0) + mass * p
-        return succ
-
-    a = laws(orig_step)
-    b = laws(mod_step)
+    a = laws(modified.hidden.step)
+    b = laws(modified.step)
     return max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
 
 
@@ -90,18 +86,17 @@ def _new_directions(bases, s, rows):
 
 
 def per_symbol_marginal_check(chain, cls, modified, max_len=None):
-    """The forward-span construction on the full pair state space: the
-    vector of w is (mu1 M_w, mu1 N_w) over all 2n states, and an extension
-    by s joins the basis of the words ending in s when it leaves that
-    basis's span.  Returns the worst |P(w) - P-hat(w)| and the number of
-    basis words kept at each level, the last level keeping none when run
+    """The forward-span construction with one basis per symbol: the vector
+    of w is (mu1 M_w, mu1 N_w) over the rows of the pair automaton, and an
+    extension by s joins the basis of the words ending in s when it leaves
+    that basis's span.  Returns the worst |P(w) - P-hat(w)| and the number
+    of basis words kept at each level, the last level keeping none when run
     to closure."""
-    hidden = modified.hidden
-    n = len(hidden.states)
-    pair = _pair_table(hidden, modified)
+    pair = _pair_table(modified)
+    n = len(modified.hidden.states)
     sym, col = np.divmod(np.unique(pair.sym * 2 * n + pair.tgt), 2 * n)
     columns = np.split(col, np.searchsorted(sym, np.arange(1, sym[-1] + 1)))
-    mu1 = hidden.initial_mu1()
+    mu1 = modified.hidden.mu1 / modified.hidden.mu1.sum()
     frontier = _row(np.r_[mu1, mu1])
     bases = {}
     worst, levels = 0.0, []

@@ -1,11 +1,12 @@
 """Reference for the sandwich bounds: the per-state dict-of-dict forward
-filter, one Python dict per forward vector and per hidden symbol."""
+filter, one Python dict per forward vector and per hidden symbol, run on a
+per-state chain such as ``hidden_oracle.hidden_chain``."""
 import math
 
 
 def state_transitions(hidden):
-    """Per state: {hidden symbol: [(target idx, prob), ...]}, read from the
-    hidden chain's step table."""
+    """Per state: {hidden symbol: [(target idx, prob), ...]}, read from a
+    per-state step table (state x moves by table row ``row_of[x]``)."""
     step, out = hidden.step, []
     for r in step.row_of:
         by_symbol = {}

@@ -6,21 +6,22 @@ import pytest
 
 import rlentropy as rle
 from rlentropy import pipeline
-from rlentropy.entropy import (HiddenChain, WState, build_qhat,
+from rlentropy.entropy import (HiddenChain, build_qhat,
                                check_marginal_equality, continuity_sweep,
-                               hidden_symbol, interpolate_models,
-                               sandwich_bounds, unambiguous_exact)
+                               interpolate_models, sandwich_bounds,
+                               unambiguous_exact)
 from rlentropy.model import AssumptionError
 
-from rlentropy.entropy import ModifiedChain, StepTable, _step_table
+from rlentropy.entropy import ModifiedChain, StepTable
 from rlentropy.lastentry import stationary
 
 from conftest import get_analysis, get_atlas, get_chain, get_gf, get_model
-from hidden_oracle import hidden_chain, step_table
+from hidden_oracle import (WState, hidden_chain, hidden_symbol, lumped,
+                           qhat_rows, row_masses, row_table, step_table)
 from marginal_oracle import (enumerated_marginal_diff,
                              per_symbol_marginal_check)
 from regeneration_oracle import regeneration_mc
-from sandwich_oracle import dict_sandwich, state_transitions
+from sandwich_oracle import dict_sandwich
 
 
 def _single_class(name):
@@ -117,6 +118,19 @@ def test_mixed_report_leaves_out_non_telescoped_exact_value():
     assert rep.hy_n == 3
 
 
+def _row_entries(step, r):
+    """{(symbol id, target row): summed probability} of table row r."""
+    out = {}
+    for e in range(step.start[r], step.start[r + 1]):
+        key = (int(step.sym[e]), int(step.tgt[e]))
+        out[key] = out.get(key, 0.0) + float(step.prob[e])
+    return out
+
+
+def _row_sums(step):
+    return np.add.reduceat(step.prob, step.start[:-1])
+
+
 def test_qhat_rows_and_reduction():
     # with a single cone type there are no foreign coverings and the
     # modified rows coincide with the original ones
@@ -124,13 +138,9 @@ def test_qhat_rows_and_reduction():
     modified = build_qhat(chain, cls)
     hidden = modified.hidden
     assert all(k == 0 for k in modified.fold_counts.values())
-    trans = state_transitions(hidden)
-    for idx, st in enumerate(hidden.states):
-        row = dict(modified.rows[idx])
-        orig = {}
-        for sym, targets in trans[idx].items():
-            for j, p in targets:
-                orig[j] = orig.get(j, 0.0) + p
+    for r in range(len(hidden.states)):
+        row = _row_entries(modified.step, r)
+        orig = _row_entries(hidden.step, r)
         assert row.keys() == orig.keys()
         for k in row:
             assert row[k] == pytest.approx(orig[k], abs=1e-12)
@@ -139,22 +149,34 @@ def test_qhat_rows_and_reduction():
 def test_qhat_ne_equals_q():
     chain, cls = _single_class("ne")
     modified = build_qhat(chain, cls)
-    for idx in range(len(modified.hidden.states)):
-        total = sum(p for _, p in modified.rows[idx])
-        assert total == pytest.approx(1.0, abs=1e-12)
+    assert len(modified.step.start) - 1 == len(modified.hidden.states)
+    assert np.allclose(_row_sums(modified.step), 1.0, rtol=0, atol=1e-12)
 
 
 def test_qhat_fg2_strictly_positive_fold():
     chain, cls = _single_class("fg2")
     modified = build_qhat(chain, cls)
+    hidden, step = modified.hidden, modified.step
     assert any(k > 0 for k in modified.fold_counts.values())
-    for idx in range(0, len(modified.hidden.states), 37):
-        total = sum(p for _, p in modified.rows[idx])
-        assert total == pytest.approx(1.0, abs=1e-12)
-        # rows hit states of every source type through the fold branch
-        sources = {modified.hidden.states[j].source_type
-                   for j, _ in modified.rows[idx]}
-        assert len(sources) == 12
+    assert np.allclose(_row_sums(step), 1.0, rtol=0, atol=1e-12)
+    for r, sfx in enumerate(hidden.states):
+        # through the fold branch, the mass of each first-slot entry of the
+        # original row splits evenly over the own first slot and the count
+        # type-j slots of the other coverings; on fg2 some entry splits 12
+        # ways or more, one per covering at least
+        entries = {}
+        for e in range(step.start[r], step.start[r + 1]):
+            entries.setdefault((int(step.sym[e]), int(step.tgt[e])),
+                               []).append(float(step.prob[e]))
+        orig = _row_entries(hidden.step, r)
+        for (s, t), ps in entries.items():
+            i, j, k = hidden.symbols[s]
+            assert i == chain.atlas.type_of[sfx]
+            count = modified.fold_counts.get((i, j, hidden.states[t]), 0)
+            assert len(ps) == (count + 1 if k == 1 else 1)
+            assert sum(ps) == pytest.approx(orig[(s, t)], abs=1e-15)
+            assert len(set(ps)) == 1
+        assert max(len(ps) for ps in entries.values()) >= 12
 
 
 def test_marginal_equality():
@@ -258,9 +280,7 @@ def test_twotype_fold_with_multiword_transport():
     assert any(k > 0 for k in modified.fold_counts.values())
     suffixes = {ab for (_, _, ab) in modified.fold_counts}
     assert len(suffixes) == 4
-    for idx in range(len(modified.hidden.states)):
-        assert sum(p for _, p in modified.rows[idx]) == \
-            pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(_row_sums(modified.step), 1.0, rtol=0, atol=1e-12)
     assert check_marginal_equality(chain, cls, modified, max_len=3) < 1e-12
 
 
@@ -339,49 +359,49 @@ def test_marginal_check_agrees_with_enumeration():
         assert enumerated_marginal_diff(chain, cls, modified, 3) < tol, name
 
 
-def _moved_mass(modified, idx, src, dst, eps=1e-3):
-    """Q-hat with mass eps moved from target src to target dst in the row of
-    state idx; every other row is shared with the input."""
-    row = dict(modified.rows[idx])
-    row[src] -= eps
-    row[dst] = row.get(dst, 0.0) + eps
-    rows = list(modified.rows)
-    rows[idx] = sorted(row.items())
-    return ModifiedChain(modified.hidden, rows, modified.fold_counts)
+def _moved_mass(modified, src, dst, eps=1e-3):
+    """Q-hat with mass eps moved from entry src to entry dst of its table
+    (two entries of one row); the rest of the table is the input's."""
+    prob = modified.step.prob.copy()
+    prob[src] -= eps
+    prob[dst] += eps
+    step = modified.step
+    return ModifiedChain(modified.hidden,
+                         StepTable(step.start, step.sym, step.tgt, prob),
+                         modified.fold_counts)
 
 
 def _twotype_targets():
-    """twotype's Q-hat, and the targets of state 0 (which the first-state law
-    charges) grouped by the hidden symbol of the step into them."""
+    """twotype's Q-hat, and the entries of its row 0 (which the first-state
+    law charges) grouped by their hidden symbol."""
     chain, cls = _single_class("twotype")
     modified = build_qhat(chain, cls)
-    hidden = modified.hidden
-    assert hidden.initial_mu1()[0] > 0
-    by_symbol = {}
-    for j, p in modified.rows[0]:
-        sym = hidden_symbol(chain.atlas, hidden.states[0], hidden.states[j])
-        by_symbol.setdefault(sym, []).append(j)
+    assert modified.hidden.mu1[0] > 0
+    step, by_symbol = modified.step, {}
+    for e in range(step.start[0], step.start[1]):
+        by_symbol.setdefault(int(step.sym[e]), []).append(e)
     return chain, cls, modified, by_symbol
 
 
 def test_marginal_check_detects_moved_symbol_mass():
     chain, cls, modified, by_symbol = _twotype_targets()
     (a, *_), (b, *_) = list(by_symbol.values())[:2]
-    bad = _moved_mass(modified, 0, a, b)
+    bad = _moved_mass(modified, a, b)
     found = check_marginal_equality(chain, cls, bad, max_len=3)
     oracle = enumerated_marginal_diff(chain, cls, bad, 3)
     assert 1e-6 < found <= oracle + 1e-15
 
 
 def test_marginal_check_covers_lengths_beyond_one():
-    # Moving mass between two targets of one symbol leaves every length-1
-    # law intact; the targets end in different suffixes, so later symbols
+    # Moving mass between two entries of one symbol leaves every length-1
+    # law intact; the entries enter different table rows, so later symbols
     # tell them apart.
     chain, cls, modified, by_symbol = _twotype_targets()
-    hidden = modified.hidden
-    a, b = next(ts[:2] for ts in by_symbol.values() if len(ts) > 1)
-    assert hidden.states[a].word[-2:] != hidden.states[b].word[-2:]
-    bad = _moved_mass(modified, 0, a, b)
+    tgt = modified.step.tgt
+    a, b = next((ts[0], e) for ts in by_symbol.values() for e in ts
+                if tgt[e] != tgt[ts[0]])
+    assert modified.hidden.states[tgt[a]] != modified.hidden.states[tgt[b]]
+    bad = _moved_mass(modified, a, b)
     assert enumerated_marginal_diff(chain, cls, bad, 1) < 1e-12
     assert enumerated_marginal_diff(chain, cls, bad, 3) > 1e-6
     assert check_marginal_equality(chain, cls, bad, max_len=1) < 1e-12
@@ -394,17 +414,17 @@ def test_marginal_check_covers_lengths_beyond_one():
 @pytest.mark.parametrize("seed", range(2))
 def test_marginal_check_detects_seeded_moved_mass(name, length, seed):
     """Half the mass of one entry of a random Q-hat row moves to another
-    entry of that row.  The quotient check and the full-state per-symbol
-    construction agree on whether the laws differ, and the quotient's
-    difference up to ``length`` is one of the enumerated differences."""
+    entry of that row.  The check and the per-symbol construction agree on
+    whether the laws differ, and the check's difference up to ``length``
+    is one of the enumerated differences."""
     chain, cls = _single_class(name)
     modified = build_qhat(chain, cls)
+    start = modified.step.start
     rng = np.random.default_rng(seed)
-    idx = int(rng.choice([x for x, r in enumerate(modified.rows)
-                          if len(r) > 1]))
-    a, b = rng.choice(len(modified.rows[idx]), 2, replace=False)
-    (src, p), (dst, _) = modified.rows[idx][a], modified.rows[idx][b]
-    bad = _moved_mass(modified, idx, src, dst, eps=p / 2)
+    idx = int(rng.choice(np.flatnonzero(np.diff(start) > 1)))
+    a, b = start[idx] + rng.choice(start[idx + 1] - start[idx], 2,
+                                   replace=False)
+    bad = _moved_mass(modified, a, b, eps=modified.step.prob[a] / 2)
     found = check_marginal_equality(chain, cls, bad)
     ref, _ = per_symbol_marginal_check(chain, cls, bad)
     assert (found > 1e-6 and ref > 1e-6) or (found < 1e-12 and ref < 1e-12)
@@ -415,35 +435,39 @@ def test_marginal_check_detects_seeded_moved_mass(name, length, seed):
 @pytest.mark.parametrize("name", ["fg2", "t3", "glued", "multi", "twotype",
                                   "mixed"])
 def test_step_table_numbers_symbols_as_per_entry_reference(name):
-    """Q-hat's step table, its symbols numbered from per-state arrays, is
-    the table built with one hidden_symbol call per entry, also when one
-    state has a row of its own."""
+    """Q-hat's row table is the reference read off Q-hat's definition one
+    target state at a time, with one hidden_symbol call per entry, summed
+    onto rows: the same entries in the same order, and no symbol that the
+    hidden chain lacks."""
     chain, cls = get_chain(name), get_chain(name).classes[0]
     modified = build_qhat(chain, cls)
-    hidden = modified.hidden
-    rows = list(modified.rows)
-    rows[0] = list(rows[0])
-    for state_rows in (modified.rows, rows):
-        got = {s: k for k, s in enumerate(hidden.symbols)}
-        ref = dict(got)
-        a, b = _step_table(hidden, state_rows, got), step_table(
-            hidden, state_rows, ref)
-        assert list(got.items()) == list(ref.items())
-        for f in ("row_of", "start", "sym", "tgt", "prob"):
-            x, y = getattr(a, f), getattr(b, f)
-            assert x.dtype == y.dtype and np.array_equal(x, y), f
-    assert np.count_nonzero(a.row_of == a.row_of[0]) == 1
+    hidden, step = modified.hidden, modified.step
+    ref = hidden_chain(chain, cls)
+    sym_id = {s: k for k, s in enumerate(ref.symbols)}
+    want = lumped(ref, step_table(ref, qhat_rows(chain, cls, ref), sym_id))
+    assert list(sym_id) == ref.symbols
+    assert sorted(want) == sorted(hidden.states)
+    for r, sfx in enumerate(hidden.states):
+        got = [(hidden.symbols[step.sym[e]], hidden.states[step.tgt[e]],
+                step.prob[e]) for e in range(step.start[r], step.start[r + 1])]
+        assert got == want[sfx], sfx
+    for f in ("start", "sym", "tgt"):
+        assert getattr(step, f).dtype == np.int64, f
+    assert step.prob.dtype == np.float64
 
 
 def test_sandwich_matches_dict_oracle():
+    # the row-level sandwich against the per-state dict filter on the
+    # state-built reference, stopped at every depth up to 8 and at 16
     for name in ("t3", "multi", "twotype", "mixed", "fg2", "fg2_biased", "ne"):
         chain, cls = _single_class(name)
-        hidden = HiddenChain(chain, cls)
-        bounds = sandwich_bounds(hidden)
-        uppers, lowers, n_final = dict_sandwich(hidden)
-        assert bounds.n_final == n_final, name
-        assert np.allclose(bounds.uppers, uppers, rtol=0, atol=1e-12), name
-        assert np.allclose(bounds.lowers, lowers, rtol=0, atol=1e-12), name
+        hidden, ref = HiddenChain(chain, cls), hidden_chain(chain, cls)
+        for n_max in (*range(2, 9), 16):
+            bounds = sandwich_bounds(hidden, n_max=n_max)
+            uppers, lowers, n_final = dict_sandwich(ref, n_max=n_max)
+            assert bounds.n_final == n_final, name
+            assert np.allclose(bounds.uppers, uppers, rtol=0, atol=1e-12), name
+            assert np.allclose(bounds.lowers, lowers, rtol=0, atol=1e-12), name
 
 
 def _random_hidden(rng):
@@ -463,8 +487,8 @@ def _random_hidden(rng):
         start.append(start[-1] + k + 1)
     prob = rng.uniform(0.05, 1.0, start[-1])
     prob /= np.add.reduceat(prob, start[:-1]).repeat(np.diff(start))
-    step = StepTable(row_of, np.array(start), np.array(sym), np.array(tgt),
-                     prob)
+    step = SimpleNamespace(row_of=row_of, start=np.array(start),
+                           sym=np.array(sym), tgt=np.array(tgt), prob=prob)
     q = np.zeros((n_states, n_states))
     for x, r in enumerate(row_of):
         e = np.arange(start[r], start[r + 1])
@@ -476,7 +500,7 @@ def _random_hidden(rng):
 @pytest.mark.parametrize("seed", range(12))
 def test_sandwich_ambiguous_tables_match_dict_oracle(seed):
     hidden = _random_hidden(np.random.default_rng(seed))
-    bounds = sandwich_bounds(hidden, n_max=8)
+    bounds = sandwich_bounds(row_table(hidden), n_max=8)
     uppers, lowers, n_final = dict_sandwich(hidden, n_max=8)
     assert bounds.n_final == n_final
     assert np.allclose(bounds.uppers, uppers, rtol=0, atol=1e-12)
@@ -541,21 +565,24 @@ def test_report_notes_unconverged_sandwich():
 
 @pytest.mark.parametrize("name", ["fg2", "glued", "multi", "z2z3"])
 def test_hidden_chain_matches_state_built_reference(name):
-    """Indexing states by (owner type, word) and taking each entry's symbol
-    from its target gives the chain built from hashed enriched states."""
+    """The row table read off the suffix rows is the chain built from
+    hashed enriched states, with one hidden_symbol call per entry, summed
+    onto its rows: the same rows, entries and symbols, and the same masses
+    of nu and of the first-state law per row."""
     chain = get_chain(name)
     for cls in chain.classes:
         hidden, ref = HiddenChain(chain, cls), hidden_chain(chain, cls)
-        assert hidden.states == ref.states
-        assert hidden.symbols == ref.symbols
-        for f in ("row_of", "start", "sym", "tgt", "prob"):
-            a, b = getattr(hidden.step, f), getattr(ref.step, f)
-            assert a.dtype == b.dtype and np.array_equal(a, b), f
-        assert np.array_equal(hidden.nu, ref.nu)
-        assert np.array_equal(hidden.initial_mu1(), ref.mu1)
-        step, states = hidden.step, hidden.states
-        for x, st in enumerate(states):
-            r = step.row_of[x]
-            for e in range(step.start[r], step.start[r + 1]):
-                assert hidden.symbols[step.sym[e]] == hidden_symbol(
-                    chain.atlas, st, states[step.tgt[e]])
+        want = lumped(ref, ref.step)
+        assert sorted(hidden.states) == sorted(want)
+        assert set(hidden.symbols) == set(ref.symbols)
+        assert len(hidden.symbols) == len(ref.symbols)
+        step = hidden.step
+        for r, sfx in enumerate(hidden.states):
+            got = [(hidden.symbols[step.sym[e]], hidden.states[step.tgt[e]],
+                    step.prob[e])
+                   for e in range(step.start[r], step.start[r + 1])]
+            assert got == want[sfx], sfx
+        for mine, theirs in ((hidden.nu, ref.nu), (hidden.mu1, ref.mu1)):
+            theirs = row_masses(ref, theirs)
+            assert max(abs(m - theirs[sfx])
+                       for sfx, m in zip(hidden.states, mine)) <= 1e-15

@@ -1,8 +1,8 @@
 """The numpy kernels of the marginal check, the sandwich frontier and the
 class decomposition against references: pivoted Gram-Schmidt against
 scipy's pivoted Householder QR and against the reference loop, the marginal
-check on the row quotient against the full-state per-symbol construction,
-the CSR successor step against a scipy.sparse copy, and Tarjan's strong
+check's one basis against the construction with one basis per symbol, the
+CSR successor step against a scipy.sparse copy, and Tarjan's strong
 components against ``connected_components``."""
 import numpy as np
 import pytest
@@ -120,11 +120,11 @@ MARGINAL_MODELS = ["fg2", "fg2_biased", "t3", "ne", "glued", "multi",
 
 def n_table_rows(modified):
     """R: the table rows of the original chain and of Q-hat."""
-    return len(_pair_table(modified.hidden, modified).start) - 1
+    return len(_pair_table(modified).start) - 1
 
 
 def test_marginal_basis_sizes(monkeypatch):
-    """The basis words of the quotient check: the empty word and every
+    """The basis words of the marginal check: the empty word and every
     kept extension, at most one per table row of the pair automaton."""
     count = []
 
@@ -150,10 +150,11 @@ def test_marginal_basis_sizes(monkeypatch):
 
 @pytest.mark.parametrize("name", MARGINAL_MODELS)
 def test_marginal_check_matches_per_symbol_loop(name):
-    """The quotient check and the full-state per-symbol construction both
-    close and both find the laws equal; the quotient needs no more basis
-    words than the full-state bases hold (its vectors are theirs summed
-    per table row, and the empty word's adds at most one)."""
+    """The check and the per-symbol construction both close and both find
+    the laws equal; the check's one basis needs no more words than the
+    per-symbol bases hold together (the span of every word's vector is the
+    empty word's vector plus the spans of the words ending in each
+    symbol)."""
     chain = get_chain(name)
     cls = chain.classes[0]
     modified = build_qhat(chain, cls)
@@ -176,20 +177,18 @@ def test_marginal_check_matches_per_symbol_loop(name):
 # -- the CSR successor step ----------------------------------------------------
 
 def scipy_extend(frontier, step):
-    """The successor step on scipy.sparse, as it was written for it."""
-    n_rows, n_sym = len(step.start) - 1, int(step.sym.max()) + 1
-    parent = np.repeat(np.arange(frontier.shape[0]), np.diff(frontier.indptr))
-    pair, inv = np.unique(parent * n_rows + step.row_of[frontier.indices],
-                          return_inverse=True)
-    mass = np.bincount(inv, weights=frontier.data)
-    word, row = np.divmod(pair, n_rows)
-    lens = step.start[row + 1] - step.start[row]
-    entry = (np.repeat(step.start[row] - np.cumsum(lens) + lens, lens)
+    """The successor step on scipy.sparse: the mass of each stored entry of
+    a frontier row spreads over the entries of the table row at its
+    column."""
+    n_sym = int(step.sym.max()) + 1
+    coo = frontier.tocoo()
+    lens = step.start[coo.col + 1] - step.start[coo.col]
+    entry = (np.repeat(step.start[coo.col] - np.cumsum(lens) + lens, lens)
              + np.arange(lens.sum()))
-    val = np.repeat(mass, lens) * step.prob[entry]
+    val = np.repeat(coo.data, lens) * step.prob[entry]
     keep = val != 0
     entry = entry[keep]
-    key, succ_row = np.unique(np.repeat(word, lens)[keep] * n_sym
+    key, succ_row = np.unique(np.repeat(coo.row, lens)[keep] * n_sym
                               + step.sym[entry], return_inverse=True)
     succ = csr_matrix((val[keep], (succ_row, step.tgt[entry])),
                       shape=(len(key), frontier.shape[1]))
@@ -197,22 +196,21 @@ def scipy_extend(frontier, step):
     return succ, sym, parent
 
 
-def random_step(rng, n_states, n_rows, n_sym):
+def random_step(rng, n_rows, n_sym):
     lens = rng.integers(1, 9, n_rows)
     total = int(lens.sum())
     prob = rng.random(total) + 0.01
     prob[rng.random(total) < 0.1] = 1e-200        # products that underflow
-    return StepTable(rng.integers(0, n_rows, n_states),
-                     np.r_[0, np.cumsum(lens)],
+    return StepTable(np.r_[0, np.cumsum(lens)],
                      rng.integers(0, n_sym, total),
-                     rng.integers(0, n_states, total), prob)
+                     rng.integers(0, n_rows, total), prob)
 
 
-def random_frontier(rng, n_words, n_states):
+def random_frontier(rng, n_words, n_rows):
     """Rows with repeated columns and some empty rows."""
     lens = rng.integers(0, 12, n_words)
     lens[rng.random(n_words) < 0.2] = 0
-    indices = rng.integers(0, n_states, int(lens.sum()))
+    indices = rng.integers(0, n_rows, int(lens.sum()))
     data = rng.random(len(indices)) + 1e-3
     data[rng.random(len(indices)) < 0.05] = 1e-200
     return np.r_[0, np.cumsum(lens)], indices, data
@@ -221,24 +219,23 @@ def random_frontier(rng, n_words, n_states):
 @pytest.mark.parametrize("seed", range(12))
 def test_csr_extend_matches_scipy(seed):
     rng = np.random.default_rng(seed)
-    n_states = int(rng.integers(3, 40))
-    step = random_step(rng, n_states, int(rng.integers(1, 7)),
-                       int(rng.integers(1, 5)))
+    n_rows = int(rng.integers(3, 40))
+    step = random_step(rng, n_rows, int(rng.integers(1, 5)))
     indptr, indices, data = random_frontier(rng, int(rng.integers(1, 30)),
-                                            n_states)
+                                            n_rows)
     ref_in = csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,
-                                                        n_states))
-    succ, sym, parent = _extend(CSR(indptr, indices, data, n_states), step)
+                                                        n_rows))
+    succ, sym, parent = _extend(CSR(indptr, indices, data, n_rows), step)
     ref, ref_sym, ref_parent = scipy_extend(ref_in, step)
     assert np.array_equal(sym, ref_sym)
     assert np.array_equal(parent, ref_parent)
     assert np.array_equal(succ.indptr, ref.indptr)
     assert np.array_equal(succ.indices, ref.indices)
     assert np.allclose(succ.data, ref.data, rtol=1e-15, atol=0)
-    assert succ.n_cols == n_states
+    assert succ.n_cols == n_rows
 
     # the row operations the frontier needs
-    weights = rng.standard_normal(n_states)
+    weights = rng.standard_normal(n_rows)
     assert np.allclose(succ.sums(), np.asarray(ref.sum(axis=1)).ravel(),
                        rtol=1e-15, atol=0)
     assert np.allclose(succ.sums(weights), ref @ weights, rtol=1e-12,
