@@ -536,36 +536,40 @@ def _certify(atlas, roots2, cov, passed):
     those in ``passed``, shared by all coverings of the atlas (failures are
     not, so the first failing word never depends on the memo)."""
     rel, P = atlas.rel, atlas.rel.pair_index
-    leaf = cov.depth_bound - 2
     starts = {}
     for s in cov.slots:
         starts.setdefault(s.root[:-2], []).append(rel.closure[P[s.root[-2:]]])
-    pending = {u[:k] for u in starts for k in range(len(u))}
-    letters = sorted(atlas.model.alphabet)
-
-    def walk(u, mask, active):
-        active = sorted(active + starts.get(u, []))
-        key = None if u in pending else (mask, tuple(active), leaf - len(u))
-        if key in passed:
-            return
-        if len(u) == leaf:
-            bad = mask & ~_covered_once(active)
-            if bad:
-                w = min(u + fg for fg in rel.pairs_of(bad))
-                hits = sum(m >> P[w[-2:]] & 1 for m in active)
-                raise AssumptionError(
-                    f"covering certificate failed: {w} lies in {hits} slot cones")
-        else:
-            for c in letters:
-                nxt = rel.advance(mask, c)
-                if nxt:
-                    walk(u + c, nxt, [m for m in (rel.advance(a, c) for a in active)
-                                      if m])
-        if key is not None:
-            passed.add(key)
-
-    walk("", sum(1 << P[r] for r in set(roots2)), [])
+    walk = (rel, starts, {u[:k] for u in starts for k in range(len(u))},
+            sorted(atlas.model.alphabet), cov.depth_bound - 2, passed)
+    _certify_node(walk, "", sum(1 << P[r] for r in set(roots2)), [])
     cov.certified = True
+
+
+def _certify_node(walk, u, mask, active):
+    """The node u of ``_certify``'s walk and the nodes below it; ``walk``
+    holds the relation, the slot start masks by prefix, the prefixes still
+    to enter a slot, the letters, the leaf depth and the memo."""
+    rel, starts, pending, letters, leaf, passed = walk
+    active = sorted(active + starts.get(u, []))
+    key = None if u in pending else (mask, tuple(active), leaf - len(u))
+    if key in passed:
+        return
+    if len(u) == leaf:
+        bad = mask & ~_covered_once(active)
+        if bad:
+            P = rel.pair_index
+            w = min(u + fg for fg in rel.pairs_of(bad))
+            hits = sum(m >> P[w[-2:]] & 1 for m in active)
+            raise AssumptionError(
+                f"covering certificate failed: {w} lies in {hits} slot cones")
+    else:
+        for c in letters:
+            nxt = rel.advance(mask, c)
+            if nxt:
+                _certify_node(walk, u + c, nxt, [
+                    m for m in (rel.advance(a, c) for a in active) if m])
+    if key is not None:
+        passed.add(key)
 
 
 def _covered_once(masks):

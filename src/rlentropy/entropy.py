@@ -30,15 +30,6 @@ SPAN_CHUNK = 512      # marginal check: basis words extended at a time
 
 # -- the hidden chain, on its table rows ---------------------------------------
 
-def _suffix_mass(chain, cls):
-    """Stationary mass of the class's states, summed per two-letter suffix."""
-    mass = {}
-    for i, m in zip(cls.state_ids, cls.nu0.tolist()):
-        sfx = chain.states[i][-2:]
-        mass[sfx] = mass.get(sfx, 0.0) + m
-    return mass
-
-
 @dataclass
 class StepTable:
     """One step of a chain over table rows: the entries (symbol id, target
@@ -136,12 +127,11 @@ class HiddenChain:
     entry into the word y fills the slot ``slot_of[(i, y)]``: it emits the
     hidden symbol (i, slot type, local index) and moves to the row of y's
     suffix.  ``step`` holds these entries and ``symbols[k]`` is the symbol
-    with id k.  ``nu`` is the class's stationary law and ``mu1`` its part of
-    the first-state law (not normalised), both summed per row."""
+    with id k.  ``nu`` is the class's stationary law on its rows and ``mu1``
+    its part of the first-state law (not normalised), summed per row."""
 
     def __init__(self, chain, cls):
-        mass = _suffix_mass(chain, cls)
-        self.states = list(mass)
+        self.states = cls.rows
         row_id = {sfx: r for r, sfx in enumerate(self.states)}
         rows = [chain.suffix_rows[sfx] for sfx in self.states]
         sym_id, sym, tgt = {}, [], []
@@ -155,12 +145,11 @@ class HiddenChain:
                               np.array(sym), np.array(tgt),
                               np.concatenate([r.probs for r in rows]))
         self.symbols = list(sym_id)
-        self.nu = np.array(list(mass.values()))
-        words = {chain.states[i] for i in cls.state_ids}
+        self.nu = cls.pi
         self.mu1 = np.zeros(len(self.states))
-        for (t, y), m in chain.mu1_w.items():
-            if t in cls.types and y in words:
-                self.mu1[row_id[y[-2:]]] += m
+        for (t, sfx), m in chain.mu1.items():
+            if t in cls.types and sfx in row_id:
+                self.mu1[row_id[sfx]] += m
 
 
 # -- sandwich bounds -----------------------------------------------------------
@@ -323,7 +312,7 @@ def unambiguous_exact(chain, cls):
         raise AssumptionError("regeneration sum does not telescope: a type "
                               "has several boundary suffixes")
     hy = 0.0
-    for sfx, m in _suffix_mass(chain, cls).items():
+    for sfx, m in zip(cls.rows, cls.pi.tolist()):
         p = chain.suffix_rows[sfx].probs
         hy -= m * float(np.sum(p * np.log(p)))
     return ExactEntropy(hy, 0.0, boundaries[0][0], "telescoped")
@@ -359,11 +348,11 @@ def build_qhat(chain, cls):
                        if slot.local_index == 1
                        for w in atlas.boundary_words(slot)}
 
-    # per target state: covering, slot type and index, key (slot type,
-    # suffix), word and row
-    words = {chain.states[i] for i in cls.state_ids}
+    # per target state (a state of the class: its suffix is a class row):
+    # covering, slot type and index, key (slot type, suffix), word and row
+    row_id = {sfx: r for r, sfx in enumerate(hidden.states)}
     states = [(m, slot, w) for (m, w), slot in chain.slot_of.items()
-              if m in cls.types and w in words]
+              if m in cls.types and w[-2:] in row_id]
     source, slot_type, slot_index = np.array(
         [(m, slot.type_id, slot.local_index) for m, slot, _ in states]).T
     first = slot_index == 1
@@ -371,7 +360,6 @@ def build_qhat(chain, cls):
     key_id = {k: a for a, k in enumerate(keys)}
     key_of = np.array([key_id[(slot.type_id, w[-2:])]
                        for _, slot, w in states])
-    row_id = {sfx: r for r, sfx in enumerate(hidden.states)}
     row_of = np.array([row_id[w[-2:]] for _, _, w in states])
     word_id = {}
     word_of = np.array([word_id.setdefault(w, len(word_id))
@@ -402,7 +390,7 @@ def build_qhat(chain, cls):
         p = np.where(own, q[word_of], np.where(fold, q_bar, 0.0))
         p = np.where(split, p / (count[key_of] + 1), p)
         nz = np.flatnonzero(p > 0)
-        total = sum(p[nz].tolist())
+        total = math.fsum(p[nz].tolist())
         if abs(total - 1.0) > 1e-12:
             raise AssumptionError(f"modified row for suffix {sfx!r} sums to "
                                   f"{total!r}, not 1 +- 1e-12")

@@ -3,9 +3,11 @@ measures, the mean level gain and the rate of escape.
 
 States are the relative increment words between consecutive final entries
 into nested covering subcones.  Transition rows depend on a state only
-through its two-letter suffix, so rows are computed once per suffix; the
-law of the first increment reuses them, weighted by the final-entry
-probabilities of the root-covering words.
+through its two-letter suffix, so rows are computed once per suffix and
+every measure lives on the suffix rows: the law of the first increment
+(the root-covering words' rows, weighted by their final-entry
+probabilities, summed per target suffix) and each essential class's
+stationary law.
 """
 from __future__ import annotations
 
@@ -87,20 +89,18 @@ class SuffixRow:
     suffix: str
     targets: list          # target words, sorted
     probs: np.ndarray
-    times: np.ndarray | None   # expected step counts per target, or None
+    expected_time: float | None    # expected step count, or None
     renormalized: float = 0.0
-
-    @property
-    def expected_time(self):
-        return float(self.times.sum()) if self.times is not None else None
 
 
 @dataclass
 class EssentialClass:
+    """A closed class of the suffix process; its states are the targets of
+    its rows."""
     index: int
-    state_ids: list
+    rows: list                   # suffixes, sorted
+    pi: np.ndarray               # stationary law on the rows
     weight: float
-    nu0: np.ndarray
     lambda_: float
     expected_time: float | None
     ell: float | None
@@ -113,17 +113,14 @@ class EntryChain:
     gf: object
     atlas: object
     states: list                 # increment words, sorted
-    state_index: dict
-    state_type: list             # type id of each state's suffix
     suffix_rows: dict            # suffix -> SuffixRow
     slot_of: dict                # (owner type id, word) -> slot
-    entry_mass: dict             # two-letter word -> final-entry probability
-    mu0: np.ndarray              # law of the first increment
+    # law of the first increment per (root type, suffix of the increment)
+    mu1: dict = field(default_factory=dict)
     classes: list = field(default_factory=list)
     lambda_: float = 0.0
     expected_time: float | None = None
     ell: float | None = None
-    nu0: np.ndarray | None = None    # stationary mix weighted over classes
 
 
 def enumerate_W0(atlas, gf):
@@ -144,7 +141,7 @@ def enumerate_W0(atlas, gf):
 def _suffix_row(gf, ab, slot_words, with_deriv):
     targets, xi, vals, dvals = _entries(gf, ab, slot_words, with_deriv)
     probs = xi / gf.xi[ab] * vals
-    times = xi / gf.xi[ab] * dvals if with_deriv else None
+    time = float((xi / gf.xi[ab] * dvals).sum()) if with_deriv else None
     total = probs.sum()
     defect = abs(total - 1.0)
     if defect >= ROW_ABORT:
@@ -156,25 +153,17 @@ def _suffix_row(gf, ab, slot_words, with_deriv):
         log.info("renormalizing row %s with defect %.3e", ab, defect)
         probs = probs / total
         renorm = defect
-    return SuffixRow(ab, targets, probs, times, renorm)
+    return SuffixRow(ab, targets, probs, time, renorm)
 
 
 def build_chain(model, gf, atlas):
     """Assemble the last-entry chain: states, rows, classes, measures, drift."""
     states, slot_of = enumerate_W0(atlas, gf)
-    state_index = {w: i for i, w in enumerate(states)}
-    state_type = [atlas.type_of[w[-2:]] for w in states]
-    with_deriv = gf.has_derivs
-
-    suffix_rows = {}
     slot_words = _slot_words(slot_of)
-    for ab in sorted({w[-2:] for w in states}):
-        suffix_rows[ab] = _suffix_row(
-            gf, ab, slot_words.get(atlas.type_of[ab], []), with_deriv)
-
-    chain = EntryChain(model, gf, atlas, states, state_index, state_type,
-                       suffix_rows, slot_of, entry_mass={}, mu0=None)
-
+    suffix_rows = {ab: _suffix_row(gf, ab, slot_words.get(atlas.type_of[ab], []),
+                                   gf.has_derivs)
+                   for ab in sorted({w[-2:] for w in states})}
+    chain = EntryChain(model, gf, atlas, states, suffix_rows, slot_of)
     _initial_distribution(chain)
     _decompose(chain)
     return chain
@@ -195,8 +184,8 @@ def _initial_distribution(chain):
     The first increment y after the entry into the root word w0 has mass
     entry(w0) xi(w0) q(w0, y): the suffix row of w0 times its final-entry
     probability.  A root word that no state ends in gets its row here.
-    ``mu1_w`` keeps the same mass per enriched first state: the covering
-    entered, the root word's type t, with the word y, keyed (t, y)."""
+    ``mu1`` sums this mass per enriched first row: the root word's type t
+    (the covering entered) and the suffix cd of y, keyed (t, cd)."""
     gf, atlas, model = chain.gf, chain.atlas, chain.model
     gs = gf.green_short
     entry = {}
@@ -213,10 +202,8 @@ def _initial_distribution(chain):
         raise AssumptionError(
             f"final-entry masses sum to {total!r}; Green/escape tables "
             "are inconsistent")
-    chain.entry_mass = {w: entry[w] * gf.xi[w[-2:]] / total for w in entry}
 
-    mu0 = np.zeros(len(chain.states))
-    mu1_w = {}
+    mu1 = {}
     for slot in atlas.root_covering.slots:
         t = slot.type_id
         for w0 in atlas.boundary_words(slot):
@@ -225,45 +212,45 @@ def _initial_distribution(chain):
             row = chain.suffix_rows.get(w0) or _suffix_row(
                 gf, w0, _slot_words(chain.slot_of).get(t, []), False)
             mass = entry[w0] / total * gf.xi[w0] * row.probs
-            np.add.at(mu0, [chain.state_index[y] for y in row.targets], mass)
             for y, m in zip(row.targets, mass.tolist()):
-                mu1_w[t, y] = mu1_w.get((t, y), 0.0) + m
-    s = mu0.sum()
+                mu1[t, y[-2:]] = mu1.get((t, y[-2:]), 0.0) + m
+    s = math.fsum(mu1.values())
     if abs(s - 1.0) > 1e-6:
         raise AssumptionError(f"first-increment law sums to {s!r}")
-    chain.mu0 = mu0 / s
-    chain.mu1_w = {k: v / s for k, v in mu1_w.items()}
+    chain.mu1 = {k: v / s for k, v in mu1.items()}
 
 
 def _decompose(chain):
-    """Essential classes, absorption weights and stationary quantities,
-    computed on the suffix quotient and lifted to the states.
+    """Essential classes, absorption weights and stationary quantities, all
+    on the suffix rows.
 
     Rows depend on a state only through its suffix, so the suffix process
     is itself a Markov chain (strong lumpability, Kemeny & Snell, Finite
     Markov Chains, 6.3) with S[ab, cd] the q-mass of row ab on targets
-    ending in cd.  A closed class E of S gives the essential state class
-    made of the targets of its rows; absorption into E from the suffix law
-    of mu0 gives the class weight, and the stationary law pi of S on E lifts
-    in one push, nu(y) = sum_ab pi(ab) q(ab, y).
+    ending in cd.  A closed class E of S is an essential class, made of
+    the targets of its rows.  Absorption into E from the first-increment
+    law summed per row gives the class weight; the stationary law pi of S
+    on E weighs each row's mean increment into lambda and its expected
+    time into T.
     """
-    n = len(chain.states)
     sfx = sorted(chain.suffix_rows)
     k = {s: a for a, s in enumerate(sfx)}
     rows = [chain.suffix_rows[s] for s in sfx]
-    cols = [np.array([chain.state_index[y] for y in r.targets], dtype=int)
-            for r in rows]
-    state_sfx = np.array([k[w[-2:]] for w in chain.states], dtype=int)
     S = np.zeros((len(sfx), len(sfx)))
-    for a, (r, c) in enumerate(zip(rows, cols)):
-        np.add.at(S[a], state_sfx[c], r.probs)
+    gain = np.empty(len(sfx))            # mean increment per row
+    for a, r in enumerate(rows):
+        np.add.at(S[a], [k[y[-2:]] for y in r.targets], r.probs)
+        gain[a] = (r.probs @ np.array([len(y) - 2 for y in r.targets], float)
+                   / r.probs.sum())      # rows are stochastic up to ROW_RENORM
     ncomp, labels = strong_components(S > 0)
     has_exit = np.zeros(ncomp, dtype=bool)
     has_exit[labels[((S > 0) & (labels[:, None] != labels)).any(axis=1)]] = True
     essential = [c for c in range(ncomp) if not has_exit[c]]
 
-    # absorption probabilities from the suffix law of mu0
-    m0 = np.bincount(state_sfx, weights=chain.mu0, minlength=len(sfx))
+    # absorption probabilities from the first-increment law per row
+    m0 = np.zeros(len(sfx))
+    for (_, cd), m in chain.mu1.items():
+        m0[k[cd]] += m
     trans = np.flatnonzero(has_exit[labels])
     weights = {c: float(m0[labels == c].sum()) for c in essential}
     if len(trans):
@@ -275,28 +262,20 @@ def _decompose(chain):
     if abs(wsum - 1.0) > 1e-9:
         raise AssumptionError(f"absorption weights sum to {wsum!r}")
 
-    increments = np.array([len(w) - 2 for w in chain.states], dtype=float)
     time_ok = all(r.expected_time is not None for r in rows)
-    if time_ok:
-        times = np.array([r.expected_time for r in rows])[state_sfx]
-    classes = []
-    for c in essential:
-        E = np.flatnonzero(labels == c)
-        classes.append((unique(np.concatenate([cols[a] for a in E])), c, E))
-    classes.sort(key=lambda t: t[0][0])
-    chain.classes, chain.nu0 = [], np.zeros(n)
-    for idx, (ids, c, E) in enumerate(classes):
-        nu = np.zeros(n)
-        for a, p in zip(E, stationary(S[np.ix_(E, E)])):
-            nu[cols[a]] += p * rows[a].probs
-        nu = nu[ids] / nu.sum()    # rows are stochastic up to ROW_RENORM
-        lam = float(nu @ increments[ids])
-        T = float(nu @ times[ids]) if time_ok else None
+    times = np.array([r.expected_time for r in rows]) if time_ok else None
+    # classes in the order of their least state word
+    classes = sorted((np.flatnonzero(labels == c) for c in essential),
+                     key=lambda E: min(rows[a].targets[0] for a in E))
+    chain.classes = []
+    for idx, E in enumerate(classes):
+        pi = stationary(S[np.ix_(E, E)])
+        lam = float(pi @ gain[E])
+        T = float(pi @ times[E]) if time_ok else None
         chain.classes.append(EssentialClass(
-            idx, ids.tolist(), weights[c], nu, lam, T,
+            idx, [sfx[a] for a in E], pi, weights[labels[E[0]]], lam, T,
             lam / T if time_ok else None,
-            frozenset(chain.state_type[i] for i in ids)))
-        chain.nu0[ids] += weights[c] * nu
+            frozenset(chain.atlas.type_of[sfx[a]] for a in E)))
     chain.lambda_ = sum(c.weight * c.lambda_ for c in chain.classes)
     chain.ell = sum(c.weight * c.ell for c in chain.classes) if time_ok else None
     chain.expected_time = (chain.lambda_ / chain.ell

@@ -10,7 +10,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from rlentropy.entropy import StepTable, _suffix_mass
+from chain_oracle import dense_decomposition, folded, initial_law
+from rlentropy.entropy import StepTable
 
 
 class WState(NamedTuple):
@@ -56,9 +57,13 @@ def step_table(hidden, state_rows, sym_id):
 def hidden_chain(chain, cls):
     """(states, symbols, step table, nu, first-state law) of the class's
     hidden chain over its enriched states; the first-state law is the
-    class's part, not normalised."""
+    class's part, not normalised.  The class's states and stationary law
+    come from the state-level solve of ``dense_decomposition``, nu is that
+    law pushed one step onto the enriched states, and the first-state law
+    is ``initial_law``'s."""
     atlas = chain.atlas
-    class_words = {chain.states[i] for i in cls.state_ids}
+    ids, _, state_nu, _, _ = dense_decomposition(chain)[cls.index]
+    class_words = {chain.states[i] for i in ids}
     states, index = [], {}
     for m in sorted(cls.types):
         for slot in atlas.coverings[m].slots:
@@ -79,11 +84,11 @@ def hidden_chain(chain, cls):
     step = step_table(hidden, [targets[st.word[-2:]] for st in states],
                       sym_id)
     nu = np.zeros(len(states))
-    for sfx, mass in _suffix_mass(chain, cls).items():
+    for sfx, mass in folded(chain, ids, state_nu).items():
         k, p = zip(*targets[sfx])
         np.add.at(nu, list(k), mass * np.array(p))
     mu1 = np.zeros(len(states))
-    for (m, word), mass in chain.mu1_w.items():
+    for (m, word), mass in initial_law(chain)[1].items():
         slot = chain.slot_of[(m, word)]
         st = WState(m, slot.type_id, slot.local_index, word)
         if st in index:

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from rlentropy.entropy import ExactEntropy, _suffix_mass
+from chain_oracle import dense_decomposition, folded
+from rlentropy.entropy import ExactEntropy
 from rlentropy.model import AssumptionError
 
 
@@ -14,7 +15,8 @@ def regeneration_mc(chain, cls, samples=50_000, seed=29):
     single-boundary suffix ``ab`` and averages the negative log of the
     coarsened block weight, a forward vector over the boundary mates of
     each step's target (the class words sharing its frozen part and ending
-    in a boundary suffix of its type).  The value is nu(ab) times the mean;
+    in a boundary suffix of its type).  The value is nu(ab) times the mean,
+    with the class's words and nu from the state-level solve;
     ``truncation_bound`` is three standard errors."""
     atlas = chain.atlas
     boundaries = [atlas.types[t].boundary_suffixes for t in sorted(cls.types)]
@@ -22,8 +24,9 @@ def regeneration_mc(chain, cls, samples=50_000, seed=29):
     if not single:
         raise AssumptionError("no single-boundary cone type in this class")
     ab = single[0]
-    nu_ab = _suffix_mass(chain, cls).get(ab, 0.0)
-    class_words = {chain.states[i] for i in cls.state_ids}
+    ids, _, nu, _, _ = dense_decomposition(chain)[cls.index]
+    nu_ab = folded(chain, ids, nu).get(ab, 0.0)
+    class_words = {chain.states[i] for i in ids}
     row_maps = {s: dict(zip(r.targets, map(float, r.probs)))
                 for s, r in chain.suffix_rows.items()}
     rows = {s: (r.targets, np.asarray(r.probs, dtype=float) / r.probs.sum())

@@ -21,7 +21,7 @@ from rlentropy.cones import cones_disjoint, _cone_level_words
 from conftest import fixture_path, get_analysis, get_atlas, get_chain, \
     get_gf, get_model
 from test_cones import brute_cone_members
-from chain_oracle import q_matrix, stationary_power
+from chain_oracle import lifted, q_matrix, stationary_power
 
 LN3 = math.log(3)
 LN2 = math.log(2)
@@ -190,8 +190,11 @@ def test_criterion_8_structural_suite():
             checks.append(abs(row.probs.sum() - 1.0) <= 1e-10)
         q = q_matrix(chain).toarray()
         for cls in chain.classes:
-            sub = q[np.ix_(cls.state_ids, cls.state_ids)]
-            checks.append(np.max(np.abs(cls.nu0 @ sub - cls.nu0)) < 1e-10)
+            # pi on the class rows, lifted to the class's states
+            nu = lifted(chain, cls)
+            ids = np.flatnonzero(nu)
+            sub = q[np.ix_(ids, ids)]
+            checks.append(np.max(np.abs(nu[ids] @ sub - nu[ids])) < 1e-10)
             checks.append(np.max(np.abs(stationary(sub) -
                                         stationary_power(sub))) < 1e-9)
     # nested-or-disjoint on 200 random pairs per fixture, depth-6 exhaustive

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 
 import numpy as np
@@ -354,6 +355,22 @@ def test_shared_certificate_memo_keeps_failures(name):
         assert "covering certificate failed" in errors[0]
         assert not bad.certified
     assert any(key in filled for key in passed.found)
+
+
+@pytest.mark.parametrize("name", ["fg2", "glued"])
+def test_analysis_leaves_no_reference_cycles(name):
+    # everything an analysis allocates is freed by reference counting: the
+    # certificate walk is a plain recursion, not a closure over itself
+    from rlentropy import pipeline
+    model = get_model(name)
+    pipeline.analyze(model)            # the tables are cached on the model
+    gc.collect()
+    gc.disable()
+    try:
+        pipeline.analyze(model)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_reach22_symmetric_under_weak_symmetry():

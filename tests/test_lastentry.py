@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -7,8 +8,8 @@ import pytest
 import rlentropy as rle
 from rlentropy.lastentry import _entries, enumerate_W0, mathL, stationary
 
-from chain_oracle import (dense_decomposition, initial_law, q_matrix,
-                          stationary_power)
+from chain_oracle import (dense_decomposition, folded, initial_law, lifted,
+                          q_matrix, stationary_power)
 from contraction_oracle import UnnormalizedContraction
 from conftest import (free_group_text, free_product_text, get_atlas,
                       get_chain, get_gf, get_model)
@@ -119,8 +120,9 @@ def test_q_support_condition():
 
 
 def test_stationary_ne():
-    chain = get_chain("ne")
-    assert chain.nu0 == pytest.approx([0.5, 0.5], abs=1e-12)
+    cls, = get_chain("ne").classes
+    assert cls.rows == ["ab", "ba"]
+    assert cls.pi == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def test_stationary_doubly_stochastic_uniform():
@@ -153,11 +155,12 @@ def test_fg2_nu0_constant_on_relabeling_orbits():
         return "".join(mapping[ch] for ch in word)
 
     # the letter swap (a A)<->(b B) preserves the rule table, so the
-    # stationary mass is constant on its orbits
-    idx = chain.state_index
+    # stationary mass, lifted from the rows to the states, is constant on
+    # its orbits
+    cls, = chain.classes
+    nu = dict(zip(chain.states, lifted(chain, cls)))
     for w in chain.states:
-        assert chain.nu0[idx[w]] == pytest.approx(
-            chain.nu0[idx[relabel(w)]], abs=1e-12)
+        assert nu[w] == pytest.approx(nu[relabel(w)], abs=1e-12)
 
 
 def test_lambda_values():
@@ -207,9 +210,11 @@ def test_glued_per_class_drift():
 def test_entry_and_initial_masses_normalized():
     for name in ("ne", "fg2", "glued", "multi"):
         chain = get_chain(name)
-        assert sum(chain.entry_mass.values()) == pytest.approx(1.0, abs=1e-9)
-        assert chain.mu0.sum() == pytest.approx(1.0, abs=1e-12)
-        assert sum(chain.mu1_w.values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(chain.mu1.values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(c.weight for c in chain.classes) == pytest.approx(
+            1.0, abs=1e-12)
+        for cls in chain.classes:
+            assert cls.pi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expected_time_and_ell_relation():
@@ -221,46 +226,65 @@ def test_expected_time_and_ell_relation():
         assert chain.lambda_ > 0
 
 
+# chains built from generated text, beside the conftest models
+GENERATED = {"F3": (free_group_text, 3), "z2z3z4": (free_product_text,
+                                                    (2, 3, 4))}
+
+
+@functools.lru_cache(maxsize=None)
+def _chain(name):
+    if name not in GENERATED:
+        return get_chain(name)
+    from rlentropy import pipeline
+    make, arg = GENERATED[name]
+    return pipeline.analyze(rle.parse_model(make(arg))).chain
+
+
 @pytest.mark.parametrize("name", ["fg2", "t3", "ne", "multi", "twotype",
-                                  "glued"])
+                                  "glued", "mixed", *GENERATED])
 def test_suffix_quotient_matches_dense_solve(name):
-    _assert_matches_dense(get_chain(name))
+    _assert_matches_dense(_chain(name))
 
 
-def _assert_matches_dense(chain):
-    dense = dense_decomposition(chain)
+def _assert_matches_dense(chain, mu0=None):
+    """The classes on the suffix rows against the state-level solve: the
+    rows are the suffixes of the class's states, and pi is the stationary
+    law folded per suffix."""
+    dense = dense_decomposition(chain, mu0)
     assert len(chain.classes) == len(dense)
     for cls, (ids, weight, nu, lam, T) in zip(chain.classes, dense):
-        assert cls.state_ids == ids
+        pi = folded(chain, ids, nu)
+        assert cls.rows == sorted(pi)
         assert abs(cls.weight - weight) <= 1e-12
-        assert np.max(np.abs(cls.nu0 - nu)) <= 1e-12
+        assert max(abs(p - pi[ab]) for ab, p in zip(cls.rows, cls.pi)) <= 1e-12
         assert abs(cls.lambda_ - lam) <= 1e-12
         assert abs(cls.expected_time - T) <= 1e-12
 
 
 def test_suffix_quotient_with_transient_states():
     # suffix ab is transient; {cd, dc} and {ef} are closed; state zcd has an
-    # essential suffix but no state reaches it
+    # essential suffix but no row reaches it, so it carries no mass
+    from types import SimpleNamespace
     from rlentropy.lastentry import EntryChain, SuffixRow, _decompose
     rows = {"ab": (["xab", "xcd", "xef"], [0.2, 0.3, 0.5]),
             "cd": (["xdc", "ycd"], [0.6, 0.4]),
             "dc": (["xcd", "ycd"], [0.7, 0.3]),
             "ef": (["xef", "yef"], [0.5, 0.5])}
-    suffix_rows = {s: SuffixRow(s, t, np.array(p), np.array(p) * (1 + len(s)))
+    suffix_rows = {s: SuffixRow(s, t, np.array(p), sum(p) * (1 + len(s)))
                    for s, (t, p) in rows.items()}
     states = ["xab", "xcd", "xdc", "xef", "ycd", "yef", "zcd"]
-    chain = EntryChain(None, None, None, states,
-                       {w: i for i, w in enumerate(states)}, [0] * 7,
-                       suffix_rows, {}, {},
-                       np.array([0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]))
+    mu0 = np.array([0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
+    mu1 = {}
+    for w, m in zip(states, mu0):
+        mu1[0, w[-2:]] = mu1.get((0, w[-2:]), 0.0) + m
+    chain = EntryChain(None, None, SimpleNamespace(type_of=dict.fromkeys(
+        rows, 0)), states, suffix_rows, {}, mu1)
     _decompose(chain)
-    assert [c.state_ids for c in chain.classes] == [[1, 2, 4], [3, 5]]
-    _assert_matches_dense(chain)
-
-
-# chains built from generated text, beside the conftest models
-GENERATED = {"F3": (free_group_text, 3), "z2z3z4": (free_product_text,
-                                                    (2, 3, 4))}
+    assert [c.rows for c in chain.classes] == [["cd", "dc"], ["ef"]]
+    support = [np.flatnonzero(lifted(chain, c)).tolist()
+               for c in chain.classes]
+    assert support == [[1, 2, 4], [3, 5]]
+    _assert_matches_dense(chain, mu0)
 
 
 @pytest.mark.parametrize("name", ["fg2", "fg2_biased", "t3", "ne", "glued",
@@ -268,16 +292,12 @@ GENERATED = {"F3": (free_group_text, 3), "z2z3z4": (free_product_text,
 def test_initial_law_matches_recontraction(name):
     """The first-increment law read from the suffix rows agrees with the
     one contracted afresh from every root-covering word."""
-    from rlentropy import pipeline
-    if name in GENERATED:
-        make, arg = GENERATED[name]
-        chain = pipeline.analyze(rle.parse_model(make(arg))).chain
-    else:
-        chain = get_chain(name)
-    mu0, mu1_w = initial_law(chain)
-    assert np.max(np.abs(chain.mu0 - mu0)) <= 1e-15
-    assert list(chain.mu1_w) == list(mu1_w)
-    assert max(abs(chain.mu1_w[k] - v) for k, v in mu1_w.items()) <= 1e-15
+    chain = _chain(name)
+    want = {}
+    for (t, y), m in initial_law(chain)[1].items():
+        want[t, y[-2:]] = want.get((t, y[-2:]), 0.0) + m
+    assert list(chain.mu1) == list(want)
+    assert max(abs(chain.mu1[k] - v) for k, v in want.items()) <= 1e-15
 
 
 def test_initial_law_builds_missing_root_rows():
@@ -293,5 +313,4 @@ def test_initial_law_builds_missing_root_rows():
                         if ab not in root}
     assert len(bare.suffix_rows) < len(chain.suffix_rows)
     _initial_distribution(bare)
-    assert np.array_equal(bare.mu0, chain.mu0)
-    assert bare.mu1_w == chain.mu1_w
+    assert bare.mu1 == chain.mu1
