@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +43,6 @@ class ReachRelation:
     """
 
     def __init__(self, model):
-        self.model = model
         A = model.alphabet
         if len(A) ** 2 > MAX_PAIRS:
             raise AssumptionError(f"{len(A) ** 2} letter pairs exceed the "
@@ -130,15 +131,8 @@ class ReachRelation:
                 self._advance[key] |= self.up_step[i].get(letter, 0)
         return self._advance[key]
 
-    # string-keyed accessors
-    def h_supported(self, pair, letter):
-        return bool(self.supp_h[self.pair_index[pair], self.letter_index[letter]])
-
     def reaches_ge2(self, p, q):
         return bool(self.reach_ge2[self.pair_index[p], self.pair_index[q]])
-
-    def supp_gbar(self, p, q):
-        return bool(self.reach22[self.pair_index[p], self.pair_index[q]])
 
 
 def _bits(mask):
@@ -235,37 +229,6 @@ def reachable_sets(model):
     return model._reachable_sets
 
 
-# -- cone membership ---------------------------------------------------------
-
-def tail_reachable(rel, pair, tail):
-    """Is the relative word ``tail`` (len >= 2) reachable from 2-letter root
-    ``pair`` through words of relative length >= 2?"""
-    mask = rel.closure[rel.pair_index[pair]]
-    for ch in tail[:-2]:
-        mask = rel.advance(mask, ch)
-        if not mask:
-            return False
-    return bool(mask >> rel.pair_index[tail[-2:]] & 1)
-
-
-def in_cone(rel, root, word):
-    """Membership of ``word`` in the cone rooted at ``root`` (same frame)."""
-    if len(word) < len(root):
-        return False
-    k = len(root) - 2
-    if word[:k] != root[:k]:
-        return False
-    return tail_reachable(rel, root[-2:], word[k:])
-
-
-def cones_disjoint(rel, w1, w2):
-    """Nested-or-disjoint dichotomy: disjoint iff the shorter root does not
-    contain the longer one (equal lengths: iff neither contains the other)."""
-    if len(w1) > len(w2):
-        w1, w2 = w2, w1
-    return not in_cone(rel, w1, w2)
-
-
 # -- cone types --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -277,8 +240,7 @@ class ConeType:
     unambiguous: bool
 
 
-@dataclass(frozen=True)
-class SubconeSlot:
+class SubconeSlot(NamedTuple):
     root: str          # relative word, len >= 3 (len 2 in the root covering)
     type_id: int
     local_index: int   # 1-based index among same-type slots of the covering
@@ -417,13 +379,11 @@ def build_atlas(model, order_key=None, level_bump=0):
 
 def _make_slots(atlas, roots, key):
     roots = sorted(roots, key=key)
-    counts = {}
-    slots = []
-    for root in roots:
-        t = atlas.type_of[root[-2:]]
-        counts[t] = counts.get(t, 0) + 1
-        slots.append(SubconeSlot(root, t, counts[t]))
-    return slots
+    types = [atlas.type_of[root[-2:]] for root in roots]
+    counters = {t: count(1) for t in set(types)}
+    # tuple.__new__ makes each slot without a Python-level constructor call
+    return list(map(tuple.__new__, repeat(SubconeSlot), zip(
+        roots, types, [next(counters[t]) for t in types])))
 
 
 # A type-level cut maps (depth, type id) to a number of leaves; depth 1

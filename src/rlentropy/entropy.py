@@ -20,7 +20,7 @@ import numpy as np
 from .model import AssumptionError
 from .cones import limit_words
 from .genfun import DEFAULT_TOL, RECURRENCE_XI_TOL
-from .lastentry import unique
+from .lastentry import first_seen, ranges, unique
 
 SANDWICH_BUDGET = 5_000_000
 INEQ_SLACK = 1e-9
@@ -39,12 +39,6 @@ class StepTable:
     sym: np.ndarray
     tgt: np.ndarray
     prob: np.ndarray
-
-
-def _ranges(starts, lens):
-    """starts[i], ..., starts[i] + lens[i] - 1 for each i, concatenated."""
-    return (np.repeat(starts - np.cumsum(lens) + lens, lens)
-            + np.arange(lens.sum()))
 
 
 @dataclass
@@ -76,9 +70,15 @@ class CSR:
         """The rows named by ``rows`` (positions, a mask or a slice)."""
         rows = np.arange(self.n_rows)[rows]
         lens = self.indptr[rows + 1] - self.indptr[rows]
-        pos = _ranges(self.indptr[rows], lens)
+        pos = ranges(self.indptr[rows], lens)
         return CSR(np.r_[0, np.cumsum(lens)], self.indices[pos],
                    self.data[pos], self.n_cols)
+
+    def dense(self):
+        """The rows as a dense array."""
+        out = np.zeros((self.n_rows, self.n_cols))
+        out[self.row_ids(), self.indices] = self.data
+        return out
 
     def sums(self, weights=None):
         """Each row's sum, its entries weighted by ``weights`` at their
@@ -104,7 +104,7 @@ def _extend(frontier, step):
     n_sym = int(step.sym.max()) + 1
     row = frontier.indices
     lens = step.start[row + 1] - step.start[row]
-    entry = _ranges(step.start[row], lens)
+    entry = ranges(step.start[row], lens)
     val = np.repeat(frontier.data, lens) * step.prob[entry]
     keep = val != 0                   # products that underflowed
     entry = entry[keep]
@@ -124,27 +124,33 @@ class HiddenChain:
     """The enriched last-entry chain of one essential class, on its table
     rows: ``states`` lists the class's two-letter suffixes, one row each.
     The row of a suffix of type i enters the covering of type i, so its
-    entry into the word y fills the slot ``slot_of[(i, y)]``: it emits the
+    entry into a word y of type i's slot table fills y's slot: it emits the
     hidden symbol (i, slot type, local index) and moves to the row of y's
     suffix.  ``step`` holds these entries and ``symbols[k]`` is the symbol
-    with id k.  ``nu`` is the class's stationary law on its rows and ``mu1``
-    its part of the first-state law (not normalised), summed per row."""
+    with id k (in order of first emission).  ``nu`` is the class's
+    stationary law on its rows and ``mu1`` its part of the first-state law
+    (not normalised), summed per row."""
 
     def __init__(self, chain, cls):
         self.states = cls.rows
         row_id = {sfx: r for r, sfx in enumerate(self.states)}
         rows = [chain.suffix_rows[sfx] for sfx in self.states]
-        sym_id, sym, tgt = {}, [], []
-        for sfx, row in zip(self.states, rows):
-            i = chain.atlas.type_of[sfx]
-            slots = [chain.slot_of[i, y] for y in row.targets]
-            sym += [sym_id.setdefault((i, s.type_id, s.local_index),
-                                      len(sym_id)) for s in slots]
-            tgt += [row_id[y[-2:]] for y in row.targets]
-        self.step = StepTable(np.cumsum([0] + [len(r.targets) for r in rows]),
-                              np.array(sym), np.array(tgt),
+        atlas, index = chain.atlas, chain.gf.gbar.index
+        row_of = np.zeros(len(index), dtype=np.intp)     # suffix id -> row
+        row_of[[index[sfx] for sfx in self.states]] = np.arange(len(rows))
+        n_t = len(atlas.types)
+        n_k = 1 + max(int(r.table.local.max(initial=0)) for r in rows)
+        code, tgt = zip(*[
+            ((atlas.type_of[sfx] * n_t + r.table.slot_type[r.at]) * n_k
+             + r.table.local[r.at], row_of[r.table.sfx[r.at]])
+            for sfx, r in zip(self.states, rows)])
+        code = np.concatenate(code)
+        first, sym = first_seen(code)
+        self.step = StepTable(np.cumsum([0] + [len(r.at) for r in rows]),
+                              sym, np.concatenate(tgt),
                               np.concatenate([r.probs for r in rows]))
-        self.symbols = list(sym_id)
+        self.symbols = list(zip(*(c.tolist() for c in np.unravel_index(
+            code[first], (n_t, n_t, n_k)))))
         self.nu = cls.pi
         self.mu1 = np.zeros(len(self.states))
         for (t, sfx), m in chain.mu1.items():
@@ -193,30 +199,47 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
     entry_row = np.repeat(np.arange(n_rows), np.diff(step.start))
     n_symbols = np.bincount(unique(entry_row * n_sym + step.sym) // n_sym,
                             minlength=n_rows)
-    ids, h, edges, spent = {}, {}, [], 0  # belief bytes -> id, id -> entropy
+    # a belief's code is its column if it is a unit vector, else n_rows plus
+    # its number in ``keys`` (by its bytes); ``ids`` maps codes to ids
+    keys, ids, beliefs, h, edges, spent = {}, {}, [], {}, [], 0
+
+    def ids_of(rows):
+        """The belief ids of the rows of the CSR ``rows``, new ones numbered
+        in the order they first appear."""
+        code = rows.indices[rows.indptr[:-1]]
+        multi = np.flatnonzero(np.diff(rows.indptr) > 1)
+        code[multi] = n_rows + np.array([keys.setdefault(
+            v.tobytes(), len(keys)) for v in rows.take(multi).dense()],
+            dtype=np.int64)
+        first, inv = first_seen(code)
+        n = len(ids)
+        found = np.array([ids.setdefault(c, len(ids))
+                          for c in code[first].tolist()], dtype=np.int64)
+        beliefs.extend(rows.take(first[found >= n]).dense())
+        return found[inv]
 
     def expand(new):
         """Record the next-symbol entropy and the out-edges of ``new``."""
         nonlocal spent
-        dense = np.array([np.frombuffer(k) for k in ids])[new]
+        dense = np.array([beliefs[b] for b in new.tolist()]).reshape(-1, n_rows)
         r, c = np.nonzero(dense)
         spent += int(n_symbols[c].sum())
         succ, _, parent = _extend(CSR(np.searchsorted(r, np.arange(
             len(new) + 1)), c, dense[r, c], n_rows), step)
-        q, at = succ.sums(), succ.row_ids()
-        child = np.zeros((succ.n_rows, n_rows))
-        child[at, succ.indices] = succ.data / q[at]
-        edges.append((new[parent], np.array([ids.setdefault(
-            v.tobytes(), len(ids)) for v in child], dtype=np.int64), q))
+        q = succ.sums()
+        succ.data = succ.data / q[succ.row_ids()]
+        edges.append((new[parent], ids_of(succ), q))
         h.update(zip(new.tolist(), -np.bincount(parent, q * np.log(q))))
 
     # the upper side starts from nu's belief, expanded once; the lower one
     # from each table row's unit belief, weighted by nu's mass on that row
     mass = hidden.nu
     live = np.flatnonzero(mass)
-    low = [ids.setdefault(v.tobytes(), len(ids)) for v in np.eye(n_rows)[live]]
-    expand(np.array([ids.setdefault((mass / mass.sum()).tobytes(), len(ids))]))
-    w = np.array([np.bincount(edges[0][1], mass.sum() * edges[0][2], len(ids)),
+    low = ids_of(CSR(np.arange(len(live) + 1), live, np.ones(len(live)),
+                     n_rows))
+    expand(ids_of(_row(mass / mass.sum())))
+    w = np.array([np.bincount(edges[0][1], mass.sum() * edges[0][2],
+                              len(ids)),
                   np.bincount(low, mass[live], len(ids))])
     uppers, lowers, n = [], [], 1
     while n < n_max:
@@ -336,58 +359,62 @@ def build_qhat(chain, cls):
     that of the local first slot of its type when it lies in a foreign
     covering, and whose target row is its word's suffix."""
     hidden = HiddenChain(chain, cls)
-    atlas = chain.atlas
+    atlas, tables, index = chain.atlas, chain.slot_tables, chain.gf.gbar.index
     class_types = sorted(cls.types)
 
     # slots of type j in the covering of type m, and in all coverings
     n_slots = Counter((m, slot.type_id) for m in class_types
                       for slot in atlas.coverings[m].slots)
     all_slots = Counter(j for _, j in n_slots.elements())
-    first_slot_word = {(m, slot.type_id, w[-2:]): w for m in class_types
-                       for slot in atlas.coverings[m].slots
-                       if slot.local_index == 1
-                       for w in atlas.boundary_words(slot)}
 
-    # per target state (a state of the class: its suffix is a class row):
-    # covering, slot type and index, key (slot type, suffix), word and row
-    row_id = {sfx: r for r, sfx in enumerate(hidden.states)}
-    states = [(m, slot, w) for (m, w), slot in chain.slot_of.items()
-              if m in cls.types and w[-2:] in row_id]
-    source, slot_type, slot_index = np.array(
-        [(m, slot.type_id, slot.local_index) for m, slot, _ in states]).T
+    # per target state (a state of the class: its suffix is a class row),
+    # in the order of the coverings' slots: its covering, position in that
+    # covering's slot table, slot type and index, key (slot type, suffix
+    # id) and row
+    n = len(index)
+    row_id = np.full(n, -1)
+    row_id[[index[sfx] for sfx in hidden.states]] = np.arange(len(
+        hidden.states))
+    at = []
+    for m in class_types:
+        a = tables[m].seq.argsort()
+        at.append((m, a[row_id[tables[m].sfx[a]] >= 0]))
+    source = np.concatenate([np.full(len(a), m) for m, a in at])
+    pos = np.concatenate([a for _, a in at])
+    slot_type, slot_index, suffix = (np.concatenate([
+        getattr(tables[m], col)[a] for m, a in at])
+        for col in ("slot_type", "local", "sfx"))
     first = slot_index == 1
-    keys = sorted({(slot.type_id, w[-2:]) for _, slot, w in states})
-    key_id = {k: a for a, k in enumerate(keys)}
-    key_of = np.array([key_id[(slot.type_id, w[-2:])]
-                       for _, slot, w in states])
-    row_of = np.array([row_id[w[-2:]] for _, _, w in states])
-    word_id = {}
-    word_of = np.array([word_id.setdefault(w, len(word_id))
-                        for _, _, w in states])
+    codes, key_of = unique(slot_type * n + suffix, return_inverse=True)
+    keys = [(k // n, chain.gf.gbar.rpairs[k % n]) for k in codes.tolist()]
+    row_of = row_id[suffix]
     fold_counts, entries = {}, []
     for sfx in hidden.states:
         i, row = atlas.type_of[sfx], chain.suffix_rows[sfx]
-        qrow = dict(zip(row.targets, map(float, row.probs)))
+        table = tables[i]
+        q = np.zeros(len(table.words) + 1)    # the last: no such word
+        q[row.at] = row.probs
         # a foreign target takes the mass of the local first slot with its
         # type and suffix; own first slots and foreign targets split their
         # mass with the type-j slots of the other coverings
-        ybar = [first_slot_word.get((i, j, ab)) for j, ab in keys]
+        ones = np.flatnonzero(table.local == 1)
+        ybar = dict(zip((table.slot_type * n + table.sfx)[ones].tolist(),
+                        ones.tolist()))
+        ybar = np.array([ybar.get(k, -1) for k in codes.tolist()])
         own_slots = np.array([n_slots[(i, j)] for j, _ in keys])
         count = np.array([all_slots[j] for j, _ in keys]) - own_slots
         own = source == i
         fold = ~own & (own_slots > 0)[key_of]
         split = fold | (own & first)
         for a in unique(key_of[fold]):
-            if ybar[a] is None:
+            if ybar[a] < 0:
                 raise AssumptionError(
                     "no first slot of type {} with boundary {} in the "
                     "covering of type {}".format(*keys[a], i))
         for a in unique(key_of[split]):
             fold_counts[(i, *keys[a])] = int(count[a])
-        q = np.zeros(len(word_id) + 1)    # the last: words of no state
-        q[[word_id.get(y, -1) for y in qrow]] = list(qrow.values())
-        q_bar = np.array([qrow.get(y, 0.0) for y in ybar])[key_of]
-        p = np.where(own, q[word_of], np.where(fold, q_bar, 0.0))
+        p = np.where(own, q[np.where(own, pos, -1)],
+                     np.where(fold, q[ybar][key_of], 0.0))
         p = np.where(split, p / (count[key_of] + 1), p)
         nz = np.flatnonzero(p > 0)
         total = math.fsum(p[nz].tolist())
@@ -465,7 +492,6 @@ def check_marginal_equality(chain, cls, modified, max_len=None):
         raise AssumptionError("first-state law has no mass in this class")
     start = np.r_[mu1, mu1] / mu1.sum()
     sign = np.repeat([1.0, -1.0], len(mu1))
-    n_rows = len(start)
     basis, frontier = start[None] / np.linalg.norm(start), _row(start)
     worst, depth = 0.0, 0
     while frontier.n_rows and (max_len is None or depth < max_len):
@@ -475,9 +501,7 @@ def check_marginal_equality(chain, cls, modified, max_len=None):
             succ, _, _ = _extend(frontier.take(slice(a, a + SPAN_CHUNK)), pair)
             diff = succ.sums(sign)                    # P(w) - P-hat(w)
             worst = max(worst, float(np.abs(diff).max(initial=0.0)))
-            dense = np.zeros((succ.n_rows, n_rows))
-            dense[succ.row_ids(), succ.indices] = succ.data
-            picks, basis = _grow_span(basis, dense)
+            picks, basis = _grow_span(basis, succ.dense())
             kept.append(succ.take(picks))
         frontier = CSR.stack(kept)
     return worst

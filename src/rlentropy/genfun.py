@@ -349,7 +349,6 @@ def _checked_inverse(lhs, name):
 
 @dataclass
 class GenFunTables:
-    model: object
     h: HTable
     xi: dict
     transient: bool
@@ -371,7 +370,7 @@ def solve_all(model, z=1.0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     h = solve_H(model, z=z, tol=tol, max_iter=max_iter, want_derivs=want_derivs)
     xi = compute_xi(model, h)
     transient = is_transient(xi, tol=xi_tol)
-    gf = GenFunTables(model, h, xi, transient, z=z)
+    gf = GenFunTables(h, xi, transient, z=z)
     if transient:
         gf.gbar = solve_Gbar(model, h, z=z)
         gf.lbar = compute_Lbar(model, gf.gbar, z=z)
@@ -404,11 +403,11 @@ def _push(alpha, dalpha, scale, m, md):
     one vector-matrix product per row and the sum runs along each row."""
     raw = np.matmul(alpha, m)
     s = np.add.reduce(raw, axis=-1)
-    s = s + (s == 0)
+    s += s == 0
     per_row = s[..., None]
     if dalpha is not None:
         dalpha = (np.matmul(dalpha, m) + np.matmul(alpha, md)) / per_row
-    return raw / per_row, dalpha, scale + np.log(s)
+    return np.divide(raw, per_row, out=raw), dalpha, scale + np.log(s)
 
 
 class LWordEvaluator:
@@ -417,7 +416,8 @@ class LWordEvaluator:
 
     The start row is the expansion's entry vector (last exit from level 1
     into each two-letter word), for L(o, w), or the unit vector of a suffix
-    ``start``, for last-entry values from any word ending in it.  The stack
+    ``start``, for last-entry values from any word ending in it (``model``
+    is read only for the expansion and for rows).  The stack
     holds one entry per frozen letter after the start: the normalized row,
     its z-derivative on the same scale (if ``with_deriv``) and the log of
     the scale, as the values decay exponentially in the word length.
@@ -505,9 +505,10 @@ class LWordEvaluator:
                                                      todo[r])
             events += [(d - keep[r], i, r) for d in save[r]]
         events.sort(reverse=True)
-        live = todo[order]
-        for level in range(1, letters.shape[1] + 1):
-            a = int(np.count_nonzero(live >= level))
+        # the rows still pushing at each level (todo descends along order)
+        live = np.searchsorted(-todo[order], -np.arange(1, letters.shape[1]
+                                                        + 1), side="right")
+        for level, a in enumerate(live.tolist(), start=1):
             alpha[:a], _, scale[:a] = _push(alpha[:a], None, scale[:a],
                                             self.Ms[letters[:a, level - 1]],
                                             None)
@@ -532,11 +533,3 @@ class LWordEvaluator:
             return float(np.log(v)) if v > 0 else float("-inf")
         v = float(alpha @ self.gf.gbar.values[:, self.index["".join(w[-2:])]])
         return float(scale + np.log(v)) if v > 0 else float("-inf")
-
-    def last_entry(self):
-        """The last-entry value from the start suffix to the current word
-        and its z-derivative (None unless carried)."""
-        alpha, dalpha, scale = self.stack[-1]
-        j = self.index[self.word[-2:]]
-        f = math.exp(scale)
-        return alpha[j] * f, None if dalpha is None else dalpha[j] * f

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import groupby
 from os.path import commonprefix
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,53 +45,77 @@ def unique(a, return_inverse=False):
     return s[new], inv
 
 
-# -- the multi-level last-entry value -----------------------------------------
+def first_seen(a):
+    """The positions in the 1-d array ``a`` where each distinct value first
+    appears, ascending, and the position of each entry's value among them."""
+    _, inv = unique(a, return_inverse=True)
+    first = np.full(inv.max(initial=-1) + 1, len(a))
+    np.minimum.at(first, inv, np.arange(len(a)))
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inv]
 
-def mathL(gf, x, y, with_deriv=False):
-    """Last-entry value from ``x`` to the relative word ``y`` (|y| >= 3),
-    chained over one-level-up factors; depends on x only through its last
-    two letters."""
-    ev = LWordEvaluator(gf.model, gf, x[-2:], with_deriv)
-    ev.step(y)
-    return ev.last_entry() if with_deriv else ev.last_entry()[0]
+
+def ranges(starts, lens):
+    """starts[i], ..., starts[i] + lens[i] - 1 for each i, concatenated."""
+    return (np.repeat(starts - np.cumsum(lens) + lens, lens)
+            + np.arange(lens.sum()))
 
 
-def _entries(gf, ab, words, with_deriv):
-    """(words, escape probabilities, last-entry values from the suffix
-    ``ab``, z-derivatives or None) of the words in turn whose probability
-    and value are positive.  The evaluator steps once per run of words with
-    the same frozen letters, keeping the stack entries of the common prefix
-    with the run before (sorted words share the most); a run reads its top."""
-    ev = LWordEvaluator(gf.model, gf, ab, with_deriv)
-    kept = [y for y in words if gf.xi.get(y[-2:], 0.0) > XI_ZERO]
-    vals, dvals = np.empty(len(kept)), np.empty(len(kept))
+# -- last-entry values ---------------------------------------------------------
+
+def _entries(gf, ab, table, with_deriv):
+    """(positions, last-entry values from the suffix ``ab``, z-derivatives
+    or None) of the words of the slot table ``table`` whose value is
+    positive.  The evaluator steps once per run of words with the same
+    frozen letters, keeping the stack entries of the common prefix with the
+    run before (sorted words share the most); a run reads its top."""
+    ev = LWordEvaluator(None, gf, ab, with_deriv)
+    words = table.words
+    vals, dvals = np.empty(len(words)), np.empty(len(words))
     i = 0
-    for frozen, run in groupby(kept, key=lambda y: y[:-2]):
-        prev, run = ev.word[:-2], list(run)     # the stacked letters
-        ev.step(run[0], keep=len(prev) if frozen.startswith(prev)
+    for frozen, run in groupby(words, key=lambda y: y[:-2]):
+        prev, n = ev.word[:-2], len(list(run))     # the stacked letters
+        ev.step(words[i], keep=len(prev) if frozen.startswith(prev)
                 else len(commonprefix((prev, frozen))))
         alpha, dalpha, scale = ev.stack[-1]
-        js, f = [ev.index[y[-2:]] for y in run], math.exp(scale)
-        vals[i:i + len(run)] = alpha[js] * f
+        js, f = table.sfx[i:i + n], math.exp(scale)
+        vals[i:i + n] = alpha[js] * f
         if with_deriv:
-            dvals[i:i + len(run)] = dalpha[js] * f
-        i += len(run)
-    pos = vals > 0.0
-    xi = np.array([gf.xi[y[-2:]] for y in kept])[pos]
-    return ([y for y, p in zip(kept, pos.tolist()) if p], xi, vals[pos],
-            dvals[pos] if with_deriv else None)
+            dvals[i:i + n] = dalpha[js] * f
+        i += n
+    at = np.flatnonzero(vals > 0.0)
+    return at, vals[at], dvals[at] if with_deriv else None
 
 
 # -- state space ---------------------------------------------------------------
+
+class SlotTable(NamedTuple):
+    """One type's covering: the boundary words of its slots with positive
+    escape probability, sorted, and per word its suffix (an index of
+    ``gf.gbar.index``), length, slot type, local index and place in the
+    covering's order (slot by slot, boundary suffixes in order)."""
+    words: list
+    sfx: np.ndarray
+    length: np.ndarray
+    slot_type: np.ndarray
+    local: np.ndarray
+    seq: np.ndarray
+
 
 @dataclass
 class SuffixRow:
     """Outgoing transition row shared by all states with one suffix."""
     suffix: str
-    targets: list          # target words, sorted
+    table: SlotTable       # its type's; the targets are at positions ``at``
+    at: np.ndarray
     probs: np.ndarray
     expected_time: float | None    # expected step count, or None
     renormalized: float = 0.0
+
+    @property
+    def targets(self):
+        """The target words, sorted."""
+        return [self.table.words[k] for k in self.at.tolist()]
 
 
 @dataclass
@@ -114,7 +139,7 @@ class EntryChain:
     atlas: object
     states: list                 # increment words, sorted
     suffix_rows: dict            # suffix -> SuffixRow
-    slot_of: dict                # (owner type id, word) -> slot
+    slot_tables: list            # type id -> SlotTable
     # law of the first increment per (root type, suffix of the increment)
     mu1: dict = field(default_factory=dict)
     classes: list = field(default_factory=list)
@@ -123,23 +148,37 @@ class EntryChain:
     ell: float | None = None
 
 
-def enumerate_W0(atlas, gf):
-    """All covering-slot boundary words with positive escape probability,
-    with the (owner type, word) -> slot map."""
+def slot_tables(atlas, gf):
+    """The slot table of each cone type, all built in one pass over the
+    coverings: the words sorted by type, then word."""
     ends = [[cd for cd in ct.boundary_suffixes if gf.xi.get(cd, 0.0) > XI_ZERO]
             for ct in atlas.types]
-    slot_of = {}
-    for ct in atlas.types:
-        for slot in atlas.coverings[ct.id].slots:
-            for w in [slot.root[:-2] + cd for cd in ends[slot.type_id]]:
-                if len(w) < 3:
-                    raise AssumptionError(f"covering slot boundary {w!r} too short")
-                slot_of[ct.id, w] = slot
-    return sorted({w for _, w in slot_of}), slot_of
+    n_end = np.array([len(e) for e in ends], dtype=np.intp)
+    end_sfx = np.array([gf.gbar.index[cd] for e in ends for cd in e], np.intp)
+    covs = [atlas.coverings[ct.id].slots for ct in atlas.types]
+    roots, types, local = zip(*(s for slots in covs for s in slots))
+    words = [r[:-2] + cd for r, t in zip(roots, types) for cd in ends[t]]
+    k = n_end[list(types)]
+    owner = np.repeat(np.repeat(np.arange(len(covs)), list(map(len, covs))), k)
+    length = np.repeat(list(map(len, roots)), k)
+    if len(words) and length.min() < 3:
+        raise AssumptionError("covering slot boundary "
+                              f"{words[length.argmin()]!r} too short")
+    seq = np.array(sorted(range(len(words)), key=words.__getitem__), np.intp)
+    seq = seq[np.argsort(owner[seq], kind="stable")]
+    sfx = end_sfx[ranges((np.cumsum(n_end) - n_end)[list(types)], k)]
+    cols = [sfx[seq], length[seq], np.repeat(types, k)[seq],
+            np.repeat(local, k)[seq]]
+    cut = np.searchsorted(owner[seq], np.arange(len(covs) + 1)).tolist()
+    words = [words[i] for i in seq.tolist()]
+    seq -= np.asarray(cut[:-1])[owner[seq]]     # place in its own covering
+    return [SlotTable(words[a:b], *(c[a:b] for c in cols), seq[a:b])
+            for a, b in zip(cut, cut[1:])]
 
 
-def _suffix_row(gf, ab, slot_words, with_deriv):
-    targets, xi, vals, dvals = _entries(gf, ab, slot_words, with_deriv)
+def _suffix_row(gf, ab, table, with_deriv):
+    at, vals, dvals = _entries(gf, ab, table, with_deriv)
+    xi = np.array(list(gf.xi.values()))[table.sfx[at]]  # in suffix order
     probs = xi / gf.xi[ab] * vals
     time = float((xi / gf.xi[ab] * dvals).sum()) if with_deriv else None
     total = probs.sum()
@@ -153,29 +192,21 @@ def _suffix_row(gf, ab, slot_words, with_deriv):
         log.info("renormalizing row %s with defect %.3e", ab, defect)
         probs = probs / total
         renorm = defect
-    return SuffixRow(ab, targets, probs, time, renorm)
+    return SuffixRow(ab, table, at, probs, time, renorm)
 
 
 def build_chain(model, gf, atlas):
     """Assemble the last-entry chain: states, rows, classes, measures, drift."""
-    states, slot_of = enumerate_W0(atlas, gf)
-    slot_words = _slot_words(slot_of)
-    suffix_rows = {ab: _suffix_row(gf, ab, slot_words.get(atlas.type_of[ab], []),
+    tables = slot_tables(atlas, gf)
+    states = sorted(set().union(*(t.words for t in tables)))
+    suffixes = unique(np.concatenate([t.sfx for t in tables])).tolist()
+    suffix_rows = {ab: _suffix_row(gf, ab, tables[atlas.type_of[ab]],
                                    gf.has_derivs)
-                   for ab in sorted({w[-2:] for w in states})}
-    chain = EntryChain(model, gf, atlas, states, suffix_rows, slot_of)
+                   for ab in (gf.gbar.rpairs[i] for i in suffixes)}
+    chain = EntryChain(model, gf, atlas, states, suffix_rows, tables)
     _initial_distribution(chain)
     _decompose(chain)
     return chain
-
-
-def _slot_words(slot_of):
-    """Per type, the sorted slot boundary words of its covering with
-    positive escape probability (those ``_entries`` keeps)."""
-    words = {}
-    for t, w in slot_of:
-        words.setdefault(t, []).append(w)
-    return {t: sorted(ws) for t, ws in words.items()}
 
 
 def _initial_distribution(chain):
@@ -203,21 +234,24 @@ def _initial_distribution(chain):
             f"final-entry masses sum to {total!r}; Green/escape tables "
             "are inconsistent")
 
-    mu1 = {}
+    n, keys, masses = len(gf.gbar.rpairs), [], []   # keys t * n + suffix id
     for slot in atlas.root_covering.slots:
         t = slot.type_id
         for w0 in atlas.boundary_words(slot):
             if w0 not in entry:
                 continue
             row = chain.suffix_rows.get(w0) or _suffix_row(
-                gf, w0, _slot_words(chain.slot_of).get(t, []), False)
-            mass = entry[w0] / total * gf.xi[w0] * row.probs
-            for y, m in zip(row.targets, mass.tolist()):
-                mu1[t, y[-2:]] = mu1.get((t, y[-2:]), 0.0) + m
-    s = math.fsum(mu1.values())
+                gf, w0, chain.slot_tables[t], False)
+            masses.append(entry[w0] / total * gf.xi[w0] * row.probs)
+            keys.append(t * n + row.table.sfx[row.at])
+    keys = np.concatenate(keys)
+    first, at = first_seen(keys)
+    mu1 = np.bincount(at, weights=np.concatenate(masses)).tolist()
+    s = math.fsum(mu1)
     if abs(s - 1.0) > 1e-6:
         raise AssumptionError(f"first-increment law sums to {s!r}")
-    chain.mu1 = {k: v / s for k, v in mu1.items()}
+    chain.mu1 = {(k // n, gf.gbar.rpairs[k % n]): v / s
+                 for k, v in zip(keys[first].tolist(), mu1)}
 
 
 def _decompose(chain):
@@ -233,14 +267,15 @@ def _decompose(chain):
     on E weighs each row's mean increment into lambda and its expected
     time into T.
     """
-    sfx = sorted(chain.suffix_rows)
-    k = {s: a for a, s in enumerate(sfx)}
+    sfx, index = sorted(chain.suffix_rows), chain.gf.gbar.index
+    row_of = np.zeros(len(index), dtype=np.intp)    # suffix id -> row
+    row_of[[index[s] for s in sfx]] = np.arange(len(sfx))
     rows = [chain.suffix_rows[s] for s in sfx]
     S = np.zeros((len(sfx), len(sfx)))
     gain = np.empty(len(sfx))            # mean increment per row
     for a, r in enumerate(rows):
-        np.add.at(S[a], [k[y[-2:]] for y in r.targets], r.probs)
-        gain[a] = (r.probs @ np.array([len(y) - 2 for y in r.targets], float)
+        np.add.at(S[a], row_of[r.table.sfx[r.at]], r.probs)
+        gain[a] = (r.probs @ (r.table.length[r.at] - 2.0)
                    / r.probs.sum())      # rows are stochastic up to ROW_RENORM
     ncomp, labels = strong_components(S > 0)
     has_exit = np.zeros(ncomp, dtype=bool)
@@ -250,7 +285,7 @@ def _decompose(chain):
     # absorption probabilities from the first-increment law per row
     m0 = np.zeros(len(sfx))
     for (_, cd), m in chain.mu1.items():
-        m0[k[cd]] += m
+        m0[row_of[index[cd]]] += m
     trans = np.flatnonzero(has_exit[labels])
     weights = {c: float(m0[labels == c].sum()) for c in essential}
     if len(trans):
@@ -266,7 +301,8 @@ def _decompose(chain):
     times = np.array([r.expected_time for r in rows]) if time_ok else None
     # classes in the order of their least state word
     classes = sorted((np.flatnonzero(labels == c) for c in essential),
-                     key=lambda E: min(rows[a].targets[0] for a in E))
+                     key=lambda E: min(rows[a].table.words[rows[a].at[0]]
+                                       for a in E))
     chain.classes = []
     for idx, E in enumerate(classes):
         pi = stationary(S[np.ix_(E, E)])

@@ -226,16 +226,20 @@ def check_weak_symmetry(model):
     its reverse exists depends only on the last three letters of the word
     (the letter before the pair matters when the step descends).  Testing
     the reachable words of length <= 3 and the reachable three-letter
-    windows therefore covers every reachable word.  The report is cached on
-    the (immutable) model.
+    windows therefore covers every reachable word.  A step to ``succ`` is
+    reversed by a rule on its last k = max(|succ| - 2, 0) letters.  The
+    report is cached on the (immutable) model.
     """
     if not hasattr(model, "_weak_symmetry"):
         from . import cones
         sets = cones.reachable_sets(model)
+        rhs_of = {lhs: {r.rhs for r in rs} for lhs, rs in model.rules.items()}
         violations = []
         for word in sets.short_words + sets.windows:
             for succ, _p in model.successors(word):
-                if not any(w == word for w, _q in model.successors(succ)):
+                k = max(len(succ) - 2, 0)
+                if (word[:k] != succ[:k]
+                        or word[k:] not in rhs_of.get(succ[k:], ())):
                     pair = (word[-2:], succ[-2:])
                     if pair not in violations:
                         violations.append(pair)

@@ -118,24 +118,27 @@ def _lockstep(model, cfg, tails=True):
     letter".  A step reads the last two slots as one pair code through a
     byte-stride ``'<u2'`` view, takes the rule from ``_rule_table`` at the
     pair's row and the uniform's bucket, and stores the right-hand side,
-    padded with "no letter", through a ``'<u4'`` view where the left side
-    starts: the second-last letter, or the first slot."""
+    behind and padded with "no letter", through a ``'<u4'`` view at the
+    second-last slot (the first two slots stand in for missing letters)."""
     ids = {c: i for i, c in enumerate(model.alphabet)}
     none = len(ids)
     if none > 255:
         raise ValueError("the sampler stores letter ids as bytes: at most "
                          "255 letters")
     thresholds, table = _rule_table(model)
-    compact = np.zeros(1 << 16, dtype=np.uint16)    # pair code -> table row
+    compact = np.zeros(1 << 16, dtype=np.intp)  # pair code -> row's first
     rhs, grow = [], []                              # per rule id
     for row, (lhs, rules) in enumerate(model.rules.items()):
         p2, p1 = ([none, none] + [ids[c] for c in lhs])[-2:]
-        compact[p2 | p1 << 8] = row
+        compact[p2 | p1 << 8] = row * table.shape[1]
         for r in rules:
-            rhs.append(bytes([ids[c] for c in r.rhs]).ljust(4, bytes([none])))
+            rhs.append(bytes([none] * (2 - len(lhs)) + [ids[c] for c in r.rhs])
+                       .ljust(4, bytes([none])))
             grow.append(len(r.rhs) - len(lhs))
-    rhs = np.frombuffer(b"".join(rhs), dtype="<u4")
-    grow = np.array(grow, dtype=np.intp)
+    # per (row, bucket); the last column (u >= 1.0, never drawn) may name
+    # one past the last rule
+    rhs = np.frombuffer(b"".join(rhs), "<u4").take(table.ravel(), mode="clip")
+    grow = np.array(grow, dtype=np.intp).take(table.ravel(), mode="clip")
 
     n_traj = cfg.trajectories
     rngs = [trajectory_rng(cfg.seed, i) for i in range(n_traj)]
@@ -163,9 +166,9 @@ def _lockstep(model, cfg, tails=True):
             start = np.arange(n_traj) * words.shape[1] + 2  # first letters
         pos, low = start - 2 + length, start - 2 + low  # second-last slots
         for bucket in np.searchsorted(thresholds, u, side="right"):
-            rule = table[compact[pairs[pos]], bucket]
-            quads[np.maximum(pos, start)] = rhs[rule]
-            pos += grow[rule]
+            k = compact[pairs[pos]] + bucket
+            quads[pos] = rhs[k]
+            pos += grow[k]
             np.minimum(low, pos, out=low)
             n += 1
             if n == target:

@@ -2,13 +2,36 @@
 components and absorption on the sparse state-level transition matrix, a
 dense stationary solve per class, and power iteration for the stationary
 law; and for the first-increment law, re-contracted from every
-root-covering word."""
+root-covering word; and the (owner type, word) -> slot map of the
+coverings, built word by word."""
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
-from rlentropy.lastentry import _entries
+from rlentropy.lastentry import XI_ZERO, _entries
+
+
+def slot_map(atlas, gf):
+    """(owner type id, word) -> slot for every boundary word with positive
+    escape probability of every slot of every type's covering, in the order
+    of the types, their slots and the boundary suffixes."""
+    out = {}
+    for ct in atlas.types:
+        for slot in atlas.coverings[ct.id].slots:
+            for w in atlas.boundary_words(slot):
+                if gf.xi.get(w[-2:], 0.0) > XI_ZERO:
+                    out[ct.id, w] = slot
+    return out
+
+
+def word_table(gf, words):
+    """A slot table of the words ``words`` in the given order, as far as
+    ``_entries`` reads one: the words and their suffix ids."""
+    return SimpleNamespace(words=list(words), sfx=np.array(
+        [gf.gbar.index[y[-2:]] for y in words], dtype=np.intp))
 
 
 def stationary_power(q, tol=1e-14, max_iter=200000):
@@ -127,9 +150,12 @@ def initial_law(chain):
         for w0 in atlas.boundary_words(slot):
             if w0 not in entry:
                 continue
-            words = [y for ts in cov.slots for y in atlas.boundary_words(ts)]
-            for y, xi_y, val in zip(*_entries(gf, w0, words, False)[:3]):
-                mass = entry[w0] / total * xi_y * val
+            words = [y for ts in cov.slots for y in atlas.boundary_words(ts)
+                     if gf.xi[y[-2:]] > XI_ZERO]
+            at, vals, _ = _entries(gf, w0, word_table(gf, words), False)
+            for k, val in zip(at.tolist(), vals):
+                y = words[k]
+                mass = entry[w0] / total * gf.xi[y[-2:]] * val
                 mu0[index[y]] += mass
                 mu1_w[t, y] = mu1_w.get((t, y), 0.0) + mass
     s = mu0.sum()

@@ -1,9 +1,39 @@
-"""References for cone membership: the boolean-row walk over the reach22
+"""References for cone membership: the membership automaton of
+``ReachRelation`` run on one word, the boolean-row walk over the reach22
 closure, one letter of the tail at a time, and breadth-first search over
 the walk's own successors; and the word-level spelling of a covering cut."""
 import numpy as np
 
 from rlentropy.cones import _children_classes
+
+
+def tail_reachable(rel, pair, tail):
+    """Is the relative word ``tail`` (len >= 2) reachable from 2-letter root
+    ``pair`` through words of relative length >= 2?"""
+    mask = rel.closure[rel.pair_index[pair]]
+    for ch in tail[:-2]:
+        mask = rel.advance(mask, ch)
+        if not mask:
+            return False
+    return bool(mask >> rel.pair_index[tail[-2:]] & 1)
+
+
+def in_cone(rel, root, word):
+    """Membership of ``word`` in the cone rooted at ``root`` (same frame)."""
+    if len(word) < len(root):
+        return False
+    k = len(root) - 2
+    if word[:k] != root[:k]:
+        return False
+    return tail_reachable(rel, root[-2:], word[k:])
+
+
+def cones_disjoint(rel, w1, w2):
+    """Nested-or-disjoint dichotomy: disjoint iff the shorter root does not
+    contain the longer one (equal lengths: iff neither contains the other)."""
+    if len(w1) > len(w2):
+        w1, w2 = w2, w1
+    return not in_cone(rel, w1, w2)
 
 
 def brute_cone_members(model, root, depth, headroom=4):
@@ -23,7 +53,7 @@ def brute_cone_members(model, root, depth, headroom=4):
     return out
 
 
-def tail_reachable_rows(rel, pair, tail):
+def tail_reachable_rows(model, rel, pair, tail):
     """Is the relative word ``tail`` (len >= 2) reachable from 2-letter root
     ``pair`` through words of relative length >= 2?"""
     P = rel.pair_index
@@ -31,7 +61,7 @@ def tail_reachable_rows(rel, pair, tail):
     for i in range(len(tail) - 2):
         nxt = np.zeros_like(cur)
         for uv in np.flatnonzero(cur):
-            for rhs, _ in rel.model.up_rules.get(rel.pairs[uv], ()):
+            for rhs, _ in model.up_rules.get(rel.pairs[uv], ()):
                 if rhs[0] == tail[i]:
                     nxt |= rel.reach22[P[rhs[1:]]]
         cur = nxt

@@ -1,8 +1,23 @@
 """Reference for last-entry contractions: the unnormalized product of the
 one-level-up matrices from the unit vector of a source suffix, with its
 z-derivative by the product rule, sharing prefixes between consecutive
-targets through the prefix strings it stacks."""
+targets through the prefix strings it stacks; and the last-entry value of
+one word, read off the package's evaluator."""
+import math
+
 import numpy as np
+
+from rlentropy.genfun import LWordEvaluator
+
+
+def mathL(gf, x, y):
+    """Last-entry value from ``x`` to the relative word ``y`` (|y| >= 3),
+    chained over one-level-up factors: the evaluator started at x's last
+    two letters, stepped to y, at y's suffix."""
+    ev = LWordEvaluator(None, gf, x[-2:])
+    ev.step(y)
+    alpha, _, scale = ev.stack[-1]
+    return alpha[gf.gbar.index[y[-2:]]] * math.exp(scale)
 
 
 class UnnormalizedContraction:

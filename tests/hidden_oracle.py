@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from chain_oracle import dense_decomposition, folded, initial_law
+from chain_oracle import dense_decomposition, folded, initial_law, slot_map
 from rlentropy.entropy import StepTable
 
 
@@ -61,7 +61,7 @@ def hidden_chain(chain, cls):
     come from the state-level solve of ``dense_decomposition``, nu is that
     law pushed one step onto the enriched states, and the first-state law
     is ``initial_law``'s."""
-    atlas = chain.atlas
+    atlas, slot_of = chain.atlas, slot_map(chain.atlas, chain.gf)
     ids, _, state_nu, _, _ = dense_decomposition(chain)[cls.index]
     class_words = {chain.states[i] for i in ids}
     states, index = [], {}
@@ -75,7 +75,7 @@ def hidden_chain(chain, cls):
     targets = {}
     for sfx in {w[-2:] for w in class_words}:
         i, row = atlas.type_of[sfx], chain.suffix_rows[sfx]
-        slots = [chain.slot_of[(i, y)] for y in row.targets]
+        slots = [slot_of[(i, y)] for y in row.targets]
         targets[sfx] = [
             (index[WState(i, s.type_id, s.local_index, y)], float(p))
             for s, y, p in zip(slots, row.targets, row.probs)]
@@ -89,7 +89,7 @@ def hidden_chain(chain, cls):
         np.add.at(nu, list(k), mass * np.array(p))
     mu1 = np.zeros(len(states))
     for (m, word), mass in initial_law(chain)[1].items():
-        slot = chain.slot_of[(m, word)]
+        slot = slot_of[(m, word)]
         st = WState(m, slot.type_id, slot.local_index, word)
         if st in index:
             mu1[index[st]] += mass
@@ -167,3 +167,21 @@ def row_table(ref):
         nu=np.bincount(step.row_of, weights=ref.nu,
                        minlength=len(step.start) - 1),
         symbols=ref.symbols)
+
+
+def word_hidden_step(chain, cls):
+    """(symbols, sym, tgt, prob) of the class's hidden chain read target
+    word by target word: each entry's slot from ``slot_map``, its symbol
+    id in the order of first emission and its row from its suffix."""
+    slot_of, row_id = slot_map(chain.atlas, chain.gf), {
+        sfx: r for r, sfx in enumerate(cls.rows)}
+    sym_id, sym, tgt, prob = {}, [], [], []
+    for sfx in cls.rows:
+        i, row = chain.atlas.type_of[sfx], chain.suffix_rows[sfx]
+        for y, p in zip(row.targets, row.probs):
+            s = slot_of[i, y]
+            sym.append(sym_id.setdefault((i, s.type_id, s.local_index),
+                                         len(sym_id)))
+            tgt.append(row_id[y[-2:]])
+            prob.append(p)
+    return list(sym_id), np.array(sym), np.array(tgt), np.array(prob)

@@ -16,11 +16,11 @@ from rlentropy.entropy import (HiddenChain, build_qhat,
                                sandwich_bounds, unambiguous_exact)
 from rlentropy.genfun import L_word, solve_Gbar, solve_H
 from rlentropy.lastentry import stationary
-from rlentropy.cones import cones_disjoint, _cone_level_words
+from rlentropy.cones import _cone_level_words
 
 from conftest import fixture_path, get_analysis, get_atlas, get_chain, \
     get_gf, get_model
-from test_cones import brute_cone_members
+from cone_oracle import brute_cone_members, cones_disjoint
 from chain_oracle import lifted, q_matrix, stationary_power
 
 LN3 = math.log(3)
@@ -246,7 +246,7 @@ def test_criterion_8_structural_suite():
         checks.append(float(np.max(np.abs(gf.gbar.derivs - fdg)[maskg]
                                    / np.abs(fdg)[maskg])) < 1e-4)
     # multi-level last-entry decomposition identity
-    from rlentropy.lastentry import mathL
+    from contraction_oracle import mathL
     for name in ("fg2", "ne", "multi"):
         model, gf, atlas = get_model(name), get_gf(name), get_atlas(name)
         chain = get_chain(name)

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 import rlentropy as rle
 from rlentropy import cones
-from rlentropy.cones import (cones_disjoint, in_cone, limit_words,
-                             saturate_supports, tail_reachable,
-                             _cone_level_words)
+from rlentropy.cones import limit_words, saturate_supports, _cone_level_words
 from rlentropy.model import AssumptionError
 
-from cone_oracle import (brute_cone_members, tail_reachable_rows,
+from cone_oracle import (brute_cone_members, cones_disjoint, in_cone,
+                         tail_reachable, tail_reachable_rows,
                          word_spelled_cut)
 from conftest import (FIXTURES, free_group_text, free_product_text,
                       get_atlas, get_gf, get_model, tree_text)
@@ -29,17 +28,19 @@ def test_supports_examples():
     # a word with suffix ba is reachable from ab going up, but the two-letter
     # word ba itself is not reachable staying at level >= 2
     assert rel.reaches_ge2("ab", "ba")
-    assert not rel.supp_gbar("ab", "ba")
+    P = rel.pair_index
+    assert not rel.reach22[P["ab"], P["ba"]]
 
     fg2 = get_model("fg2")
     rel2 = saturate_supports(fg2)
     for xy in fg2.reachable_suffixes:
         for c in fg2.alphabet:
-            assert rel2.h_supported(xy, c) == (c == xy[0])
+            assert rel2.supp_h[rel2.pair_index[xy],
+                               rel2.letter_index[c]] == (c == xy[0])
 
     line = get_model("line")
     rel3 = saturate_supports(line)
-    assert rel3.supp_gbar("aa", "aa")
+    assert rel3.reach22[rel3.pair_index["aa"], rel3.pair_index["aa"]]
 
 
 def test_classify_fg2():
@@ -360,7 +361,9 @@ def test_shared_certificate_memo_keeps_failures(name):
 @pytest.mark.parametrize("name", ["fg2", "glued"])
 def test_analysis_leaves_no_reference_cycles(name):
     # everything an analysis allocates is freed by reference counting: the
-    # certificate walk is a plain recursion, not a closure over itself
+    # certificate walk is a plain recursion, not a closure over itself, and
+    # the tables cached on a model do not point back at it, so a model
+    # loaded, analysed and dropped goes too
     from rlentropy import pipeline
     model = get_model(name)
     pipeline.analyze(model)            # the tables are cached on the model
@@ -368,6 +371,8 @@ def test_analysis_leaves_no_reference_cycles(name):
     gc.disable()
     try:
         pipeline.analyze(model)
+        assert gc.collect() == 0
+        pipeline.analyze(rle.load_model(FIXTURES / f"{name}.rw"))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -387,8 +392,10 @@ def test_reach22_symmetric_under_weak_symmetry():
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_membership_automaton_matches_row_oracle(data):
-    rel = saturate_supports(get_model(data.draw(st.sampled_from(ALL_MODELS))))
+    model = get_model(data.draw(st.sampled_from(ALL_MODELS)))
+    rel = saturate_supports(model)
     pair = data.draw(st.sampled_from(rel.pairs))
-    tail = data.draw(st.text(alphabet=sorted(rel.model.alphabet), max_size=6))
+    tail = data.draw(st.text(alphabet=sorted(model.alphabet), max_size=6))
     tail += data.draw(st.sampled_from(rel.pairs))
-    assert tail_reachable(rel, pair, tail) == tail_reachable_rows(rel, pair, tail)
+    assert tail_reachable(rel, pair, tail) == tail_reachable_rows(
+        model, rel, pair, tail)

@@ -15,10 +15,11 @@ from rlentropy.model import AssumptionError
 from rlentropy.entropy import ModifiedChain, StepTable
 from rlentropy.lastentry import stationary
 
-from conftest import (free_group_text, get_analysis, get_atlas, get_chain,
-                      get_gf, get_model)
+from conftest import (free_group_text, free_product_text, get_analysis,
+                      get_atlas, get_chain, get_gf, get_model)
 from hidden_oracle import (WState, hidden_chain, hidden_symbol, lumped,
-                           qhat_rows, row_masses, row_table, step_table)
+                           qhat_rows, row_masses, row_table, step_table,
+                           word_hidden_step)
 from marginal_oracle import (enumerated_marginal_diff,
                              per_symbol_marginal_check)
 from regeneration_oracle import regeneration_mc
@@ -574,6 +575,29 @@ def test_report_notes_unconverged_sandwich():
     notes = pipeline.analyze(model, n_max=3).report.notes
     assert any("not converged at depth 3, gap" in n for n in notes)
     assert get_analysis("multi").report.notes == []
+
+
+GENERATED = {"F3": lambda: free_group_text(3),
+             "z2z3z4": lambda: free_product_text((2, 3, 4))}
+
+
+@pytest.mark.parametrize("name", ["fg2", "fg2_biased", "t3", "ne", "glued",
+                                  "multi", "mixed", *GENERATED])
+def test_hidden_chain_step_matches_word_by_word_build(name):
+    """The step table and symbols built from the slot-table arrays are
+    bit for bit those read off the rows target word by target word (the
+    transient fixtures, multi, mixed and two generated models)."""
+    chain = (pipeline.analyze(rle.parse_model(GENERATED[name]())).chain
+             if name in GENERATED else get_chain(name))
+    for cls in chain.classes:
+        hidden = HiddenChain(chain, cls)
+        symbols, sym, tgt, prob = word_hidden_step(chain, cls)
+        assert hidden.symbols == symbols
+        assert hidden.step.start.tolist() == np.cumsum(
+            [0] + [len(chain.suffix_rows[s].at) for s in cls.rows]).tolist()
+        for got, want in ((hidden.step.sym, sym), (hidden.step.tgt, tgt),
+                          (hidden.step.prob, prob)):
+            assert got.tobytes() == want.astype(got.dtype).tobytes()
 
 
 @pytest.mark.parametrize("name", ["fg2", "glued", "multi", "z2z3"])

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import rlentropy as rle
 from rlentropy.genfun import (L_word, SingularSystemError, solve_Gbar,
                               solve_H, _checked_inverse, _HSystem)
-from rlentropy.lastentry import mathL
 
+from contraction_oracle import mathL
 from conftest import get_gf, get_model
 import descent_oracle
 

@@ -6,29 +6,75 @@ import numpy as np
 import pytest
 
 import rlentropy as rle
-from rlentropy.lastentry import _entries, enumerate_W0, mathL, stationary
+from rlentropy.lastentry import _entries, stationary
 
 from chain_oracle import (dense_decomposition, folded, initial_law, lifted,
-                          q_matrix, stationary_power)
-from contraction_oracle import UnnormalizedContraction
+                          q_matrix, slot_map, stationary_power, word_table)
+from contraction_oracle import UnnormalizedContraction, mathL
 from conftest import (free_group_text, free_product_text, get_atlas,
                       get_chain, get_gf, get_model)
 
 
 def test_W0_ne():
-    words, slot_of = enumerate_W0(get_atlas("ne"), get_gf("ne"))
-    assert words == ["aba", "bab"]
+    words = sorted({w for _, w in slot_map(get_atlas("ne"), get_gf("ne"))})
+    assert words == ["aba", "bab"] == get_chain("ne").states
     assert all(len(w) >= 3 for w in words)
 
 
 def test_W0_fg2_finite_unambiguous_arrivals():
     atlas = get_atlas("fg2")
-    words, slot_of = enumerate_W0(atlas, get_gf("fg2"))
+    slot_of = slot_map(atlas, get_gf("fg2"))
+    words = sorted({w for _, w in slot_of})
     assert 0 < len(words) < 10000
+    assert words == get_chain("fg2").states
     assert all(len(w) >= 3 for w in words)
     # singleton boundaries: each slot contributes exactly its root
     for (t, w), slot in slot_of.items():
         assert w == slot.root
+
+
+# chains built from generated text, beside the conftest models
+GENERATED = {"F3": (free_group_text, 3), "z2z3z4": (free_product_text,
+                                                    (2, 3, 4))}
+
+
+@functools.lru_cache(maxsize=None)
+def _chain(name):
+    if name not in GENERATED:
+        return get_chain(name)
+    from rlentropy import pipeline
+    make, arg = GENERATED[name]
+    return pipeline.analyze(rle.parse_model(make(arg))).chain
+
+
+@pytest.mark.parametrize("name", ["fg2", "t3", "ne", "multi", "twotype",
+                                  "glued", "mixed", *GENERATED])
+def test_slot_tables_match_covering_words(name):
+    # each type's slot table holds the words of the word-by-word slot map
+    # in word order, and its columns (suffix id, length, slot type, local
+    # index, place in the covering's order) are those of the map's slots;
+    # every suffix row's targets lie in its own type's table
+    chain = _chain(name)
+    index = chain.gf.gbar.index
+    slot_of = slot_map(chain.atlas, chain.gf)
+    for t, table in enumerate(chain.slot_tables):
+        words = [w for (m, w) in slot_of if m == t]
+        assert table.words == sorted(words)
+        assert [table.words[k] for k in np.argsort(table.seq)] == words
+        slots = [slot_of[t, w] for w in table.words]
+        assert table.sfx.tolist() == [index[w[-2:]] for w in table.words]
+        assert table.length.tolist() == [len(w) for w in table.words]
+        assert table.slot_type.tolist() == [s.type_id for s in slots]
+        assert table.local.tolist() == [s.local_index for s in slots]
+    for ab, row in chain.suffix_rows.items():
+        t = chain.atlas.type_of[ab]
+        assert row.table is chain.slot_tables[t]
+        assert np.all(np.diff(row.at) > 0)
+        for k, y in zip(row.at.tolist(), row.targets):
+            slot = slot_of[t, y]
+            assert (row.table.slot_type[k], row.table.local[k]) == \
+                (slot.type_id, slot.local_index), (name, ab, y)
+            assert chain.gf.gbar.rpairs[row.table.sfx[k]] == y[-2:]
 
 
 def test_mathL_values():
@@ -57,8 +103,8 @@ def test_contraction_matches_unnormalized_oracle(name):
         shuffled = list(row.targets)
         rng.shuffle(shuffled)
         for order in (row.targets, shuffled):
-            ys, _, vals, dvals = _entries(gf, ab, order, True)
-            got = dict(zip(ys, zip(vals, dvals)))
+            at, vals, dvals = _entries(gf, ab, word_table(gf, order), True)
+            got = dict(zip([order[k] for k in at], zip(vals, dvals)))
             assert list(got) == order
             for y, (v, d) in got.items():
                 assert v == pytest.approx(expected[y][0], rel=1e-12), (ab, y)
@@ -226,20 +272,6 @@ def test_expected_time_and_ell_relation():
         assert chain.lambda_ > 0
 
 
-# chains built from generated text, beside the conftest models
-GENERATED = {"F3": (free_group_text, 3), "z2z3z4": (free_product_text,
-                                                    (2, 3, 4))}
-
-
-@functools.lru_cache(maxsize=None)
-def _chain(name):
-    if name not in GENERATED:
-        return get_chain(name)
-    from rlentropy import pipeline
-    make, arg = GENERATED[name]
-    return pipeline.analyze(rle.parse_model(make(arg))).chain
-
-
 @pytest.mark.parametrize("name", ["fg2", "t3", "ne", "multi", "twotype",
                                   "glued", "mixed", *GENERATED])
 def test_suffix_quotient_matches_dense_solve(name):
@@ -270,15 +302,21 @@ def test_suffix_quotient_with_transient_states():
             "cd": (["xdc", "ycd"], [0.6, 0.4]),
             "dc": (["xcd", "ycd"], [0.7, 0.3]),
             "ef": (["xef", "yef"], [0.5, 0.5])}
-    suffix_rows = {s: SuffixRow(s, t, np.array(p), sum(p) * (1 + len(s)))
-                   for s, (t, p) in rows.items()}
     states = ["xab", "xcd", "xdc", "xef", "ycd", "yef", "zcd"]
+    gf = SimpleNamespace(gbar=SimpleNamespace(index={s: i for i, s in
+                                                     enumerate(rows)}))
+    table = SimpleNamespace(words=states, sfx=word_table(gf, states).sfx,
+                            length=np.full(len(states), 3))
+    suffix_rows = {s: SuffixRow(s, table, np.array([states.index(y)
+                                                    for y in t]),
+                                np.array(p), sum(p) * (1 + len(s)))
+                   for s, (t, p) in rows.items()}
     mu0 = np.array([0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
     mu1 = {}
     for w, m in zip(states, mu0):
         mu1[0, w[-2:]] = mu1.get((0, w[-2:]), 0.0) + m
-    chain = EntryChain(None, None, SimpleNamespace(type_of=dict.fromkeys(
-        rows, 0)), states, suffix_rows, {}, mu1)
+    chain = EntryChain(None, gf, SimpleNamespace(type_of=dict.fromkeys(
+        rows, 0)), states, suffix_rows, [table], mu1)
     _decompose(chain)
     assert [c.rows for c in chain.classes] == [["cd", "dc"], ["ef"]]
     support = [np.flatnonzero(lifted(chain, c)).tolist()

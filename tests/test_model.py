@@ -6,9 +6,9 @@ import pytest
 import rlentropy as rle
 from rlentropy.model import ModelError
 
-from conftest import (fixture_path, free_group_text, get_gf, get_model,
-                      tree_text)
-from weak_symmetry_oracle import ball_violations
+from conftest import (fixture_path, free_group_text, free_product_text,
+                      get_gf, get_model, tree_text)
+from weak_symmetry_oracle import ball_violations, window_violations
 
 
 def test_fg2_reachable_suffixes(fg2):
@@ -132,6 +132,20 @@ def test_weak_symmetry_agrees_with_ball_oracle():
     assert flagged >= 10
 
 
+def test_weak_symmetry_list_matches_successor_loop():
+    # the reverse rule index reports the same pairs in the same order as
+    # searching the successors of each successor (validate prints them)
+    cases = [(name, get_model(name)) for name in BASE_MODELS]
+    cases += [(f"F_{k}", rle.parse_model(free_group_text(k))) for k in (2, 3)]
+    cases += [(f"Z_{m} * Z_{n}", rle.parse_model(free_product_text((m, n))))
+              for m, n in ((2, 3), (3, 3), (2, 4))]
+    cases += _drop_one_rule_variants(5)
+    flagged = 0
+    for label, model in cases:
+        want = window_violations(model)
+        assert rle.check_weak_symmetry(model).violations == want, label
+        flagged += bool(want)
+    assert flagged >= 15
 # a forced chain 1 -> 12 -> 123 -> ... -> 12345678, each step reversible,
 # whose last suffix 78 also descends to 9 with no way back: the only
 # violation leaves a word of length 8

@@ -21,3 +21,19 @@ def ball_violations(model, max_len=6):
                 seen.add(succ)
                 frontier.append(succ)
     return violations
+
+
+def window_violations(model):
+    """The same pairs from the reachable short words and three-letter
+    windows, each step checked against the successors of its successor,
+    in the order of the words and of their steps."""
+    from rlentropy import cones
+    sets = cones.reachable_sets(model)
+    violations = []
+    for word in sets.short_words + sets.windows:
+        for succ, _p in model.successors(word):
+            if not any(w == word for w, _q in model.successors(succ)):
+                pair = (word[-2:], succ[-2:])
+                if pair not in violations:
+                    violations.append(pair)
+    return violations
