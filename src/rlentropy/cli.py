@@ -10,6 +10,7 @@ computation inapplicable, or out of memory) or closed output, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -292,6 +293,7 @@ def _positive_float(text):
 _positive_float.__name__ = "float"
 
 
+@functools.cache        # one parser per process, built on first use
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rlentropy",
@@ -353,8 +355,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:    # reader gone: flush at exit to devnull

@@ -67,8 +67,7 @@ class ReachRelation:
 
         # membership automaton: a state is a bitmask of pairs at one level;
         # ``closure[p]`` is the reach22 row of p, ``up_step[p][c]`` the
-        # pairs reached from p by an ascent freezing c, then reach22;
-        # ``class_of[p]`` labels p's class of mutually reachable pairs
+        # pairs reached from p by an ascent freezing c, then reach22
         self.closure = [sum(1 << int(j) for j in np.flatnonzero(row))
                         for row in self.reach22]
         self.up_step = [{} for _ in range(nP)]
@@ -76,9 +75,6 @@ class ReachRelation:
             step, letter = self.up_step[i], A[c]
             step[letter] = step.get(letter, 0) | self.closure[de]
         self._advance = {}
-        mutual = self.reach22 & self.reach22.T
-        self.class_of = {p: int(np.argmax(mutual[i]))
-                         for p, i in self.pair_index.items()}
 
     def _pair_of(self, letter_i, letter_j):
         return letter_i * len(self.letter_index) + letter_j
@@ -307,44 +303,20 @@ class ConeAtlas:
         return [slot.root[:-2] + cd for cd in bset]
 
 
-def _cone_level_words(model, rel, roots2, level):
-    """All relative words ``level - 2`` levels below the member words
-    ``roots2``: for a type's 2-letter members, its cone at that level in the
-    2-letter root frame."""
-    words = list(roots2)
-    for _ in range(level - 2):
-        nxt = set()
-        for w in words:
-            for c, mask in rel.up_step[rel.pair_index[w[-2:]]].items():
-                nxt.update(w[:-2] + c + fg for fg in rel.pairs_of(mask))
-        words = sorted(nxt)
-        if len(words) > WORD_BUDGET:
-            raise AssumptionError(f"cone enumeration exceeded {WORD_BUDGET} words")
-    return words
-
-
-def _children_classes(model, rel, roots):
-    """The child cones one level below the cones whose member words at their
-    own level are ``roots`` (whole classes of last pairs), as {lex-least
-    root: member list}; a cone class is one prefix and one class of pairs."""
-    groups = {}
-    for w in _cone_level_words(model, rel, roots, 3):
-        groups.setdefault((w[:-2], rel.class_of[w[-2:]]), []).append(w)
-    return dict(sorted((min(ms), ms) for ms in groups.values()))
-
-
 def _type_graph(model, rel, types, type_of):
-    """Forward-reachable types, the child table of each type (first letter,
-    type) of its child cones in root order, and whether each type reaches
-    one with two or more child cones."""
+    """Forward-reachable types; each type's child table (first letter, type)
+    in root order, a child cone being one ascent letter and a class of pairs
+    whole in its mask; whether a type reaches one with two or more children."""
     P = rel.pair_index
     forward, children = {}, {}
     for ct in types:
         reach = {type_of[cd] for cd in model.reachable_suffixes
                  if rel.reach_ge2[P[ct.representative], P[cd]]}
         forward[ct.id] = frozenset(reach | {ct.id})
-        children[ct.id] = [(root[0], type_of[root[-2:]])
-                           for root in _children_classes(model, rel, ct.members)]
+        roots = {c + types[type_of[fg]].representative for m in ct.members
+                 for c, mask in rel.up_step[P[m]].items()
+                 for fg in rel.pairs_of(mask)}
+        children[ct.id] = [(r[0], type_of[r[1:]]) for r in sorted(roots)]
     expanding = {ct.id: any(len(children[j]) >= 2 for j in forward[ct.id])
                  for ct in types}
     return forward, children, expanding
@@ -360,7 +332,7 @@ def build_atlas(model, order_key=None, level_bump=0):
     from the child tables: the shallowest uniform level ("uniform"), else
     the first cut of a breadth-first search ("cut"; free products of cyclic
     groups such as Z_2 * Z_3 need it), or a non-expanding type's only child
-    ("single-child").  The coverings' certificates share one memo.
+    ("single-child").  Levels and certificates share memos across types.
     ``order_key`` permutes the slot order; ``level_bump`` moves uniform cuts
     that many qualifying levels deeper (both for robustness checks).
     """
@@ -369,60 +341,66 @@ def build_atlas(model, order_key=None, level_bump=0):
     forward, children, expanding_types = _type_graph(model, rel, types, type_of)
     atlas = ConeAtlas(model, rel, types, type_of, forward, children,
                       expanding_types, depth_cap=4 * len(types) + 8)
-    key, passed = order_key or (lambda w: w), set()
+    uniform, passed = _uniform_levels(atlas, level_bump), set()
+    lists = {(ct.id, 0): ([ct.representative], [ct.id], len(ct.members))
+             for ct in types}
     for ct in types:
-        atlas.coverings[ct.id] = _build_type_covering(atlas, ct, key,
-                                                      level_bump, passed)
-    atlas.root_covering = _build_root_covering(atlas, key)
+        atlas.coverings[ct.id] = _build_type_covering(
+            atlas, ct, order_key, uniform[ct.id], passed, lists)
+    atlas.root_covering = _build_root_covering(atlas, order_key)
     return atlas
 
 
-def _make_slots(atlas, roots, key):
-    roots = sorted(roots, key=key)
-    types = [atlas.type_of[root[-2:]] for root in roots]
+def _make_slots(roots, types, key=None):
+    """Slots in the given order, or in the order of ``key`` on the roots."""
+    if key is not None:
+        roots, types = zip(*sorted(zip(roots, types),
+                                   key=lambda node: key(node[0])))
     counters = {t: count(1) for t in set(types)}
     # tuple.__new__ makes each slot without a Python-level constructor call
     return list(map(tuple.__new__, repeat(SubconeSlot), zip(
-        roots, types, [next(counters[t]) for t in types])))
+        roots, types, map(next, map(counters.__getitem__, types)))))
 
 
 # A type-level cut maps (depth, type id) to a number of leaves; depth 1
 # holds the child cones of the covered type.
 
-def _build_type_covering(atlas, ct, key, level_bump, passed):
-    kids = atlas.children[ct.id]
+def _build_type_covering(atlas, ct, order_key, uniform, passed, lists):
+    kids, cut = atlas.children[ct.id], {}
     if not atlas.expanding_types[ct.id]:
         if len(kids) != 1:
             raise AssumptionError(f"non-expanding type {ct.representative} "
                                   f"has {len(kids)} child cones")
-        cut, method = {(1, kids[0][1]): 1}, "single-child"
+        depth, method = 1, "single-child"
+    elif uniform is not None:
+        depth, method = uniform, "uniform"
     else:
-        cut, method = _uniform_cut(atlas, ct, level_bump), "uniform"
-        if cut is None:
-            cut, method = _search_cut(atlas, ct), "cut"
-    cov = Covering(ct.id, _make_slots(atlas, _spell_cut(atlas, ct, cut), key),
-                   depth_bound=max(d for d, _ in cut) + 3, method=method)
+        cut, method = _search_cut(atlas, ct), "cut"
+        depth = max(d for d, _ in cut)
+    slots = _make_slots(*_spell_cut(atlas, ct, cut, depth, lists), order_key)
+    cov = Covering(ct.id, slots, depth_bound=depth + 3, method=method)
     _certify(atlas, ct.members, cov, passed)
     return cov
 
 
-def _uniform_cut(atlas, ct, level_bump):
-    """All cones at the shallowest depth within the cap whose types include
-    every forward type (or at the ``level_bump``-th such depth after it, as
-    far as there are any); None if no depth qualifies."""
-    needed, hits = atlas.forward_types[ct.id], []
-    level = Counter(c for _, c in atlas.children[ct.id])
+def _uniform_levels(atlas, level_bump):
+    """Per type, the shallowest depth within the cap whose cones have every
+    forward type (or the ``level_bump``-th such after it, if any), or None;
+    row t of the d-th power of the type child matrix: the types d below t."""
+    n = len(atlas.types)
+    child, needed = np.zeros((2, n, n), dtype=bool)
+    for t, kids in atlas.children.items():
+        child[t, [c for _, c in kids]] = True
+        needed[t, list(atlas.forward_types[t])] = True
+    level, hits, found = child, np.zeros(n, dtype=int), [None] * n
     for depth in range(1, atlas.depth_cap + 1):
-        if needed <= level.keys():
-            hits.append({(depth, t): n for t, n in level.items()})
-            if len(hits) > level_bump:
-                break
-        deeper = Counter()
-        for t, n in level.items():
-            for _, c in atlas.children[t]:
-                deeper[c] += n
-        level = deeper
-    return hits[-1] if hits else None
+        hit = (level >= needed).all(axis=1) & (hits <= level_bump)
+        found = [depth if h else f for h, f in zip(hit.tolist(), found)]
+        hits += hit
+        if (hits > level_bump).all():
+            break
+        level = level @ child
+    return found
 
 
 def _search_cut(atlas, ct):
@@ -453,33 +431,55 @@ def _search_cut(atlas, ct):
                           f"depth cap {atlas.depth_cap}")
 
 
-def _spell_cut(atlas, ct, cut):
-    """The slot roots of a type-level cut, spelled out one depth at a time
-    from the child tables: the first nodes of a type in root order stay
-    leaves, as many as the cut holds; WORD_BUDGET bounds a level's words."""
-    leaves, expand, roots = dict(cut), [ct.representative], []
-    for depth in range(1, max(d for d, _ in cut) + 1):
-        nodes = sorted({kid for u in expand for kid in _spelled_children(atlas, u)})
-        kinds = [atlas.type_of[r[-2:]] for r in nodes]
-        if sum(len(atlas.types[t].members) for t in kinds) > WORD_BUDGET:
-            raise AssumptionError(f"cone enumeration exceeded {WORD_BUDGET} words")
+def _spell_cut(atlas, ct, cut, depth, lists):
+    """The roots and types of a cut's slots in root order: above its depth
+    the first nodes of a type stay leaves, as many as ``cut`` holds, and
+    the others are expanded; every node at its depth is a leaf."""
+    first = min((d for d, _ in cut), default=depth)
+    roots, types, _ = _level(atlas, ct.id, first, lists)
+    if first == depth:
+        return roots, types
+    leaves, slots, nodes = dict(cut), [], list(zip(roots, types))
+    for d in range(first, depth):
         expand = []
-        for root, t in zip(nodes, kinds):
-            if leaves.get((depth, t)):
-                leaves[depth, t] -= 1
-                roots.append(root)
+        for node in nodes:
+            if leaves.get((d, node[1])):
+                leaves[d, node[1]] -= 1
+                slots.append(node)
             else:
-                expand.append(root)
-    return roots
+                expand.append(node)
+        nodes = sorted((root[:-2] + w, k) for root, t in expand
+                       for w, k in zip(*_level(atlas, t, 1, lists)[:2]))
+        if sum(len(atlas.types[k].members) for _, k in nodes) > WORD_BUDGET:
+            raise AssumptionError(f"cone enumeration exceeded {WORD_BUDGET} words")
+    return zip(*sorted(slots + nodes))
 
 
-def _spelled_children(atlas, root):
-    """The child cone roots below the node ``root``: its frozen letters and
-    its type's child table (ascent masks are reach22 closures, so a child
-    cone holds a whole class of pairs and ends in its representative)."""
-    u = root[:-2]
-    return [u + c + atlas.types[t].representative
-            for c, t in atlas.children[atlas.type_of[root[-2:]]]]
+def _level(atlas, t, depth, lists):
+    """Roots, types and words of the cones ``depth`` levels below a node of
+    type ``t`` in root order, kept per (type, depth) in ``lists``: each
+    child's letter before its type's level above, merged if they interleave."""
+    todo = [(t, depth)]
+    while todo:
+        t, d = todo.pop()
+        kids = atlas.children[t]
+        missing = [(k, d - 1) for _, k in kids if (k, d - 1) not in lists]
+        if missing:
+            todo += [(t, d), *missing]
+        elif (t, d) not in lists:
+            words = sum(lists[k, d - 1][2] for _, k in kids)
+            if words > WORD_BUDGET:
+                raise AssumptionError(f"cone enumeration exceeded {WORD_BUDGET} words")
+            roots, types, merge = [], [], False
+            for c, k in kids:
+                n = len(roots)
+                roots += map(c.__add__, lists[k, d - 1][0])
+                types += lists[k, d - 1][1]
+                merge |= 0 < n < len(roots) and roots[n - 1] > roots[n]
+            if merge:
+                roots, types = map(list, zip(*sorted(zip(roots, types))))
+            lists[t, d] = roots, types, words
+    return lists[t, depth]
 
 
 def _certify(atlas, roots2, cov, passed):
@@ -554,8 +554,9 @@ def _build_root_covering(atlas, key):
                 f"type {ct.representative} has no words at level 2; the "
                 "level-2 root covering does not apply")
         roots.append(min(mem2))
-    cov = Covering(-1, _make_slots(atlas, roots, key), depth_bound=3,
-                   method="root-level2")
+    cov = Covering(-1, _make_slots(roots, [ct.id for ct in atlas.types],
+                                   key or (lambda w: w)),
+                   depth_bound=3, method="root-level2")
     once = {c: _covered_once(rel.advance(rel.closure[rel.pair_index[s.root]], c)
                              for s in cov.slots) for c in model.alphabet}
     for w in reachable_sets(model).words3:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +81,14 @@ class _HSystem:
         at.append(np.concatenate([ef_at, dg_at], axis=1).ravel())
         src.append(np.concatenate([ef_src, dg_src], axis=1).ravel())
         coef.append(self.up.repeat(2 * nA * nA))
-        self.at, self.src, self.coef = map(np.concatenate, (at, src, coef))
+        # unknowns: supp_h's entries in flat order; as it is closed, no entry
+        # off it depends on one in it, so Newton steps are zero off it
+        self.supp = S = np.flatnonzero(rel.supp_h)
+        inside, pos = rel.supp_h.ravel(), np.cumsum(rel.supp_h) - 1
+        row, col = np.divmod(np.concatenate(at), N)
+        keep = inside[row] & inside[col]
+        self.at = (pos[row] * len(S) + pos[col])[keep]
+        self.src, self.coef = (np.concatenate(a)[keep] for a in (src, coef))
 
     def apply(self, x, z):
         terms = np.concatenate([
@@ -93,9 +101,9 @@ class _HSystem:
         return z * out
 
     def jacobian(self, x, z):
-        N = x.size
+        n = len(self.supp)
         vals = (z * self.coef) * np.r_[x.ravel(), 1.0][self.src]
-        return np.bincount(self.at, vals, N * N).reshape(N, N)
+        return np.bincount(self.at, vals, n * n).reshape(n, n)
 
 
 @dataclass
@@ -125,6 +133,7 @@ def solve_H(model, z=1.0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     sys_ = _HSystem(model)
     nP, nA = len(sys_.pairs), sys_.nA
     x = np.zeros((nP, nA))
+    S, eye = sys_.supp, np.eye(len(sys_.supp))    # x is zero off S
     residual = np.inf
     iterations = 0
 
@@ -142,8 +151,9 @@ def solve_H(model, z=1.0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         step_ok = False
         try:
             J = sys_.jacobian(x, z)
-            delta = np.linalg.solve(np.eye(nP * nA) - J, (fx - x).ravel())
-            cand = x + delta.reshape(nP, nA)
+            delta = np.linalg.solve(eye - J, (fx - x).flat[S])
+            cand = x.copy()
+            cand.flat[S] += delta
             # accept only monotone steps that stay weakly below the fixed point
             if np.isfinite(cand).all() and (cand >= x - 1e-14).all():
                 f_cand = sys_.apply(cand, z)
@@ -180,9 +190,9 @@ def solve_H(model, z=1.0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     if want_derivs:
         try:
             J = sys_.jacobian(x, z)
-            lhs = np.eye(nP * nA) - J
             # dF/dz = F/z at the solution, i.e. x/z
-            derivs = np.linalg.solve(lhs, (x / z).ravel()).reshape(nP, nA)
+            derivs = np.zeros((nP, nA))
+            derivs.flat[S] = np.linalg.solve(eye - J, (x / z).flat[S])
             # an (almost) singular linearization marks the critical regime;
             # its blown-up solutions are meaningless, so mark unavailable
             if not np.isfinite(derivs).all() or (derivs < -1e-9).any() \
@@ -285,16 +295,28 @@ def compute_Lbar(model, gbar, z=1.0):
     return LBarTable(M, Md)
 
 
-# -- short-word Green system ---------------------------------------------------
+# -- short-word Green values ---------------------------------------------------
 
-@dataclass
 class ShortGreen:
-    words: list
-    index: dict
-    values: np.ndarray
+    """Green values between reachable words of length <= 3: at level <= 1
+    from the trace of the walk there (a chain watched on a subset has the
+    same Green function there: Woess, Random Walks on Infinite Graphs and
+    Groups, 2000), else from the length-3 system, solved on first use."""
+
+    def __init__(self, model, h, z=1.0):
+        # the rules, not the model: the model caches these tables
+        self._source = (model.rules, saturate_supports(model), h, z,
+                        model.reachable_short_words)
+        self.index, self.values = _green_system(*self._source, 1)
+
+    @cached_property
+    def _long(self):
+        return _green_system(*self._source, 3)
 
     def value(self, w1, w2):
-        return float(self.values[self.index[w1], self.index[w2]])
+        index, values = (self._long if len(w1) > 1 or len(w2) > 1
+                         else (self.index, self.values))
+        return float(values[index[w1], index[w2]])
 
     def l_value(self, w):
         """L(o, w) for |w| <= 3 via the last-visit factorization."""
@@ -303,32 +325,23 @@ class ShortGreen:
         return self.value("", w) / self.value("", "")
 
 
-def solve_green_short(model, h, z=1.0):
-    """Green values between reachable words of length <= 3.
-
-    Steps that would leave length 3 ascend and are folded back through the
-    descent table."""
-    rel = saturate_supports(model)
-    words = list(model.reachable_short_words)
-    index = {w: i for i, w in enumerate(words)}
-    n = len(words)
-    T = np.zeros((n, n))
-    folds = {}      # suffix -> [(last two letters after the fold, value)]
-    for w, i in index.items():
-        for succ, p in model.successors(w):
-            if len(succ) <= 3:
-                T[i, index[succ]] += z * p
-        if len(w) == 3:
-            if w[-2:] not in folds:
-                folds[w[-2:]] = [
-                    (rhs[0] + model.alphabet[f], z * p * h.values[hp, f])
-                    for rhs, p in model.up_rules.get(w[-2:], ())
-                    for hp in [rel.pair_index[rhs[1:]]]
-                    for f in np.flatnonzero(rel.supp_h[hp])]
-            for tail, v in folds[w[-2:]]:
-                T[i, index[w[0] + tail]] += v
-    return ShortGreen(words, index,
-                      _checked_inverse(np.eye(n) - T, "short-word Green"))
+def _green_system(rules, rel, h, z, words, top):
+    """(index, inverse) of the Green system on the reachable ``words`` up to
+    length ``top``; steps past it fold back through the descent table."""
+    index = {w: i for i, w in enumerate(w for w in words if len(w) <= top)}
+    T = np.zeros((len(index), len(index)))
+    for fold in (False, True):
+        for w, i in index.items():
+            for r in rules.get(w[-2:], ()):
+                succ = w[:-2] + r.rhs
+                if len(succ) <= top and not fold:
+                    T[i, index[succ]] += z * r.prob
+                elif len(succ) > top and fold:
+                    hp = rel.pair_index[succ[-2:]]
+                    for f in np.flatnonzero(rel.supp_h[hp]):
+                        T[i, index[succ[:-2] + h.letters[f]]] += \
+                            z * r.prob * h.values[hp, f]
+    return index, _checked_inverse(np.eye(len(T)) - T, "short-word Green")
 
 
 def _checked_inverse(lhs, name):
@@ -374,7 +387,7 @@ def solve_all(model, z=1.0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     if transient:
         gf.gbar = solve_Gbar(model, h, z=z)
         gf.lbar = compute_Lbar(model, gf.gbar, z=z)
-        gf.green_short = solve_green_short(model, h, z=z)
+        gf.green_short = ShortGreen(model, h, z=z)
     return gf
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from functools import cached_property
+from itertools import chain as concat, groupby
+from operator import itemgetter
 from os.path import commonprefix
 from typing import NamedTuple
 
@@ -73,10 +75,9 @@ def _entries(gf, ab, table, with_deriv):
     words = table.words
     vals, dvals = np.empty(len(words)), np.empty(len(words))
     i = 0
-    for frozen, run in groupby(words, key=lambda y: y[:-2]):
+    for frozen, run in groupby(words, key=itemgetter(slice(-2))):
         prev, n = ev.word[:-2], len(list(run))     # the stacked letters
-        ev.step(words[i], keep=len(prev) if frozen.startswith(prev)
-                else len(commonprefix((prev, frozen))))
+        ev.step(words[i], keep=len(commonprefix((prev, frozen))))
         alpha, dalpha, scale = ev.stack[-1]
         js, f = table.sfx[i:i + n], math.exp(scale)
         vals[i:i + n] = alpha[js] * f
@@ -137,7 +138,6 @@ class EntryChain:
     model: object
     gf: object
     atlas: object
-    states: list                 # increment words, sorted
     suffix_rows: dict            # suffix -> SuffixRow
     slot_tables: list            # type id -> SlotTable
     # law of the first increment per (root type, suffix of the increment)
@@ -146,6 +146,10 @@ class EntryChain:
     lambda_: float = 0.0
     expected_time: float | None = None
     ell: float | None = None
+
+    @cached_property
+    def states(self):         # the increment words, sorted
+        return sorted(set().union(*(t.words for t in self.slot_tables)))
 
 
 def slot_tables(atlas, gf):
@@ -156,17 +160,18 @@ def slot_tables(atlas, gf):
     n_end = np.array([len(e) for e in ends], dtype=np.intp)
     end_sfx = np.array([gf.gbar.index[cd] for e in ends for cd in e], np.intp)
     covs = [atlas.coverings[ct.id].slots for ct in atlas.types]
-    roots, types, local = zip(*(s for slots in covs for s in slots))
+    roots, types, local = zip(*concat.from_iterable(covs))
     words = [r[:-2] + cd for r, t in zip(roots, types) for cd in ends[t]]
-    k = n_end[list(types)]
+    types = np.array(types, np.intp)
+    k = n_end[types]
     owner = np.repeat(np.repeat(np.arange(len(covs)), list(map(len, covs))), k)
-    length = np.repeat(list(map(len, roots)), k)
+    length = np.repeat(np.fromiter(map(len, roots), np.intp, len(roots)), k)
     if len(words) and length.min() < 3:
         raise AssumptionError("covering slot boundary "
                               f"{words[length.argmin()]!r} too short")
     seq = np.array(sorted(range(len(words)), key=words.__getitem__), np.intp)
     seq = seq[np.argsort(owner[seq], kind="stable")]
-    sfx = end_sfx[ranges((np.cumsum(n_end) - n_end)[list(types)], k)]
+    sfx = end_sfx[ranges((np.cumsum(n_end) - n_end)[types], k)]
     cols = [sfx[seq], length[seq], np.repeat(types, k)[seq],
             np.repeat(local, k)[seq]]
     cut = np.searchsorted(owner[seq], np.arange(len(covs) + 1)).tolist()
@@ -198,12 +203,11 @@ def _suffix_row(gf, ab, table, with_deriv):
 def build_chain(model, gf, atlas):
     """Assemble the last-entry chain: states, rows, classes, measures, drift."""
     tables = slot_tables(atlas, gf)
-    states = sorted(set().union(*(t.words for t in tables)))
     suffixes = unique(np.concatenate([t.sfx for t in tables])).tolist()
     suffix_rows = {ab: _suffix_row(gf, ab, tables[atlas.type_of[ab]],
                                    gf.has_derivs)
                    for ab in (gf.gbar.rpairs[i] for i in suffixes)}
-    chain = EntryChain(model, gf, atlas, states, suffix_rows, tables)
+    chain = EntryChain(model, gf, atlas, suffix_rows, tables)
     _initial_distribution(chain)
     _decompose(chain)
     return chain

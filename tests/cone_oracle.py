@@ -1,10 +1,16 @@
 """References for cone membership: the membership automaton of
 ``ReachRelation`` run on one word, the boolean-row walk over the reach22
 closure, one letter of the tail at a time, and breadth-first search over
-the walk's own successors; and the word-level spelling of a covering cut."""
+the walk's own successors; the word-level spelling of a covering cut; and
+the coverings spelled one depth at a time, with the uniform level searched
+per type on counts and each node's type looked up from its word."""
+from collections import Counter
+from itertools import count, repeat
+
 import numpy as np
 
-from rlentropy.cones import _children_classes
+from rlentropy.cones import (AssumptionError, SubconeSlot, WORD_BUDGET,
+                             _search_cut)
 
 
 def tail_reachable(rel, pair, tail):
@@ -70,13 +76,48 @@ def tail_reachable_rows(model, rel, pair, tail):
     return bool(cur[P[tail[-2:]]])
 
 
+def cone_level_words(rel, roots2, level):
+    """All relative words ``level - 2`` levels below the member words
+    ``roots2``: for a type's 2-letter members, its cone at that level in the
+    2-letter root frame."""
+    words = list(roots2)
+    for _ in range(level - 2):
+        nxt = set()
+        for w in words:
+            for c, mask in rel.up_step[rel.pair_index[w[-2:]]].items():
+                nxt.update(w[:-2] + c + fg for fg in rel.pairs_of(mask))
+        words = sorted(nxt)
+    return words
+
+
+def children_classes(rel, roots):
+    """The child cones one level below the cones whose member words at their
+    own level are ``roots`` (whole classes of last pairs), as {lex-least
+    root: member list}; a cone class is one prefix and one class of
+    mutually reach22-reachable pairs."""
+    mutual = rel.reach22 & rel.reach22.T
+    groups = {}
+    for w in cone_level_words(rel, roots, 3):
+        key = (w[:-2], int(np.argmax(mutual[rel.pair_index[w[-2:]]])))
+        groups.setdefault(key, []).append(w)
+    return dict(sorted((min(ms), ms) for ms in groups.values()))
+
+
+def child_tables(atlas):
+    """Per type, (first letter, type) of each child cone in root order, from
+    the member words one level below the type's members."""
+    return {ct.id: [(root[0], atlas.type_of[root[-2:]])
+                    for root in children_classes(atlas.rel, ct.members)]
+            for ct in atlas.types}
+
+
 def word_spelled_cut(atlas, ct, cut):
     """The slot roots of a type-level cut, spelled out one depth at a time
     with each expanded node grown from all of its member words: the first
     nodes of a type in root order stay leaves, as many as the cut holds."""
-    model, rel = atlas.model, atlas.rel
+    rel = atlas.rel
     leaves = dict(cut)
-    nodes, roots = _children_classes(model, rel, ct.members), []
+    nodes, roots = children_classes(rel, ct.members), []
     for depth in range(1, max(d for d, _ in cut) + 1):
         expand = []
         for root, members in nodes.items():
@@ -86,5 +127,81 @@ def word_spelled_cut(atlas, ct, cut):
                 roots.append(root)
             else:
                 expand += members
-        nodes = _children_classes(model, rel, expand)
+        nodes = children_classes(rel, expand)
     return roots
+
+
+def coverings(atlas, order_key=None, level_bump=0, spell=None):
+    """(slots, depth_bound, method) of each type's covering and the root
+    covering's slots: the cut searched per type on counts, then spelled by
+    ``spell`` (by default from the atlas's child tables one depth at a
+    time, each node's type looked up from its last pair)."""
+    key, spell = order_key or (lambda w: w), spell or spell_cut
+    out = {}
+    for ct in atlas.types:
+        kids = atlas.children[ct.id]
+        if not atlas.expanding_types[ct.id]:
+            cut, method = {(1, kids[0][1]): 1}, "single-child"
+        else:
+            cut, method = uniform_cut(atlas, ct, level_bump), "uniform"
+            if cut is None:
+                cut, method = _search_cut(atlas, ct), "cut"
+        out[ct.id] = (make_slots(atlas, spell(atlas, ct, cut), key),
+                      max(d for d, _ in cut) + 3, method)
+    roots = [s.root for s in atlas.root_covering.slots]
+    return out, make_slots(atlas, roots, key)
+
+
+def make_slots(atlas, roots, key):
+    roots = sorted(roots, key=key)
+    types = [atlas.type_of[root[-2:]] for root in roots]
+    counters = {t: count(1) for t in set(types)}
+    return list(map(tuple.__new__, repeat(SubconeSlot), zip(
+        roots, types, [next(counters[t]) for t in types])))
+
+
+def uniform_cut(atlas, ct, level_bump):
+    """All cones at the shallowest depth within the cap whose types include
+    every forward type (or at the ``level_bump``-th such depth after it, as
+    far as there are any); None if no depth qualifies."""
+    needed, hits = atlas.forward_types[ct.id], []
+    level = Counter(c for _, c in atlas.children[ct.id])
+    for depth in range(1, atlas.depth_cap + 1):
+        if needed <= level.keys():
+            hits.append({(depth, t): n for t, n in level.items()})
+            if len(hits) > level_bump:
+                break
+        deeper = Counter()
+        for t, n in level.items():
+            for _, c in atlas.children[t]:
+                deeper[c] += n
+        level = deeper
+    return hits[-1] if hits else None
+
+
+def spell_cut(atlas, ct, cut):
+    """The slot roots of a type-level cut, spelled out one depth at a time
+    from the child tables: the first nodes of a type in root order stay
+    leaves, as many as the cut holds; WORD_BUDGET bounds a level's words."""
+    leaves, expand, roots = dict(cut), [ct.representative], []
+    for depth in range(1, max(d for d, _ in cut) + 1):
+        nodes = sorted({kid for u in expand for kid in spelled_children(atlas, u)})
+        kinds = [atlas.type_of[r[-2:]] for r in nodes]
+        if sum(len(atlas.types[t].members) for t in kinds) > WORD_BUDGET:
+            raise AssumptionError(f"cone enumeration exceeded {WORD_BUDGET} words")
+        expand = []
+        for root, t in zip(nodes, kinds):
+            if leaves.get((depth, t)):
+                leaves[depth, t] -= 1
+                roots.append(root)
+            else:
+                expand.append(root)
+    return roots
+
+
+def spelled_children(atlas, root):
+    """The child cone roots below the node ``root``: its frozen letters and
+    its type's child table."""
+    u = root[:-2]
+    return [u + c + atlas.types[t].representative
+            for c, t in atlas.children[atlas.type_of[root[-2:]]]]

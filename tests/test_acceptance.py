@@ -16,11 +16,10 @@ from rlentropy.entropy import (HiddenChain, build_qhat,
                                sandwich_bounds, unambiguous_exact)
 from rlentropy.genfun import L_word, solve_Gbar, solve_H
 from rlentropy.lastentry import stationary
-from rlentropy.cones import _cone_level_words
 
 from conftest import fixture_path, get_analysis, get_atlas, get_chain, \
     get_gf, get_model
-from cone_oracle import brute_cone_members, cones_disjoint
+from cone_oracle import brute_cone_members, cone_level_words, cones_disjoint
 from chain_oracle import lifted, q_matrix, stationary_power
 
 LN3 = math.log(3)
@@ -204,7 +203,7 @@ def test_criterion_8_structural_suite():
         pool = []
         for t in atlas.types:
             for lev in (3, 4, 5):
-                pool.extend(_cone_level_words(model, atlas.rel, t.members, lev))
+                pool.extend(cone_level_words(atlas.rel, t.members, lev))
         pool = sorted(set(pool))
         for _ in range(200):
             v1 = pool[rng.integers(len(pool))]

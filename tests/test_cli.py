@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -73,6 +76,35 @@ def test_module_entry_point_warns_nothing():
          "--help"], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+def test_parser_built_once_on_first_main_call():
+    # importing the package builds no parser; the first cli.main builds it
+    # and later calls reuse it, so they leave none of its formatters,
+    # sections or actions for the collector
+    snippet = ("import sys\n"
+               "sys.path.insert(0, sys.argv[1])\n"
+               "import rlentropy, rlentropy.cli\n"
+               "print(rlentropy.cli.build_parser.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-I", "-c", snippet, str(SRC)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["0"], proc.stderr
+    argv = ["--format", "json", "entropy", str(fixture_path("fg2"))]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        gc.collect()
+        kinds = {type(obj).__module__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert "argparse" not in kinds
 
 
 def test_closed_output_ends_without_traceback():

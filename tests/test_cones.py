@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 import rlentropy as rle
 from rlentropy import cones
-from rlentropy.cones import limit_words, saturate_supports, _cone_level_words
+from rlentropy.cones import limit_words, saturate_supports
 from rlentropy.model import AssumptionError
 
-from cone_oracle import (brute_cone_members, cones_disjoint, in_cone,
-                         tail_reachable, tail_reachable_rows,
-                         word_spelled_cut)
+import cone_oracle
+from cone_oracle import (brute_cone_members, child_tables, cone_level_words,
+                         cones_disjoint, coverings, in_cone, tail_reachable,
+                         tail_reachable_rows, word_spelled_cut)
 from conftest import (FIXTURES, free_group_text, free_product_text,
                       get_atlas, get_gf, get_model, tree_text)
 
@@ -139,7 +141,7 @@ def test_nested_or_disjoint_against_brute(fg2, ne, multi):
         pool = []
         for t in atlas.types:
             for lev in (3, 4, 5):
-                pool.extend(_cone_level_words(model, rel, t.members, lev))
+                pool.extend(cone_level_words(rel, t.members, lev))
         pool = sorted(set(pool))
         for _ in range(200):
             v1, v2 = (pool[rng.integers(len(pool))] for _ in range(2))
@@ -254,20 +256,14 @@ def test_cut_coverings_against_brute(name):
 
 
 @pytest.mark.parametrize("name", ["z2z3"] + ALL_MODELS)
-def test_spelled_children_match_in_cone(monkeypatch, name):
-    # the nodes the atlas expands get exactly the cones one level below
-    # that in_cone admits from any of their member words (the node's
-    # frozen letters followed by each member pair of its type), one per
-    # class of last pairs
-    expanded = []
-    children = cones._spelled_children
-
-    def recorded(atlas, root):
-        kids = children(atlas, root)
-        expanded.append((root, kids))
-        return kids
-
-    monkeypatch.setattr(cones, "_spelled_children", recorded)
+def test_spelled_children_match_in_cone(name):
+    # each covering is the set of leaves of the tree grown from its type's
+    # representative, every node above the covering's depth that is not a
+    # slot expanded by its type's child table after its frozen letters; the
+    # children of every expanded node are exactly the cones one level below
+    # that in_cone admits from any of its member words (the node's frozen
+    # letters followed by each member pair of its type), one per class of
+    # last pairs
     model = get_model(name)
     rel = saturate_supports(model)
     atlas = cones.build_atlas(model)
@@ -277,6 +273,22 @@ def test_spelled_children_match_in_cone(monkeypatch, name):
         return {root[:-2] + cd
                 for cd in atlas.types[atlas.type_of[root[-2:]]].members}
 
+    expanded = []
+    for ct in atlas.types:
+        cov = atlas.coverings[ct.id]
+        slots = {(s.root, s.type_id) for s in cov.slots}
+        todo, leaves = [(ct.representative, ct.id)], set()
+        while todo:
+            root, t = todo.pop()
+            if (root, t) in slots:
+                leaves.add((root, t))
+                continue
+            assert len(root) - 2 < cov.depth_bound - 3, (ct.id, root)
+            kids = [(root[:-2] + c + atlas.types[k].representative, k)
+                    for c, k in atlas.children[t]]
+            expanded.append((root, [kid for kid, _ in kids]))
+            todo += kids
+        assert leaves == slots, ct.id
     assert expanded
     for root, kids in expanded:
         below = {w[:-2] + t for w in members(root) for t in tails
@@ -301,20 +313,69 @@ SPELLING_TEXTS = {
 
 
 @pytest.mark.parametrize("name", ALL_MODELS + list(SPELLING_TEXTS))
-def test_type_spelling_matches_word_oracle(monkeypatch, name):
-    # spelling a cut from the per-type child table gives the slots (root,
-    # type, local index and order) that expanding every member word does,
-    # also under a permuted slot order and a deeper uniform cut
+def test_type_spelling_matches_word_oracle(name):
+    # the coverings spelled in one typed pass from levels shared per (type,
+    # depth), with every uniform level read off the type-level child matrix,
+    # have the slots (root, type, local index and order), depth bounds and
+    # methods of the cuts searched per type on counts and spelled one depth
+    # at a time, by each node's looked-up type or by expanding every member
+    # word; also under a permuted slot order and a deeper uniform cut.  The
+    # child tables are those of the member words one level below.
     model = (rle.parse_model(SPELLING_TEXTS[name]) if name in SPELLING_TEXTS
              else get_model(name))
     for kw in ({}, {"order_key": lambda w: w[::-1]}, {"level_bump": 1}):
         atlas = cones.build_atlas(model, **kw)
-        with monkeypatch.context() as m:
-            m.setattr(cones, "_spell_cut", word_spelled_cut)
-            oracle = cones.build_atlas(model, **kw)
-        for tid, cov in atlas.coverings.items():
-            assert cov.slots == oracle.coverings[tid].slots, (name, kw, tid)
-        assert atlas.root_covering.slots == oracle.root_covering.slots
+        assert atlas.children == child_tables(atlas)
+        for spell in (None, word_spelled_cut):
+            oracle, root = coverings(atlas, spell=spell, **kw)
+            for tid, cov in atlas.coverings.items():
+                assert (cov.slots, cov.depth_bound, cov.method) == \
+                    oracle[tid], (name, kw, tid)
+            assert atlas.root_covering.slots == root
+
+
+@pytest.mark.parametrize("name", ["fg2", "glued", "a2", "multi", "z2z3",
+                                  "z3z3", "F3", "z2z3z4"])
+def test_word_budget_matches_depth_by_depth_oracle(monkeypatch, name):
+    # WORD_BUDGET refuses exactly the budgets below the most member words
+    # that one depth of a covering spelled depth by depth holds
+    model = (rle.parse_model(SPELLING_TEXTS[name]) if name in SPELLING_TEXTS
+             else get_model(name))
+    atlas = cones.build_atlas(model)
+
+    def refused(spell, budget):
+        monkeypatch.setattr(cones, "WORD_BUDGET", budget)
+        monkeypatch.setattr(cone_oracle, "WORD_BUDGET", budget)
+        try:
+            spell()
+        except AssumptionError as exc:
+            assert str(exc) == f"cone enumeration exceeded {budget} words"
+            return True
+        return False
+
+    low, high = 0, 10 ** 6          # the oracle refuses low, accepts high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = ((mid, high) if refused(lambda: coverings(atlas), mid)
+                     else (low, mid))
+    assert refused(lambda: cones.build_atlas(model), low)
+    assert not refused(lambda: cones.build_atlas(model), high)
+
+
+def test_level_merges_interleaving_children():
+    # a type ascends by one letter into two child types whose own levels
+    # interleave; the shared level lists every cone in root order with its
+    # type, as sorting the concatenated children's levels does
+    atlas = SimpleNamespace(children={0: [("a", 1), ("a", 2)],
+                                      1: [("b", 3), ("c", 3)],
+                                      2: [("b", 4)], 3: [], 4: []})
+    reps = {0: "xy", 1: "pq", 2: "rs", 3: "uv", 4: "ab"}
+    lists = {(t, 0): ([r], [t], 1) for t, r in reps.items()}
+    roots, types, words = cones._level(atlas, 0, 2, lists)
+    assert list(zip(roots, types)) == [("abab", 4), ("abuv", 3),
+                                       ("acuv", 3)]
+    assert words == 3
+    assert cones._level(atlas, 0, 1, lists)[:2] == (["apq", "ars"], [1, 2])
 
 
 class _RecordingSet(set):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rlentropy as rle
-from rlentropy.genfun import (L_word, SingularSystemError, solve_Gbar,
-                              solve_H, _checked_inverse, _HSystem)
+from rlentropy import pipeline
+from rlentropy.cones import saturate_supports
+from rlentropy.genfun import (L_word, SingularSystemError, solve_all,
+                              solve_Gbar, solve_H, _checked_inverse, _HSystem)
 
 from contraction_oracle import mathL
-from conftest import get_gf, get_model
+from conftest import (fixture_path, free_group_text, free_product_text,
+                      get_gf, get_model, tree_text)
 import descent_oracle
 
 # every model the suite builds: the seven fixtures, the models written out
@@ -158,7 +162,8 @@ def test_green_short_fg2():
 def test_green_diagonal_at_least_one():
     for name in ("fg2", "ne", "multi"):
         gf = get_gf(name)
-        assert (np.diag(gf.green_short.values) >= 1 - 1e-12).all()
+        for w in get_model(name).reachable_short_words:
+            assert gf.green_short.value(w, w) >= 1 - 1e-12, (name, w)
 
 
 def test_L_word_two_routes_agree():
@@ -270,16 +275,24 @@ def test_h_solve_reports_iterations():
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_descent_system_matches_rule_loops(name):
     """The scattered Jacobian and the stacked evaluation give the bits of
-    the loops over the rules, at the solution and away from it."""
+    the loops over the rules, at the solution and away from it; the
+    Jacobian on the entries of supp_h, which at a table supported there
+    no entry off it depends on."""
     model = get_model(name)
     sys_ = _HSystem(model)
+    S = sys_.supp
+    assert np.array_equal(S, np.flatnonzero(saturate_supports(model).supp_h))
     x_solved = get_gf(name).h.values
+    assert not x_solved.flat[np.setdiff1d(np.arange(x_solved.size), S)].any()
     x_random = np.random.default_rng(15).random(x_solved.shape)
     for x, z in ((x_solved, 1.0), (x_random, 0.9)):
         assert np.array_equal(sys_.apply(x, z),
                               descent_oracle.apply(model, x, z))
-        assert np.array_equal(sys_.jacobian(x, z),
-                              descent_oracle.jacobian(model, x, z))
+        full = descent_oracle.jacobian(model, x, z)
+        assert np.array_equal(sys_.jacobian(x, z), full[np.ix_(S, S)])
+    off = np.setdiff1d(np.arange(x_solved.size), S)
+    assert not descent_oracle.jacobian(model, x_solved, 1.0)[
+        np.ix_(off, S)].any()
 
 
 def test_descent_oracle_covers_level_rules():
@@ -295,7 +308,8 @@ def test_solve_H_unchanged_under_rule_loops(name, monkeypatch):
     monkeypatch.setattr(_HSystem, "apply", lambda self, x, z:
                         descent_oracle.apply(model, x, z))
     monkeypatch.setattr(_HSystem, "jacobian", lambda self, x, z:
-                        descent_oracle.jacobian(model, x, z))
+                        descent_oracle.jacobian(model, x, z)[
+                            np.ix_(self.supp, self.supp)])
     slow = solve_H(model)
     assert np.array_equal(fast.values, slow.values)
     assert (fast.derivs is None) == (slow.derivs is None)
@@ -303,6 +317,102 @@ def test_solve_H_unchanged_under_rule_loops(name, monkeypatch):
         assert np.array_equal(fast.derivs, slow.derivs)
     assert fast.iterations == slow.iterations
     assert fast.residual == slow.residual
+
+
+# the fixtures and conftest models, the free groups F_2 - F_5, the trees
+# T_3 - T_5 and Z_2 * Z_3 * Z_4 (every covering method and level rules)
+DENSE_MODELS = {**{name: None for name in ALL_MODELS},
+                **{f"F{k}": free_group_text(k) for k in range(2, 6)},
+                **{f"T{d}": tree_text(d) for d in range(3, 6)},
+                "z2z3z4": free_product_text((2, 3, 4))}
+
+
+def _random_law_models():
+    """Seeded random step laws on Z_2 * Z_3, Z_3 * Z_3, Z_2 * Z_4 and
+    Z_2 * Z_3 * Z_4, with weights in thousandths."""
+    rng = np.random.default_rng(2022)
+    out = {}
+    for orders in [(2, 3), (3, 3), (2, 4), (2, 3, 4)]:
+        n = sum(m - 1 for m in orders)
+        for rep in range(3):
+            w = [Fraction(int(x), 1000) for x in
+                 rng.multinomial(1000 - n, np.ones(n) / n) + 1]
+            out[f"{orders}-{rep}"] = rle.parse_model(free_product_text(
+                orders, w))
+    return out
+
+
+def _dense_model(name):
+    text = DENSE_MODELS[name]
+    return get_model(name) if text is None else rle.parse_model(text)
+
+
+def _assert_derivs_close(fast, dense):
+    assert fast is not None
+    scale = np.maximum(np.abs(dense), np.abs(dense).max() * 1e-3)
+    assert (np.abs(fast - dense) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("name", DENSE_MODELS)
+def test_solve_H_on_support_matches_dense_newton(name):
+    # the Newton steps on the entries of supp_h give the table of the steps
+    # on every (pair, letter) entry bit for bit, and its z-derivatives to
+    # rounding
+    model = _dense_model(name)
+    fast = solve_H(model)
+    values, derivs = descent_oracle.solve_H_dense(model)
+    assert np.array_equal(fast.values, values)
+    if name in ("line", "a2"):      # recurrent: no derivative table
+        assert fast.derivs is None
+        return
+    _assert_derivs_close(fast.derivs, derivs)
+
+
+def test_solve_H_on_support_matches_dense_newton_on_random_laws():
+    # on random laws the two solves agree to rounding, not bit for bit: the
+    # dense LU solve orders its arithmetic differently (a few ulps)
+    for name, model in _random_law_models().items():
+        fast = solve_H(model)
+        values, derivs = descent_oracle.solve_H_dense(model)
+        assert (np.abs(fast.values - values) <= 1e-13 * values).all(), name
+        _assert_derivs_close(fast.derivs, derivs)
+
+
+@pytest.mark.parametrize("name", [n for n in DENSE_MODELS
+                                  if n not in ("line", "a2")])
+def test_level_one_green_matches_length3_system(name):
+    # G(o, .) and the other values between the root and the letters from
+    # the trace on level <= 1 agree with the whole length-3 system; longer
+    # words read that system, solved on their first query, bit for bit
+    model = _dense_model(name)
+    gf = solve_all(model)
+    gs = gf.green_short
+    index, inverse = descent_oracle.green_short_system(model, gf.h)
+    low = [w for w in model.reachable_short_words if len(w) <= 1]
+    assert list(gs.index) == low
+    for v in low:
+        for w in low:
+            want = inverse[index[v], index[w]]
+            assert abs(gs.value(v, w) - want) <= 1e-13 * abs(want), (v, w)
+    assert "_long" not in vars(gs)
+    for w in model.reachable_short_words:
+        if len(w) >= 2:
+            assert gs.value("", w) == inverse[index[""], index[w]]
+            assert gs.value(w, w) == inverse[index[w], index[w]]
+
+
+def test_analysis_reads_no_length3_green_value():
+    # the analysis reads G(o, .) only at level <= 1, and L(o, w) for |w| in
+    # {2, 3} through the last-entry contraction; L_word's direct route
+    # solves the length-3 system
+    for model in (rle.load_model(fixture_path("fg2")),
+                  rle.load_model(fixture_path("glued")),
+                  rle.parse_model(free_product_text((2, 3))),
+                  rle.parse_model(free_group_text(3))):
+        gf = pipeline.analyze(model).gf
+        assert "_long" not in vars(gf.green_short), model.source
+        L_word(model, gf, model.reachable_short_words[-1])
+        assert "_long" in vars(gf.green_short), model.source
 
 
 def _near_singular(kind, n, seed, decades):

@@ -316,7 +316,7 @@ def test_suffix_quotient_with_transient_states():
     for w, m in zip(states, mu0):
         mu1[0, w[-2:]] = mu1.get((0, w[-2:]), 0.0) + m
     chain = EntryChain(None, gf, SimpleNamespace(type_of=dict.fromkeys(
-        rows, 0)), states, suffix_rows, [table], mu1)
+        rows, 0)), suffix_rows, [table], mu1)
     _decompose(chain)
     assert [c.rows for c in chain.classes] == [["cd", "dc"], ["ef"]]
     support = [np.flatnonzero(lifted(chain, c)).tolist()
