@@ -346,98 +346,71 @@ def unambiguous_exact(chain, cls):
 @dataclass
 class ModifiedChain:
     hidden: HiddenChain
-    step: StepTable     # Q-hat on the hidden chain's rows and symbol ids
-    fold_counts: dict   # (type i, type j, suffix ab) -> split count
+    step: StepTable     # Q-hat summed per (row, symbol id, target row)
+    counts: np.ndarray  # per entry: its fold count (0 but on first slots)
 
 
 def build_qhat(chain, cls):
-    """Q-hat's step table on the rows of the hidden chain: a row spreads its
-    entries into first slots across all coverings, splitting the mass
-    evenly, so that the projected hidden process keeps the law of the
-    original one.  Its targets are the class's enriched states (owner type,
-    word), enumerated here as arrays: one entry per target, whose symbol is
-    that of the local first slot of its type when it lies in a foreign
-    covering, and whose target row is its word's suffix."""
+    """Q-hat's step table on the rows of the hidden chain, summed per (row,
+    symbol id, target row).  A row of type i keeps q on the targets of its
+    own covering, except that it splits the mass of each own first slot
+    evenly with the ``count`` slots of the same type in the other
+    coverings: every target state with that slot type and suffix in a
+    foreign covering takes one part and emits the symbol of the own first
+    slot.  All parts share that entry's symbol and target row, so the
+    entry holds (targets folded onto it + 1) parts of q / (count + 1); the
+    targets are counted per (covering, slot type, suffix), and no entry
+    per target state is made."""
     hidden = HiddenChain(chain, cls)
-    atlas, tables, index = chain.atlas, chain.slot_tables, chain.gf.gbar.index
-    class_types = sorted(cls.types)
+    atlas, index = chain.atlas, chain.gf.gbar.index
+    types = sorted(cls.types)
+    tables = [chain.slot_tables[m] for m in types]
+    n, n_t = len(index), len(atlas.types)
+    # slots of each type in the covering of each class type, and elsewhere
+    n_slots = np.array([np.bincount([s.type_id for s in atlas.coverings[m]
+                                     .slots], minlength=n_t) for m in types])
+    others = n_slots.sum(axis=0) - n_slots
 
-    # slots of type j in the covering of type m, and in all coverings
-    n_slots = Counter((m, slot.type_id) for m in class_types
-                      for slot in atlas.coverings[m].slots)
-    all_slots = Counter(j for _, j in n_slots.elements())
+    # the target states (words ending in a class row) per covering, key
+    # (slot type, suffix id) and first slot or not, counted in one bincount
+    row_sfx = np.array([index[sfx] for sfx in hidden.states], dtype=np.intp)
+    row_of = np.full(n, -1)
+    row_of[row_sfx] = np.arange(len(row_sfx))
+    cov = np.repeat(np.arange(len(types)), [len(t.words) for t in tables])
+    sfx, slot_type, local = (np.concatenate([getattr(t, c) for t in tables])
+                             for c in ("sfx", "slot_type", "local"))
+    inside = row_of[sfx] >= 0
+    codes, key = unique((slot_type * n + sfx)[inside], return_inverse=True)
+    held = np.bincount((cov[inside] * 2 + (local[inside] == 1)) * len(codes)
+                       + key, minlength=2 * len(types) * len(codes)
+                       ).reshape(len(types), 2, -1)
+    foreign = held.sum(axis=(0, 1)) - held.sum(axis=1)
+    missing = (foreign > 0) & (n_slots[:, codes // n] > 0) & (held[:, 1] == 0)
+    if missing.any():
+        a, k = np.argwhere(missing)[0]
+        raise AssumptionError(
+            "no first slot of type {} with boundary {} in the covering of "
+            "type {}".format(codes[k] // n, chain.gf.gbar.rpairs[codes[k] % n],
+                             types[a]))
 
-    # per target state (a state of the class: its suffix is a class row),
-    # in the order of the coverings' slots: its covering, position in that
-    # covering's slot table, slot type and index, key (slot type, suffix
-    # id) and row
-    n = len(index)
-    row_id = np.full(n, -1)
-    row_id[[index[sfx] for sfx in hidden.states]] = np.arange(len(
-        hidden.states))
-    at = []
-    for m in class_types:
-        a = tables[m].seq.argsort()
-        at.append((m, a[row_id[tables[m].sfx[a]] >= 0]))
-    source = np.concatenate([np.full(len(a), m) for m, a in at])
-    pos = np.concatenate([a for _, a in at])
-    slot_type, slot_index, suffix = (np.concatenate([
-        getattr(tables[m], col)[a] for m, a in at])
-        for col in ("slot_type", "local", "sfx"))
-    first = slot_index == 1
-    codes, key_of = unique(slot_type * n + suffix, return_inverse=True)
-    keys = [(k // n, chain.gf.gbar.rpairs[k % n]) for k in codes.tolist()]
-    row_of = row_id[suffix]
-    fold_counts, entries = {}, []
-    for sfx in hidden.states:
-        i, row = atlas.type_of[sfx], chain.suffix_rows[sfx]
-        table = tables[i]
-        q = np.zeros(len(table.words) + 1)    # the last: no such word
-        q[row.at] = row.probs
-        # a foreign target takes the mass of the local first slot with its
-        # type and suffix; own first slots and foreign targets split their
-        # mass with the type-j slots of the other coverings
-        ones = np.flatnonzero(table.local == 1)
-        ybar = dict(zip((table.slot_type * n + table.sfx)[ones].tolist(),
-                        ones.tolist()))
-        ybar = np.array([ybar.get(k, -1) for k in codes.tolist()])
-        own_slots = np.array([n_slots[(i, j)] for j, _ in keys])
-        count = np.array([all_slots[j] for j, _ in keys]) - own_slots
-        own = source == i
-        fold = ~own & (own_slots > 0)[key_of]
-        split = fold | (own & first)
-        for a in unique(key_of[fold]):
-            if ybar[a] < 0:
-                raise AssumptionError(
-                    "no first slot of type {} with boundary {} in the "
-                    "covering of type {}".format(*keys[a], i))
-        for a in unique(key_of[split]):
-            fold_counts[(i, *keys[a])] = int(count[a])
-        p = np.where(own, q[np.where(own, pos, -1)],
-                     np.where(fold, q[ybar][key_of], 0.0))
-        p = np.where(split, p / (count[key_of] + 1), p)
-        nz = np.flatnonzero(p > 0)
-        total = math.fsum(p[nz].tolist())
-        if abs(total - 1.0) > 1e-12:
-            raise AssumptionError(f"modified row for suffix {sfx!r} sums to "
-                                  f"{total!r}, not 1 +- 1e-12")
-        entries.append((np.full(len(nz), i), nz, p[nz]))
-
-    # the symbols: the row's type i, the target's slot type, and its slot
-    # index, or 1 when the target lies in a foreign covering.  An entry
-    # with mass emits a symbol of the hidden chain's same row (its own
-    # target, or the local first slot whose mass it shares), so the ids
-    # are the hidden chain's.
-    i, x, prob = map(np.concatenate, zip(*entries))   # row type, target
-    n_t, n_k = int(slot_type.max()) + 1, int(slot_index.max()) + 1
-    code, inv = unique((i * n_t + slot_type[x]) * n_k + np.where(
-        source[x] == i, slot_index[x], 1), return_inverse=True)
-    sym_id = {s: k for k, s in enumerate(hidden.symbols)}
-    ids = np.array([sym_id[c // (n_t * n_k), c // n_k % n_t, c % n_k]
-                    for c in code.tolist()], dtype=np.int64)
-    step = StepTable(np.cumsum([0] + [len(e[1]) for e in entries]), ids[inv],
-                     row_of[x], prob)
-    return ModifiedChain(hidden, step, fold_counts)
+    # each entry of the hidden chain: its row's covering, slot type, slot
+    # index and key; a first slot takes its folded parts
+    step = hidden.step
+    i, j, k = np.array(hidden.symbols).reshape(-1, 3)[step.sym].T
+    a = np.searchsorted(types, i)
+    at = np.searchsorted(codes, j * n + row_sfx[step.tgt])
+    counts = np.where(k == 1, others[a, j], 0)
+    prob = np.where(k == 1, step.prob / (counts + 1) * (foreign[a, at] + 1),
+                    step.prob)
+    rows = np.repeat(np.arange(len(hidden.states)), np.diff(step.start))
+    sums = np.bincount(rows, prob, minlength=len(hidden.states))
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
+    if len(bad):
+        raise AssumptionError(f"modified row for suffix "
+                              f"{hidden.states[bad[0]]!r} sums to "
+                              f"{float(sums[bad[0]])!r}, not 1 +- 1e-12")
+    return ModifiedChain(hidden, StepTable(step.start, step.sym, step.tgt,
+                                           prob), counts)
 
 
 def _pair_table(modified):
@@ -471,14 +444,37 @@ def _grow_span(basis, rows):
 
 
 def check_marginal_equality(chain, cls, modified, max_len=None):
-    """Largest |P(w) - P-hat(w)| between the hidden-symbol laws of the
-    original chain and of Q-hat, both started from the first-state law,
-    over the basis words of a breadth-first forward-span construction on
-    the pair automaton (Tzeng, SIAM J. Comput. 21, 1992) and their
-    one-symbol extensions.  The pair automaton runs on table rows: the
-    vector of w holds the mass of mu1 M_w on each row of the hidden chain
-    and of mu1 N_w on each row of Q-hat, and P(w) - P-hat(w) is its signed
-    sum.  The empty word's vector starts the basis.
+    """Distance between the hidden-symbol laws of the original chain and of
+    Q-hat, both started from the first-state law.
+
+    When Q-hat's summed table has the hidden chain's rows, symbols and
+    target rows, and each entry lies within (count + 1) u q of the hidden
+    chain's q (u = 2^-53 the unit roundoff, count the entry's fold count:
+    the split and the sum of its parts each round once), the two are one
+    automaton up to rounding and their laws agree on every word.
+    The result is then the largest L1 difference of a row: the laws of
+    length-n words differ by at most n times it in L1.  Otherwise the span
+    test ``_span_test`` decides, with ``max_len``."""
+    mu1 = modified.hidden.mu1
+    if not mu1.sum() > 0:
+        raise AssumptionError("first-state law has no mass in this class")
+    m, q = modified.hidden.step, modified.step
+    if all(np.array_equal(getattr(m, f), getattr(q, f))
+           for f in ("start", "sym", "tgt")):
+        diff = np.abs(q.prob - m.prob)
+        if np.all(diff <= (modified.counts + 1) * 2.0 ** -53 * m.prob):
+            rows = np.repeat(np.arange(len(m.start) - 1), np.diff(m.start))
+            return float(np.bincount(rows, diff).max(initial=0.0))
+    return _span_test(modified, max_len)
+
+
+def _span_test(modified, max_len=None):
+    """Largest |P(w) - P-hat(w)| over the basis words of a breadth-first
+    forward-span construction on the pair automaton (Tzeng, SIAM J.
+    Comput. 21, 1992) and their one-symbol extensions.  The pair automaton
+    runs on table rows: the vector of w holds the mass of mu1 M_w on each
+    row of the hidden chain and of mu1 N_w on each row of Q-hat, and P(w) -
+    P-hat(w) is its signed sum.  The empty word's vector starts the basis.
     Each level extends the newest basis words by every symbol, SPAN_CHUNK
     words at a time, and keeps the extensions that leave the span of the
     basis (relative residual above SPAN_RTOL after projecting the span out
@@ -488,8 +484,6 @@ def check_marginal_equality(chain, cls, modified, max_len=None):
     of that length."""
     pair = _pair_table(modified)
     mu1 = modified.hidden.mu1
-    if not mu1.sum() > 0:
-        raise AssumptionError("first-state law has no mass in this class")
     start = np.r_[mu1, mu1] / mu1.sum()
     sign = np.repeat([1.0, -1.0], len(mu1))
     basis, frontier = start[None] / np.linalg.norm(start), _row(start)

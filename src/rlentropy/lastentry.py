@@ -93,14 +93,12 @@ def _entries(gf, ab, table, with_deriv):
 class SlotTable(NamedTuple):
     """One type's covering: the boundary words of its slots with positive
     escape probability, sorted, and per word its suffix (an index of
-    ``gf.gbar.index``), length, slot type, local index and place in the
-    covering's order (slot by slot, boundary suffixes in order)."""
+    ``gf.gbar.index``), length, slot type and local index."""
     words: list
     sfx: np.ndarray
     length: np.ndarray
     slot_type: np.ndarray
     local: np.ndarray
-    seq: np.ndarray
 
 
 @dataclass
@@ -176,8 +174,7 @@ def slot_tables(atlas, gf):
             np.repeat(local, k)[seq]]
     cut = np.searchsorted(owner[seq], np.arange(len(covs) + 1)).tolist()
     words = [words[i] for i in seq.tolist()]
-    seq -= np.asarray(cut[:-1])[owner[seq]]     # place in its own covering
-    return [SlotTable(words[a:b], *(c[a:b] for c in cols), seq[a:b])
+    return [SlotTable(words[a:b], *(c[a:b] for c in cols))
             for a, b in zip(cut, cut[1:])]
 
 
@@ -300,6 +297,7 @@ def _decompose(chain):
     wsum = sum(weights.values())
     if abs(wsum - 1.0) > 1e-9:
         raise AssumptionError(f"absorption weights sum to {wsum!r}")
+    weights = {c: w / wsum for c, w in weights.items()}   # one class: 1.0
 
     time_ok = all(r.expected_time is not None for r in rows)
     times = np.array([r.expected_time for r in rows]) if time_ok else None

@@ -54,6 +54,20 @@ def step_table(hidden, state_rows, sym_id):
         sym=np.array(sym), tgt=np.array(tgt), prob=np.array(prob))
 
 
+def class_states(chain, cls, class_words=None):
+    """The class's enriched states (owner type, slot type, slot index,
+    word), in the order of the coverings of its types, their slots and
+    boundary words.  Its words are ``class_words``, by default the targets
+    of its rows."""
+    if class_words is None:
+        class_words = {y for sfx in cls.rows
+                       for y in chain.suffix_rows[sfx].targets}
+    atlas = chain.atlas
+    return [WState(m, slot.type_id, slot.local_index, w)
+            for m in sorted(cls.types) for slot in atlas.coverings[m].slots
+            for w in atlas.boundary_words(slot) if w in class_words]
+
+
 def hidden_chain(chain, cls):
     """(states, symbols, step table, nu, first-state law) of the class's
     hidden chain over its enriched states; the first-state law is the
@@ -63,15 +77,9 @@ def hidden_chain(chain, cls):
     is ``initial_law``'s."""
     atlas, slot_of = chain.atlas, slot_map(chain.atlas, chain.gf)
     ids, _, state_nu, _, _ = dense_decomposition(chain)[cls.index]
-    class_words = {chain.states[i] for i in ids}
-    states, index = [], {}
-    for m in sorted(cls.types):
-        for slot in atlas.coverings[m].slots:
-            for w in atlas.boundary_words(slot):
-                if w in class_words:
-                    st = WState(m, slot.type_id, slot.local_index, w)
-                    index[st] = len(states)
-                    states.append(st)
+    states = class_states(chain, cls, {chain.states[i] for i in ids})
+    index = {st: x for x, st in enumerate(states)}
+    class_words = {st.word for st in states}
     targets = {}
     for sfx in {w[-2:] for w in class_words}:
         i, row = atlas.type_of[sfx], chain.suffix_rows[sfx]
@@ -97,9 +105,11 @@ def hidden_chain(chain, cls):
                            step=step, nu=nu, mu1=mu1)
 
 
-def qhat_rows(chain, cls, ref):
-    """Per state of the reference ``ref``: Q-hat's row [(target idx, prob),
-    ...].  The row of a suffix of type i keeps q on the targets of its own
+def qhat_rows(chain, cls, states, suffixes=None):
+    """Q-hat's rows read off its definition one target state at a time:
+    {suffix: [(target idx, prob), ...]}, the targets indexing ``states``,
+    for the row suffixes ``suffixes`` (by default those of the states).
+    The row of a suffix of type i keeps q on the targets of its own
     covering, except that it splits the mass of each own first slot evenly
     with every slot of the same type in the other coverings; a slot of a
     foreign covering takes that share of the own first slot with its type
@@ -113,11 +123,13 @@ def qhat_rows(chain, cls, ref):
     first = {(m, s.type_id, w[-2:]): w for m in cls.types
              for s in atlas.coverings[m].slots if s.local_index == 1
              for w in atlas.boundary_words(s)}
-    for sfx in {st.word[-2:] for st in ref.states}:
+    if suffixes is None:
+        suffixes = {st.word[-2:] for st in states}
+    for sfx in suffixes:
         i, row = atlas.type_of[sfx], chain.suffix_rows[sfx]
         q = dict(zip(row.targets, row.probs))
         out = []
-        for x, st in enumerate(ref.states):
+        for x, st in enumerate(states):
             j = st.slot_type
             others = all_slots[j] - n_slots[i, j]
             if st.source_type == i:
@@ -132,7 +144,21 @@ def qhat_rows(chain, cls, ref):
             if p > 0:
                 out.append((x, float(p)))
         rows[sfx] = out
-    return [rows[st.word[-2:]] for st in ref.states]
+    return rows
+
+
+def parts_per_key(atlas, states, rows):
+    """Rows of ``qhat_rows`` grouped per key: {suffix: {(symbol, target
+    suffix): [prob of each target state, in state order]}}, each symbol
+    from one ``hidden_symbol`` call."""
+    out = {}
+    for sfx, row in rows.items():
+        here = WState(-1, -1, -1, sfx)        # hidden_symbol reads its suffix
+        keys = out[sfx] = {}
+        for x, p in row:
+            keys.setdefault((hidden_symbol(atlas, here, states[x]),
+                             states[x].word[-2:]), []).append(p)
+    return out
 
 
 def lumped(ref, step):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rlentropy as rle
-from rlentropy import pipeline
+from rlentropy import entropy, pipeline
 from rlentropy.entropy import (HiddenChain, build_qhat,
                                check_marginal_equality, continuity_sweep,
                                interpolate_models, sandwich_bounds,
@@ -17,19 +17,54 @@ from rlentropy.lastentry import stationary
 
 from conftest import (free_group_text, free_product_text, get_analysis,
                       get_atlas, get_chain, get_gf, get_model)
-from hidden_oracle import (WState, hidden_chain, hidden_symbol, lumped,
-                           qhat_rows, row_masses, row_table, step_table,
-                           word_hidden_step)
+from hidden_oracle import (WState, class_states, hidden_chain, hidden_symbol,
+                           lumped, parts_per_key, qhat_rows, row_masses,
+                           row_table, word_hidden_step)
 from marginal_oracle import (enumerated_marginal_diff,
                              per_symbol_marginal_check)
 from regeneration_oracle import regeneration_mc
 from sandwich_oracle import dict_sandwich
 
 
+U = np.finfo(float).eps / 2          # unit roundoff
+
+GENERATED = {"F3": lambda: free_group_text(3),
+             "F4": lambda: free_group_text(4),
+             "z2z3z4": lambda: free_product_text((2, 3, 4))}
+_generated = {}
+
+
 def _single_class(name):
     chain = get_chain(name)
     assert len(chain.classes) == 1
     return chain, chain.classes[0]
+
+
+def _chain(name):
+    """The chain of a fixture, of multi, mixed or twotype, or of a model
+    in GENERATED."""
+    if name not in GENERATED:
+        return get_chain(name)
+    if name not in _generated:
+        _generated[name] = pipeline.analyze(rle.parse_model(
+            GENERATED[name]())).chain
+    return _generated[name]
+
+
+def _no_span_test(*args, **kw):
+    raise AssertionError("the span test ran")
+
+
+@pytest.fixture
+def span_calls(monkeypatch):
+    """The calls of the span test, which still runs."""
+    calls, run = [], entropy._span_test
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return run(*args, **kw)
+    monkeypatch.setattr(entropy, "_span_test", spy)
+    return calls
 
 
 def test_hidden_symbol_branches():
@@ -139,7 +174,7 @@ def test_qhat_rows_and_reduction():
     chain, cls = _single_class("multi")
     modified = build_qhat(chain, cls)
     hidden = modified.hidden
-    assert all(k == 0 for k in modified.fold_counts.values())
+    assert not modified.counts.any()
     for r in range(len(hidden.states)):
         row = _row_entries(modified.step, r)
         orig = _row_entries(hidden.step, r)
@@ -159,26 +194,29 @@ def test_qhat_fg2_strictly_positive_fold():
     chain, cls = _single_class("fg2")
     modified = build_qhat(chain, cls)
     hidden, step = modified.hidden, modified.step
-    assert any(k > 0 for k in modified.fold_counts.values())
+    assert modified.counts.max() > 0
     assert np.allclose(_row_sums(step), 1.0, rtol=0, atol=1e-12)
+    ref = hidden_chain(chain, cls)
+    parts = parts_per_key(chain.atlas, ref.states,
+                          qhat_rows(chain, cls, ref.states))
     for r, sfx in enumerate(hidden.states):
-        # through the fold branch, the mass of each first-slot entry of the
-        # original row splits evenly over the own first slot and the count
-        # type-j slots of the other coverings; on fg2 some entry splits 12
-        # ways or more, one per covering at least
-        entries = {}
-        for e in range(step.start[r], step.start[r + 1]):
-            entries.setdefault((int(step.sym[e]), int(step.tgt[e])),
-                               []).append(float(step.prob[e]))
-        orig = _row_entries(hidden.step, r)
-        for (s, t), ps in entries.items():
-            i, j, k = hidden.symbols[s]
+        # in the reference, read one target state at a time, the mass of
+        # each first-slot entry of the original row splits evenly over the
+        # own first slot and the count type-j slots of the other coverings;
+        # on fg2 some entry splits 12 ways or more, one per covering at
+        # least
+        es = range(step.start[r], step.start[r + 1])
+        for e in es:
+            i, j, k = hidden.symbols[step.sym[e]]
+            ps = parts[sfx][(i, j, k), hidden.states[step.tgt[e]]]
             assert i == chain.atlas.type_of[sfx]
-            count = modified.fold_counts.get((i, j, hidden.states[t]), 0)
-            assert len(ps) == (count + 1 if k == 1 else 1)
-            assert sum(ps) == pytest.approx(orig[(s, t)], abs=1e-15)
+            assert len(ps) == (modified.counts[e] + 1 if k == 1 else 1)
+            assert math.fsum(ps) == pytest.approx(hidden.step.prob[e],
+                                                  abs=1e-15)
             assert len(set(ps)) == 1
-        assert max(len(ps) for ps in entries.values()) >= 12
+        assert sum(map(len, parts[sfx].values())) == len(
+            ref.step.row_of) == np.sum(modified.counts[es] + 1)
+        assert max(len(ps) for ps in parts[sfx].values()) >= 12
 
 
 def test_marginal_equality():
@@ -279,9 +317,9 @@ def test_twotype_fold_with_multiword_transport():
     # boundary suffix separately
     chain, cls = _single_class("twotype")
     modified = build_qhat(chain, cls)
-    assert any(k > 0 for k in modified.fold_counts.values())
-    suffixes = {ab for (_, _, ab) in modified.fold_counts}
-    assert len(suffixes) == 4
+    assert modified.counts.max() > 0
+    folded = modified.step.tgt[modified.counts > 0]
+    assert len({modified.hidden.states[t] for t in folded}) == 4
     assert np.allclose(_row_sums(modified.step), 1.0, rtol=0, atol=1e-12)
     assert check_marginal_equality(chain, cls, modified, max_len=3) < 1e-12
 
@@ -362,15 +400,16 @@ def test_marginal_check_agrees_with_enumeration():
 
 
 def _moved_mass(modified, src, dst, eps=1e-3):
-    """Q-hat with mass eps moved from entry src to entry dst of its table
-    (two entries of one row); the rest of the table is the input's."""
+    """Q-hat with mass eps moved from entry src to entry dst of its summed
+    table (two entries of one row); the rest of the table is the input's,
+    so it no longer agrees with the hidden chain's."""
     prob = modified.step.prob.copy()
     prob[src] -= eps
     prob[dst] += eps
     step = modified.step
     return ModifiedChain(modified.hidden,
                          StepTable(step.start, step.sym, step.tgt, prob),
-                         modified.fold_counts)
+                         modified.counts)
 
 
 def _twotype_targets():
@@ -385,16 +424,17 @@ def _twotype_targets():
     return chain, cls, modified, by_symbol
 
 
-def test_marginal_check_detects_moved_symbol_mass():
+def test_marginal_check_detects_moved_symbol_mass(span_calls):
     chain, cls, modified, by_symbol = _twotype_targets()
     (a, *_), (b, *_) = list(by_symbol.values())[:2]
     bad = _moved_mass(modified, a, b)
     found = check_marginal_equality(chain, cls, bad, max_len=3)
     oracle = enumerated_marginal_diff(chain, cls, bad, 3)
     assert 1e-6 < found <= oracle + 1e-15
+    assert len(span_calls) == 1
 
 
-def test_marginal_check_covers_lengths_beyond_one():
+def test_marginal_check_covers_lengths_beyond_one(span_calls):
     # Moving mass between two entries of one symbol leaves every length-1
     # law intact; the entries enter different table rows, so later symbols
     # tell them apart.
@@ -408,17 +448,19 @@ def test_marginal_check_covers_lengths_beyond_one():
     assert enumerated_marginal_diff(chain, cls, bad, 3) > 1e-6
     assert check_marginal_equality(chain, cls, bad, max_len=1) < 1e-12
     assert check_marginal_equality(chain, cls, bad) > 1e-6
+    assert len(span_calls) == 2
 
 
 @pytest.mark.parametrize("name, length", [
     ("t3", 3), ("multi", 3), ("twotype", 3), ("mixed", 3),
     ("fg2", 2), ("fg2_biased", 2)])        # F_2's length-3 laws take 30 s
 @pytest.mark.parametrize("seed", range(2))
-def test_marginal_check_detects_seeded_moved_mass(name, length, seed):
+def test_marginal_check_detects_seeded_moved_mass(name, length, seed,
+                                                  span_calls):
     """Half the mass of one entry of a random Q-hat row moves to another
-    entry of that row.  The check and the per-symbol construction agree on
-    whether the laws differ, and the check's difference up to ``length``
-    is one of the enumerated differences."""
+    entry of that row.  The span test decides, and it and the per-symbol
+    construction both find that the laws differ; the check's difference up
+    to ``length`` is one of the enumerated differences."""
     chain, cls = _single_class(name)
     modified = build_qhat(chain, cls)
     start = modified.step.start
@@ -429,45 +471,95 @@ def test_marginal_check_detects_seeded_moved_mass(name, length, seed):
     bad = _moved_mass(modified, a, b, eps=modified.step.prob[a] / 2)
     found = check_marginal_equality(chain, cls, bad)
     ref, _ = per_symbol_marginal_check(chain, cls, bad)
-    assert (found > 1e-6 and ref > 1e-6) or (found < 1e-12 and ref < 1e-12)
+    assert found > 1e-6 and ref > 1e-6
     assert (check_marginal_equality(chain, cls, bad, max_len=length)
             <= enumerated_marginal_diff(chain, cls, bad, length) + 1e-15)
+    assert len(span_calls) == 2
 
 
-@pytest.mark.parametrize("name", ["fg2", "t3", "glued", "multi", "twotype",
-                                  "mixed"])
+QHAT_MODELS = ["fg2", "fg2_biased", "t3", "glued", "multi", "mixed",
+               "twotype", "F3", "F4", "z2z3z4"]
+
+
+@pytest.mark.parametrize("name", QHAT_MODELS)
 def test_step_table_numbers_symbols_as_per_entry_reference(name):
-    """Q-hat's row table is the reference read off Q-hat's definition one
-    target state at a time, with one hidden_symbol call per entry, summed
-    onto rows: the same entries in the same order, and no symbol that the
-    hidden chain lacks."""
-    chain, cls = get_chain(name), get_chain(name).classes[0]
-    modified = build_qhat(chain, cls)
-    hidden, step = modified.hidden, modified.step
-    ref = hidden_chain(chain, cls)
-    sym_id = {s: k for k, s in enumerate(ref.symbols)}
-    want = lumped(ref, step_table(ref, qhat_rows(chain, cls, ref), sym_id))
-    assert list(sym_id) == ref.symbols
-    assert sorted(want) == sorted(hidden.states)
-    for r, sfx in enumerate(hidden.states):
-        got = [(hidden.symbols[step.sym[e]], hidden.states[step.tgt[e]],
-                step.prob[e]) for e in range(step.start[r], step.start[r + 1])]
-        assert got == want[sfx], sfx
+    """Q-hat's summed table is the reference read off Q-hat's definition
+    one target state at a time, with one hidden_symbol call per entry,
+    summed per (row, symbol, target row): on every class the same keys,
+    each with count + 1 parts whose sum is the table's entry within
+    (count + 1) u q, q the hidden chain's entry.  Its symbols and target
+    rows are the hidden chain's."""
+    chain = _chain(name)
+    for cls in chain.classes:
+        modified = build_qhat(chain, cls)
+        hidden, step = modified.hidden, modified.step
+        states = class_states(chain, cls)
+        want = parts_per_key(chain.atlas, states,
+                             qhat_rows(chain, cls, states))
+        assert sorted(want) == sorted(hidden.states)
+        for f in ("start", "sym", "tgt"):
+            assert getattr(step, f) is getattr(hidden.step, f), f
+        for r, sfx in enumerate(hidden.states):
+            es = range(step.start[r], step.start[r + 1])
+            got = {(hidden.symbols[step.sym[e]], hidden.states[step.tgt[e]]):
+                   e for e in es}
+            assert len(got) == len(es) and got.keys() == want[sfx].keys()
+            for key, e in got.items():
+                parts, tol = want[sfx][key], (modified.counts[e] + 1) * U
+                assert len(parts) == modified.counts[e] + 1, (sfx, key)
+                assert (abs(step.prob[e] - math.fsum(parts))
+                        <= tol * hidden.step.prob[e]), (sfx, key)
     for f in ("start", "sym", "tgt"):
         assert getattr(step, f).dtype == np.int64, f
     assert step.prob.dtype == np.float64
 
 
-def test_qhat_row_sums_are_exact_on_f5():
-    # Q-hat's row 'AA' on F_5 has 65 610 entries; summed left to right they
-    # drift 1.6e-12 below 1, while the chain's row 'AA' sums to 1 within
-    # 2.2e-16
+def test_qhat_row_sums_are_exact_on_f5(monkeypatch):
+    # Q-hat's row 'AA' on F_5 spreads over all 65 610 target states, one
+    # reference entry each; summed per (symbol, target row) it has the
+    # hidden chain's entries, 65 610 in all, each holding count + 1 of
+    # them, and the check decides on the tables
     chain = pipeline.analyze(rle.parse_model(free_group_text(5))).chain
     cls, = chain.classes
-    step = build_qhat(chain, cls).step
+    modified = build_qhat(chain, cls)
+    step, counts = modified.step, modified.counts
     sums = np.add.reduceat(step.prob, step.start[:-1])
-    assert np.diff(step.start).max() == 65_610
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
+    assert len(step.prob) == len(modified.hidden.step.prob) == 65_610
+    assert np.sum(counts + 1) == 90 * 65_610
+    r = modified.hidden.states.index("AA")
+    states = class_states(chain, cls)
+    assert len(qhat_rows(chain, cls, states, ["AA"])["AA"]) == 65_610
+    assert np.sum(counts[step.start[r]:step.start[r + 1]] + 1) == 65_610
+    monkeypatch.setattr(entropy, "_span_test", _no_span_test)
+    assert check_marginal_equality(chain, cls, modified) <= 1e-12
+
+
+# enumerated word length per model: F_2's length-3 laws take 30 s
+ENUMERATED = {"fg2": 2, "fg2_biased": 2, "t3": 3, "ne": 3, "glued": 2,
+              "multi": 3, "mixed": 3}
+
+
+@pytest.mark.parametrize("name", ["ne", *QHAT_MODELS])
+def test_marginal_check_decided_on_the_tables(name, monkeypatch):
+    """On every class the summed Q-hat table agrees with the hidden
+    chain's, so the check ends without the span test and reports the
+    largest L1 difference of a row; on the fixtures, multi and mixed the
+    enumerated laws of short words then agree within 1e-15."""
+    monkeypatch.setattr(entropy, "_span_test", _no_span_test)
+    chain = _chain(name)
+    for cls in chain.classes:
+        modified = build_qhat(chain, cls)
+        hidden = modified.hidden
+        l1 = max(sum(abs(p - q) for p, q in zip(
+            _row_entries(modified.step, r).values(),
+            _row_entries(hidden.step, r).values()))
+            for r in range(len(hidden.states)))
+        assert check_marginal_equality(chain, cls, modified) == l1 <= 1e-12
+        if name in ENUMERATED:
+            diff = enumerated_marginal_diff(chain, cls, modified,
+                                            ENUMERATED[name])
+            assert diff <= 1e-15, (name, cls.index)
 
 
 def test_sandwich_matches_dict_oracle():
@@ -577,12 +669,8 @@ def test_report_notes_unconverged_sandwich():
     assert get_analysis("multi").report.notes == []
 
 
-GENERATED = {"F3": lambda: free_group_text(3),
-             "z2z3z4": lambda: free_product_text((2, 3, 4))}
-
-
 @pytest.mark.parametrize("name", ["fg2", "fg2_biased", "t3", "ne", "glued",
-                                  "multi", "mixed", *GENERATED])
+                                  "multi", "mixed", "F3", "z2z3z4"])
 def test_hidden_chain_step_matches_word_by_word_build(name):
     """The step table and symbols built from the slot-table arrays are
     bit for bit those read off the rows target word by target word (the

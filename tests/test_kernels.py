@@ -1,7 +1,7 @@
 """The numpy kernels of the marginal check, the sandwich frontier and the
 class decomposition against references: pivoted Gram-Schmidt against
 scipy's pivoted Householder QR and against the reference loop, the marginal
-check's one basis against the construction with one basis per symbol, the
+check's span test with one basis against the construction with one basis per symbol, the
 CSR successor step against a scipy.sparse copy, and Tarjan's strong
 components against ``connected_components``."""
 import numpy as np
@@ -12,8 +12,7 @@ from scipy.sparse.csgraph import connected_components
 
 from rlentropy import entropy
 from rlentropy.entropy import (CSR, SPAN_RTOL, StepTable, _extend,
-                               _grow_span, _pair_table, build_qhat,
-                               check_marginal_equality)
+                               _grow_span, _pair_table, build_qhat)
 from rlentropy.lastentry import strong_components
 
 from conftest import get_chain
@@ -124,8 +123,9 @@ def n_table_rows(modified):
 
 
 def test_marginal_basis_sizes(monkeypatch):
-    """The basis words of the marginal check: the empty word and every
-    kept extension, at most one per table row of the pair automaton."""
+    """The basis words of the marginal check's span test: the empty word
+    and every kept extension, at most one per table row of the pair
+    automaton."""
     count = []
 
     def counted(basis, rows):
@@ -141,7 +141,7 @@ def test_marginal_basis_sizes(monkeypatch):
         cls = chain.classes[0]
         modified = build_qhat(chain, cls)
         count.clear()
-        diff = check_marginal_equality(chain, cls, modified)
+        diff = entropy._span_test(modified)
         words = 1 + sum(count)
         assert (words, n_table_rows(modified)) == sizes[name], name
         assert words <= n_table_rows(modified), name
@@ -150,10 +150,10 @@ def test_marginal_basis_sizes(monkeypatch):
 
 @pytest.mark.parametrize("name", MARGINAL_MODELS)
 def test_marginal_check_matches_per_symbol_loop(name):
-    """The check and the per-symbol construction both close and both find
-    the laws equal; the check's one basis needs no more words than the
-    per-symbol bases hold together (the span of every word's vector is the
-    empty word's vector plus the spans of the words ending in each
+    """The span test and the per-symbol construction both close and both
+    find the laws equal; the span test's one basis needs no more words than
+    the per-symbol bases hold together (the span of every word's vector is
+    the empty word's vector plus the spans of the words ending in each
     symbol)."""
     chain = get_chain(name)
     cls = chain.classes[0]
@@ -168,7 +168,7 @@ def test_marginal_check_matches_per_symbol_loop(name):
         return stack(parts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CSR, "stack", counted)
-        found = check_marginal_equality(chain, cls, modified)
+        found = entropy._span_test(modified)
     assert levels[-1] == 0
     assert 1 + sum(levels) <= 1 + sum(ref_levels)
     assert found < 1e-12 and ref < 1e-12

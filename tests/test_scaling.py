@@ -1,12 +1,14 @@
 """Scaling regression: the structure layers on the free group F_3 (3750
-increment-chain states), the exact sandwich on F_4 and closed forms on free
-products of cyclic groups, generated here as model files."""
+increment-chain states), the exact sandwich on F_4, CLI entropy with its
+marginal check on F_5 and closed forms on free products of cyclic groups,
+generated here as model files."""
+import json
 import math
 
 import pytest
 
 import rlentropy as rle
-from rlentropy import cli, pipeline
+from rlentropy import cli, entropy, pipeline
 from rlentropy.entropy import HiddenChain, sandwich_bounds
 
 from conftest import free_group_text, free_product_text
@@ -49,6 +51,20 @@ def test_free_group_f4_exact_sandwich():
     assert abs(rep.hy - rep.classes[0].hy_exact) <= 1e-12
     assert abs(rep.h - 3 / 4 * math.log(7)) <= 1e-9
     assert abs(rep.ell - 3 / 4) <= 1e-9
+
+
+def test_free_group_f5_cli_entropy(tmp_path, capsys, monkeypatch):
+    # 65 610 states: the marginal check decides on the summed Q-hat table,
+    # whose entries match the hidden chain's, and runs no span test
+    def no_span_test(*args, **kw):
+        raise AssertionError("the span test ran")
+    monkeypatch.setattr(entropy, "_span_test", no_span_test)
+    path = tmp_path / "F5.rw"
+    path.write_text(free_group_text(5))
+    assert cli.main(["--format", "json", "entropy", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["marginal_equality_max_diff"] <= 1e-12
+    assert abs(data["h"] - 4 / 5 * math.log(9)) <= 1e-9
 
 
 # Closed forms from the first-passage fixed point
