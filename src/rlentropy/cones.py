@@ -332,21 +332,23 @@ def build_atlas(model, order_key=None, level_bump=0):
     from the child tables: the shallowest uniform level ("uniform"), else
     the first cut of a breadth-first search ("cut"; free products of cyclic
     groups such as Z_2 * Z_3 need it), or a non-expanding type's only child
-    ("single-child").  Levels and certificates share memos across types.
-    ``order_key`` permutes the slot order; ``level_bump`` moves uniform cuts
-    that many qualifying levels deeper (both for robustness checks).
+    ("single-child"), once ``_certify_types`` has checked the child tables.
+    Levels share memos across types.  ``order_key`` permutes the slot order;
+    ``level_bump`` moves uniform cuts that many qualifying levels deeper
+    (both for robustness checks).
     """
     rel = saturate_supports(model)
     types, type_of = classify_types(model, rel)
     forward, children, expanding_types = _type_graph(model, rel, types, type_of)
     atlas = ConeAtlas(model, rel, types, type_of, forward, children,
                       expanding_types, depth_cap=4 * len(types) + 8)
-    uniform, passed = _uniform_levels(atlas, level_bump), set()
+    _certify_types(atlas)
+    uniform = _uniform_levels(atlas, level_bump)
     lists = {(ct.id, 0): ([ct.representative], [ct.id], len(ct.members))
              for ct in types}
     for ct in types:
         atlas.coverings[ct.id] = _build_type_covering(
-            atlas, ct, order_key, uniform[ct.id], passed, lists)
+            atlas, ct, order_key, uniform[ct.id], lists)
     atlas.root_covering = _build_root_covering(atlas, order_key)
     return atlas
 
@@ -365,7 +367,7 @@ def _make_slots(roots, types, key=None):
 # A type-level cut maps (depth, type id) to a number of leaves; depth 1
 # holds the child cones of the covered type.
 
-def _build_type_covering(atlas, ct, order_key, uniform, passed, lists):
+def _build_type_covering(atlas, ct, order_key, uniform, lists):
     kids, cut = atlas.children[ct.id], {}
     if not atlas.expanding_types[ct.id]:
         if len(kids) != 1:
@@ -378,9 +380,8 @@ def _build_type_covering(atlas, ct, order_key, uniform, passed, lists):
         cut, method = _search_cut(atlas, ct), "cut"
         depth = max(d for d, _ in cut)
     slots = _make_slots(*_spell_cut(atlas, ct, cut, depth, lists), order_key)
-    cov = Covering(ct.id, slots, depth_bound=depth + 3, method=method)
-    _certify(atlas, ct.members, cov, passed)
-    return cov
+    return Covering(ct.id, slots, depth_bound=depth + 3, method=method,
+                    certified=True)
 
 
 def _uniform_levels(atlas, level_bump):
@@ -482,54 +483,24 @@ def _level(atlas, t, depth, lists):
     return lists[t, depth]
 
 
-def _certify(atlas, roots2, cov, passed):
-    """Exact-cover certificate: every cone word at the covering depth lies in
-    exactly one slot cone.
-
-    A cone word is a frozen prefix u followed by a pair of the automaton
-    mask reached along u; a slot cone is the same automaton started from the
-    root's closure where the root's prefix ends.  A depth-first walk over
-    the frozen prefixes carries the cone mask and one mask per entered slot
-    and checks at depth ``depth_bound - 2`` that each cone pair lies in
-    exactly one slot mask.  Below the last slot prefix a node is decided by
-    its masks and remaining depth, so nodes that passed are memoised on
-    those in ``passed``, shared by all coverings of the atlas (failures are
-    not, so the first failing word never depends on the memo)."""
+def _certify_types(atlas):
+    """Exact-cover certificate, once per (type, letter): the closures of a
+    type's child cones (c, k) partition the pairs that an ascent by c
+    reaches from its members.  A pass makes each closure its child's whole
+    class, so a cut that keeps each node as a leaf or expands it into all
+    of its children covers every level below it exactly once (the README's
+    "Cone membership" section has the induction and weak symmetry's part)."""
     rel, P = atlas.rel, atlas.rel.pair_index
-    starts = {}
-    for s in cov.slots:
-        starts.setdefault(s.root[:-2], []).append(rel.closure[P[s.root[-2:]]])
-    walk = (rel, starts, {u[:k] for u in starts for k in range(len(u))},
-            sorted(atlas.model.alphabet), cov.depth_bound - 2, passed)
-    _certify_node(walk, "", sum(1 << P[r] for r in set(roots2)), [])
-    cov.certified = True
-
-
-def _certify_node(walk, u, mask, active):
-    """The node u of ``_certify``'s walk and the nodes below it; ``walk``
-    holds the relation, the slot start masks by prefix, the prefixes still
-    to enter a slot, the letters, the leaf depth and the memo."""
-    rel, starts, pending, letters, leaf, passed = walk
-    active = sorted(active + starts.get(u, []))
-    key = None if u in pending else (mask, tuple(active), leaf - len(u))
-    if key in passed:
-        return
-    if len(u) == leaf:
-        bad = mask & ~_covered_once(active)
-        if bad:
-            P = rel.pair_index
-            w = min(u + fg for fg in rel.pairs_of(bad))
-            hits = sum(m >> P[w[-2:]] & 1 for m in active)
-            raise AssumptionError(
-                f"covering certificate failed: {w} lies in {hits} slot cones")
-    else:
-        for c in letters:
-            nxt = rel.advance(mask, c)
-            if nxt:
-                _certify_node(walk, u + c, nxt, [
-                    m for m in (rel.advance(a, c) for a in active) if m])
-    if key is not None:
-        passed.add(key)
+    for ct in atlas.types:
+        members = sum(1 << P[m] for m in ct.members)
+        for c in atlas.model.alphabet:
+            masks = [rel.closure[P[atlas.types[k].representative]]
+                     for d, k in atlas.children[ct.id] if d == c]
+            once = _covered_once(masks)
+            if once != rel.advance(members, c) or any(m & ~once for m in masks):
+                raise AssumptionError(f"covering certificate failed: child "
+                                      f"cones of type {ct.representative} by "
+                                      f"letter {c} overlap or miss pairs")
 
 
 def _covered_once(masks):

@@ -12,7 +12,6 @@ layer, and forward vectors hold one mass per row.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np

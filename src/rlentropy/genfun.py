@@ -279,7 +279,7 @@ class LBarTable:
     Md: dict | None
 
 
-def compute_Lbar(model, gbar, z=1.0):
+def compute_Lbar(model, gbar):
     index = gbar.index
     n = len(gbar.rpairs)
     M, Md = {}, ({} if gbar.derivs is not None else None)
@@ -289,9 +289,9 @@ def compute_Lbar(model, gbar, z=1.0):
             for rhs, p in model.up_rules.get(uv, ()):
                 if rhs[0] == a:
                     P[i, index[rhs[1:]]] += p
-        M[a] = gbar.values @ (z * P)
+        M[a] = gbar.values @ P
         if Md is not None:
-            Md[a] = gbar.derivs @ (z * P) + gbar.values @ P
+            Md[a] = gbar.derivs @ P + gbar.values @ P
     return LBarTable(M, Md)
 
 
@@ -303,9 +303,9 @@ class ShortGreen:
     same Green function there: Woess, Random Walks on Infinite Graphs and
     Groups, 2000), else from the length-3 system, solved on first use."""
 
-    def __init__(self, model, h, z=1.0):
+    def __init__(self, model, h):
         # the rules, not the model: the model caches these tables
-        self._source = (model.rules, saturate_supports(model), h, z,
+        self._source = (model.rules, saturate_supports(model), h,
                         model.reachable_short_words)
         self.index, self.values = _green_system(*self._source, 1)
 
@@ -325,7 +325,7 @@ class ShortGreen:
         return self.value("", w) / self.value("", "")
 
 
-def _green_system(rules, rel, h, z, words, top):
+def _green_system(rules, rel, h, words, top):
     """(index, inverse) of the Green system on the reachable ``words`` up to
     length ``top``; steps past it fold back through the descent table."""
     index = {w: i for i, w in enumerate(w for w in words if len(w) <= top)}
@@ -335,12 +335,12 @@ def _green_system(rules, rel, h, z, words, top):
             for r in rules.get(w[-2:], ()):
                 succ = w[:-2] + r.rhs
                 if len(succ) <= top and not fold:
-                    T[i, index[succ]] += z * r.prob
+                    T[i, index[succ]] += r.prob
                 elif len(succ) > top and fold:
                     hp = rel.pair_index[succ[-2:]]
                     for f in np.flatnonzero(rel.supp_h[hp]):
                         T[i, index[succ[:-2] + h.letters[f]]] += \
-                            z * r.prob * h.values[hp, f]
+                            r.prob * h.values[hp, f]
     return index, _checked_inverse(np.eye(len(T)) - T, "short-word Green")
 
 
@@ -368,7 +368,6 @@ class GenFunTables:
     gbar: GBarTable | None = None
     lbar: LBarTable | None = None
     green_short: ShortGreen | None = None
-    z: float = 1.0
 
     @property
     def has_derivs(self):
@@ -376,18 +375,18 @@ class GenFunTables:
             and self.gbar.derivs is not None
 
 
-def solve_all(model, z=1.0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
+def solve_all(model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
               want_derivs=True, xi_tol=RECURRENCE_XI_TOL):
     """Full pipeline of tables; downstream tables are skipped when the model
     is not transient (they would be singular)."""
-    h = solve_H(model, z=z, tol=tol, max_iter=max_iter, want_derivs=want_derivs)
+    h = solve_H(model, tol=tol, max_iter=max_iter, want_derivs=want_derivs)
     xi = compute_xi(model, h)
     transient = is_transient(xi, tol=xi_tol)
-    gf = GenFunTables(h, xi, transient, z=z)
+    gf = GenFunTables(h, xi, transient)
     if transient:
-        gf.gbar = solve_Gbar(model, h, z=z)
-        gf.lbar = compute_Lbar(model, gf.gbar, z=z)
-        gf.green_short = ShortGreen(model, h, z=z)
+        gf.gbar = solve_Gbar(model, h)
+        gf.lbar = compute_Lbar(model, gf.gbar)
+        gf.green_short = ShortGreen(model, h)
     return gf
 
 
@@ -453,7 +452,7 @@ class LWordEvaluator:
                     lb = gf.green_short.l_value(b)
                     for r in model.row(b):
                         if len(r.rhs) == 2:
-                            row[index[r.rhs]] += lb * gf.z * r.prob
+                            row[index[r.rhs]] += lb * r.prob
         elif start in index:
             row[index[start]] = 1.0
         else:

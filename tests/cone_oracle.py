@@ -3,14 +3,15 @@
 closure, one letter of the tail at a time, and breadth-first search over
 the walk's own successors; the word-level spelling of a covering cut; and
 the coverings spelled one depth at a time, with the uniform level searched
-per type on counts and each node's type looked up from its word."""
+per type on counts and each node's type looked up from its word; and the
+exact-cover certificate of one covering by a walk over its cone words."""
 from collections import Counter
 from itertools import count, repeat
 
 import numpy as np
 
 from rlentropy.cones import (AssumptionError, SubconeSlot, WORD_BUDGET,
-                             _search_cut)
+                             _covered_once, _search_cut)
 
 
 def tail_reachable(rel, pair, tail):
@@ -136,7 +137,15 @@ def coverings(atlas, order_key=None, level_bump=0, spell=None):
     covering's slots: the cut searched per type on counts, then spelled by
     ``spell`` (by default from the atlas's child tables one depth at a
     time, each node's type looked up from its last pair)."""
-    key, spell = order_key or (lambda w: w), spell or spell_cut
+    key = order_key or (lambda w: w)
+    roots = [s.root for s in atlas.root_covering.slots]
+    return (type_coverings(atlas, key, level_bump, spell or spell_cut),
+            make_slots(atlas, roots, key))
+
+
+def type_coverings(atlas, key, level_bump, spell):
+    """The part of ``coverings`` that needs no root covering: per type id,
+    (slots, depth_bound, method)."""
     out = {}
     for ct in atlas.types:
         kids = atlas.children[ct.id]
@@ -148,8 +157,7 @@ def coverings(atlas, order_key=None, level_bump=0, spell=None):
                 cut, method = _search_cut(atlas, ct), "cut"
         out[ct.id] = (make_slots(atlas, spell(atlas, ct, cut), key),
                       max(d for d, _ in cut) + 3, method)
-    roots = [s.root for s in atlas.root_covering.slots]
-    return out, make_slots(atlas, roots, key)
+    return out
 
 
 def make_slots(atlas, roots, key):
@@ -205,3 +213,53 @@ def spelled_children(atlas, root):
     u = root[:-2]
     return [u + c + atlas.types[t].representative
             for c, t in atlas.children[atlas.type_of[root[-2:]]]]
+
+
+def certify(atlas, roots2, cov, passed):
+    """Exact-cover certificate by word walk: every cone word at the covering
+    depth lies in exactly one slot cone.
+
+    A cone word is a frozen prefix u followed by a pair of the automaton
+    mask reached along u; a slot cone is the same automaton started from the
+    root's closure where the root's prefix ends.  A depth-first walk over
+    the frozen prefixes carries the cone mask and one mask per entered slot
+    and checks at depth ``depth_bound - 2`` that each cone pair lies in
+    exactly one slot mask.  Below the last slot prefix a node is decided by
+    its masks and remaining depth, so nodes that passed are memoised on
+    those in ``passed``, shared by all coverings of the atlas (failures are
+    not, so the first failing word never depends on the memo)."""
+    rel, P = atlas.rel, atlas.rel.pair_index
+    starts = {}
+    for s in cov.slots:
+        starts.setdefault(s.root[:-2], []).append(rel.closure[P[s.root[-2:]]])
+    walk = (rel, starts, {u[:k] for u in starts for k in range(len(u))},
+            sorted(atlas.model.alphabet), cov.depth_bound - 2, passed)
+    certify_node(walk, "", sum(1 << P[r] for r in set(roots2)), [])
+    cov.certified = True
+
+
+def certify_node(walk, u, mask, active):
+    """The node u of ``certify``'s walk and the nodes below it; ``walk``
+    holds the relation, the slot start masks by prefix, the prefixes still
+    to enter a slot, the letters, the leaf depth and the memo."""
+    rel, starts, pending, letters, leaf, passed = walk
+    active = sorted(active + starts.get(u, []))
+    key = None if u in pending else (mask, tuple(active), leaf - len(u))
+    if key in passed:
+        return
+    if len(u) == leaf:
+        bad = mask & ~_covered_once(active)
+        if bad:
+            P = rel.pair_index
+            w = min(u + fg for fg in rel.pairs_of(bad))
+            hits = sum(m >> P[w[-2:]] & 1 for m in active)
+            raise AssumptionError(
+                f"covering certificate failed: {w} lies in {hits} slot cones")
+    else:
+        for c in letters:
+            nxt = rel.advance(mask, c)
+            if nxt:
+                certify_node(walk, u + c, nxt, [
+                    m for m in (rel.advance(a, c) for a in active) if m])
+    if key is not None:
+        passed.add(key)

@@ -40,6 +40,10 @@ rule: bb -> bbb : 1/4
 """
 
 
+# generator letters: the lower-case alphabet without the reserved "o"
+LETTERS = "abcdefghijklmnpqrstuvwxyz"
+
+
 def fixture_path(name):
     return FIXTURES / f"{name}.rw"
 
@@ -58,16 +62,23 @@ def reduced_walk_text(letters, inverse):
     return "\n".join(["alphabet: " + " ".join(letters), *rules])
 
 
+def generator_letters(n):
+    """The first ``n`` of ``LETTERS``; a ValueError if there are fewer."""
+    if n > len(LETTERS):
+        raise ValueError(f"{n} generators exceed the {len(LETTERS)} letters")
+    return LETTERS[:n]
+
+
 def free_group_text(k):
     """Simple random walk on reduced words of F_k (letters a, A, b, B, ...;
     the upper case letter is the inverse)."""
-    letters = [c for g in "abcdefgh"[:k] for c in (g, g.upper())]
+    letters = [c for g in generator_letters(k) for c in (g, g.upper())]
     return reduced_walk_text(letters, {c: c.swapcase() for c in letters})
 
 
 def tree_text(d):
     """Simple random walk on the d-regular tree T_d (self-inverse letters)."""
-    letters = list("abcdefgh"[:d])
+    letters = list(generator_letters(d))
     return reduced_walk_text(letters, {c: c for c in letters})
 
 
@@ -81,7 +92,7 @@ def free_product_text(orders, weights=None):
     law over the letters in that order, uniform by default; a letter of
     weight zero stays in the alphabet (as a product of steps) but has no
     step rules."""
-    names = iter("abcdefghijklmnpqrstuvwxyz")
+    names = iter(LETTERS)
     factors = [[next(names) for _ in range(m - 1)] for m in orders]
     where = {x: (f, k) for f, xs in enumerate(factors)
              for k, x in enumerate(xs, start=1)}

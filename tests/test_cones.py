@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import rlentropy as rle
 from rlentropy import cones
 from rlentropy.cones import limit_words, saturate_supports
-from rlentropy.model import AssumptionError
+from rlentropy.model import AssumptionError, check_weak_symmetry
 
 import cone_oracle
 from cone_oracle import (brute_cone_members, child_tables, cone_level_words,
@@ -402,7 +402,7 @@ def test_shared_certificate_memo_keeps_failures(name):
     *earlier, last = atlas.types
     passed = _RecordingSet()
     for ct in earlier:
-        cones._certify(atlas, ct.members, atlas.coverings[ct.id], passed)
+        cone_oracle.certify(atlas, ct.members, atlas.coverings[ct.id], passed)
     filled = set(passed)
     assert filled
     cov = atlas.coverings[last.id]
@@ -411,7 +411,7 @@ def test_shared_certificate_memo_keeps_failures(name):
         errors = []
         for memo in (passed, set()):
             with pytest.raises(AssumptionError) as err:
-                cones._certify(atlas, last.members, bad, memo)
+                cone_oracle.certify(atlas, last.members, bad, memo)
             errors.append(str(err.value))
         assert errors[0] == errors[1]
         assert "covering certificate failed" in errors[0]
@@ -419,12 +419,82 @@ def test_shared_certificate_memo_keeps_failures(name):
     assert any(key in filled for key in passed.found)
 
 
+# the certificate's models: the fixtures, multi, mixed, twotype, generated
+# free groups, trees and free products of cyclic groups
+CERTIFY_TEXTS = {**SPELLING_TEXTS, "T3": tree_text(3), "T4": tree_text(4)}
+
+
+@pytest.mark.parametrize("name", ALL_MODELS + [
+    "z2z3", "z3z3", "F3", "F4", "T3", "T4", "T5", "z2z4", "z3z4", "z2z3z4"])
+def test_type_certificate_and_word_walk_pass(name):
+    # the atlas is built, so the per-type certificate passed; the word walk
+    # passes every covering too, with one memo shared across the types
+    model = (rle.parse_model(CERTIFY_TEXTS[name]) if name in CERTIFY_TEXTS
+             else get_model(name))
+    atlas = cones.build_atlas(model)
+    passed = set()
+    for ct in atlas.types:
+        cov = dataclasses.replace(atlas.coverings[ct.id], certified=False)
+        cone_oracle.certify(atlas, ct.members, cov, passed)
+        assert cov.certified and atlas.coverings[ct.id].certified
+
+
+@pytest.mark.parametrize("name, failing", [
+    ("fg2", 0), ("glued", 0), ("multi", 6), ("twotype", 4), ("mixed", 2),
+    ("z2z3", 2), ("z3z3", 8)])
+def test_type_certificate_agrees_with_word_walk_on_mutants(monkeypatch, name,
+                                                           failing):
+    # with one rule deleted at a time (rows left substochastic), the
+    # per-type certificate fails exactly when the word walk fails on one of
+    # the type coverings that the oracle spells from the same atlas; every
+    # failing mutant also fails weak symmetry, so the CLI refuses it first
+    model, certify_types = get_model(name), cones._certify_types
+
+    class Certified(Exception):
+        """The atlas and the certificate's verdict; ends the build there."""
+
+    def recorded(atlas):
+        try:
+            certify_types(atlas)
+        except AssumptionError as exc:
+            assert str(exc).startswith("covering certificate failed: ")
+            raise Certified(atlas, False)
+        raise Certified(atlas, True)
+
+    monkeypatch.setattr(cones, "_certify_types", recorded)
+    rules, failed = model.all_rules(), 0
+    for i in range(len(rules)):
+        mutant = model.with_rules(rules[:i] + rules[i + 1:],
+                                  check_stochastic=False)
+        try:
+            cones.build_atlas(mutant)
+        except AssumptionError:         # refused before the certificate
+            continue
+        except Certified as verdict:
+            atlas, ok = verdict.args
+        else:
+            pytest.fail("build_atlas returned without its certificate")
+        walked, passed = True, set()
+        for tid, (slots, bound, method) in cone_oracle.type_coverings(
+                atlas, None, 0, cone_oracle.spell_cut).items():
+            cov = cones.Covering(tid, slots, bound, method)
+            try:
+                cone_oracle.certify(atlas, atlas.types[tid].members, cov,
+                                    passed)
+            except AssumptionError:
+                walked = False
+        assert ok == walked, (name, rules[i])
+        if not ok:
+            failed += 1
+            assert not check_weak_symmetry(mutant), (name, rules[i])
+    assert failed == failing
+
+
 @pytest.mark.parametrize("name", ["fg2", "glued"])
 def test_analysis_leaves_no_reference_cycles(name):
     # everything an analysis allocates is freed by reference counting: the
-    # certificate walk is a plain recursion, not a closure over itself, and
-    # the tables cached on a model do not point back at it, so a model
-    # loaded, analysed and dropped goes too
+    # tables cached on a model do not point back at it, so a model loaded,
+    # analysed and dropped goes too
     from rlentropy import pipeline
     model = get_model(name)
     pipeline.analyze(model)            # the tables are cached on the model

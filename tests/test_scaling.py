@@ -11,12 +11,22 @@ import rlentropy as rle
 from rlentropy import cli, entropy, pipeline
 from rlentropy.entropy import HiddenChain, sandwich_bounds
 
-from conftest import free_group_text, free_product_text
+from conftest import free_group_text, free_product_text, tree_text
 
 
 @pytest.fixture(scope="module")
 def f3_analysis():
     return pipeline.analyze(rle.parse_model(free_group_text(3), source="F_3"))
+
+
+def test_generators_refuse_to_run_out_of_letters():
+    # the letters are a-z without the reserved o, so F_9 has all 18 of its
+    # letters and 26 generators are refused rather than cut short
+    assert len(rle.parse_model(free_group_text(9)).alphabet) == 18
+    assert len(rle.parse_model(tree_text(25)).alphabet) == 25
+    for text in (free_group_text, tree_text):
+        with pytest.raises(ValueError):
+            text(26)
 
 
 def test_free_group_f3_closed_form(f3_analysis):
