@@ -7,7 +7,9 @@ A step of the enriched last-entry chain depends on a state only through its
 two-letter suffix, so the chain lumps exactly onto its suffix rows (strong
 lumpability: Kemeny & Snell, Finite Markov Chains, 6.3).  Every chain here
 is a step table over those rows: the rows are the states of the hidden
-layer, and forward vectors hold one mass per row.
+layer, and forward vectors hold one mass per row.  Q-hat, summed per (row,
+symbol, target row), has the hidden chain's own table, so the marginal
+check compares the two tables row by row.
 """
 from __future__ import annotations
 
@@ -22,9 +24,9 @@ from .genfun import DEFAULT_TOL, RECURRENCE_XI_TOL
 from .lastentry import first_seen, ranges, unique
 
 SANDWICH_BUDGET = 5_000_000
+MC_SAMPLES = 20000    # past the budget: Monte Carlo samples of the sandwich
+MC_SEED = 7
 INEQ_SLACK = 1e-9
-SPAN_RTOL = 1e-9      # marginal check: relative residual of a new direction
-SPAN_CHUNK = 512      # marginal check: basis words extended at a time
 
 
 # -- the hidden chain, on its table rows ---------------------------------------
@@ -49,14 +51,6 @@ class CSR:
     data: np.ndarray
     n_cols: int
 
-    @classmethod
-    def stack(cls, parts):
-        """The rows of ``parts``, one matrix after another."""
-        lens = np.concatenate([np.diff(p.indptr) for p in parts])
-        return cls(np.r_[0, np.cumsum(lens)],
-                   np.concatenate([p.indices for p in parts]),
-                   np.concatenate([p.data for p in parts]), parts[0].n_cols)
-
     @property
     def n_rows(self):
         return len(self.indptr) - 1
@@ -79,11 +73,11 @@ class CSR:
         out[self.row_ids(), self.indices] = self.data
         return out
 
-    def sums(self, weights=None):
-        """Each row's sum, its entries weighted by ``weights`` at their
-        columns; entries are added in order, as a CSR mat-vec does."""
-        w = self.data if weights is None else self.data * weights[self.indices]
-        return np.bincount(self.row_ids(), weights=w, minlength=self.n_rows)
+    def sums(self):
+        """Each row's sum; entries are added in order, as a CSR mat-vec
+        does."""
+        return np.bincount(self.row_ids(), weights=self.data,
+                           minlength=self.n_rows)
 
 
 def _row(v):
@@ -174,8 +168,7 @@ class EntropyBounds:
     spent: int = 0                # expansions counted against the budget
 
 
-def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
-                    mc_samples=20000, seed=7):
+def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET):
     """Two-sided conditional-entropy bounds on the hidden-chain entropy rate.
 
     The upper bound conditions on the visible history, the lower bound
@@ -244,7 +237,7 @@ def sandwich_bounds(hidden, n_max=16, gap_tol=1e-6, budget=SANDWICH_BUDGET,
     while n < n_max:
         n += 1
         if spent > budget:
-            mc = _sandwich_mc(hidden, n, gap_tol, mc_samples, seed)
+            mc = _sandwich_mc(hidden, n, gap_tol, MC_SAMPLES, MC_SEED)
             mc.exact_gap = uppers[-1] - lowers[-1] if uppers else None
             mc.beliefs, mc.spent = len(h), spent
             return mc
@@ -412,92 +405,18 @@ def build_qhat(chain, cls):
                                            prob), counts)
 
 
-def _pair_table(modified):
-    """The step table of the pair automaton: the hidden chain's rows
-    0..R-1 beside Q-hat's rows R..2R-1, with one symbol numbering."""
-    m, q = modified.hidden.step, modified.step
-    return StepTable(np.r_[m.start, q.start[1:] + m.start[-1]],
-                     np.r_[m.sym, q.sym],
-                     np.r_[m.tgt, q.tgt + len(m.start) - 1],
-                     np.r_[m.prob, q.prob])
-
-
-def _grow_span(basis, rows):
-    """Column-pivoted Gram-Schmidt (Businger & Golub, Numer. Math. 7, 1965)
-    of ``rows`` against the orthonormal rows ``basis``: once the basis is
-    projected out of the normalised rows twice, the largest residual joins
-    the basis and is projected out twice, while it exceeds SPAN_RTOL.
-    Returns the positions of the rows taken, in order, and the grown
-    basis."""
-    x = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    for _ in range(2):                 # project out the basis, then again
-        x -= (x @ basis.T) @ basis
-    norms, picks, found = np.linalg.norm(x, axis=1), [], [basis]
-    while norms.max(initial=0.0) > SPAN_RTOL:
-        picks.append(int(norms.argmax()))
-        found.append(x[picks[-1]] / norms[picks[-1]])
-        for _ in range(2):
-            x -= np.outer(x @ found[-1], found[-1])
-        norms = np.linalg.norm(x, axis=1)
-    return np.array(picks, dtype=np.int64), np.vstack(found)
-
-
-def check_marginal_equality(chain, cls, modified, max_len=None):
+def check_marginal_equality(modified):
     """Distance between the hidden-symbol laws of the original chain and of
-    Q-hat, both started from the first-state law.
-
-    When Q-hat's summed table has the hidden chain's rows, symbols and
-    target rows, and each entry lies within (count + 1) u q of the hidden
-    chain's q (u = 2^-53 the unit roundoff, count the entry's fold count:
-    the split and the sum of its parts each round once), the two are one
-    automaton up to rounding and their laws agree on every word.
-    The result is then the largest L1 difference of a row: the laws of
-    length-n words differ by at most n times it in L1.  Otherwise the span
-    test ``_span_test`` decides, with ``max_len``."""
-    mu1 = modified.hidden.mu1
-    if not mu1.sum() > 0:
+    Q-hat, both started from the first-state law: d, the largest L1
+    difference of a row between Q-hat's summed table and the hidden
+    chain's.  The two tables share their rows, symbols and target rows, so
+    coupling the chains step by step, the laws of length-n words differ by
+    at most n d in L1 from any start law."""
+    if not modified.hidden.mu1.sum() > 0:
         raise AssumptionError("first-state law has no mass in this class")
     m, q = modified.hidden.step, modified.step
-    if all(np.array_equal(getattr(m, f), getattr(q, f))
-           for f in ("start", "sym", "tgt")):
-        diff = np.abs(q.prob - m.prob)
-        if np.all(diff <= (modified.counts + 1) * 2.0 ** -53 * m.prob):
-            rows = np.repeat(np.arange(len(m.start) - 1), np.diff(m.start))
-            return float(np.bincount(rows, diff).max(initial=0.0))
-    return _span_test(modified, max_len)
-
-
-def _span_test(modified, max_len=None):
-    """Largest |P(w) - P-hat(w)| over the basis words of a breadth-first
-    forward-span construction on the pair automaton (Tzeng, SIAM J.
-    Comput. 21, 1992) and their one-symbol extensions.  The pair automaton
-    runs on table rows: the vector of w holds the mass of mu1 M_w on each
-    row of the hidden chain and of mu1 N_w on each row of Q-hat, and P(w) -
-    P-hat(w) is its signed sum.  The empty word's vector starts the basis.
-    Each level extends the newest basis words by every symbol, SPAN_CHUNK
-    words at a time, and keeps the extensions that leave the span of the
-    basis (relative residual above SPAN_RTOL after projecting the span out
-    twice).  Once a level keeps nothing the span is closed under every
-    symbol, so the laws agree at every length iff they agree on the basis
-    words.  ``max_len=None`` runs to closure; an integer stops after words
-    of that length."""
-    pair = _pair_table(modified)
-    mu1 = modified.hidden.mu1
-    start = np.r_[mu1, mu1] / mu1.sum()
-    sign = np.repeat([1.0, -1.0], len(mu1))
-    basis, frontier = start[None] / np.linalg.norm(start), _row(start)
-    worst, depth = 0.0, 0
-    while frontier.n_rows and (max_len is None or depth < max_len):
-        depth += 1
-        kept = []
-        for a in range(0, frontier.n_rows, SPAN_CHUNK):
-            succ, _, _ = _extend(frontier.take(slice(a, a + SPAN_CHUNK)), pair)
-            diff = succ.sums(sign)                    # P(w) - P-hat(w)
-            worst = max(worst, float(np.abs(diff).max(initial=0.0)))
-            picks, basis = _grow_span(basis, succ.dense())
-            kept.append(succ.take(picks))
-        frontier = CSR.stack(kept)
-    return worst
+    rows = np.repeat(np.arange(len(m.start) - 1), np.diff(m.start))
+    return float(np.bincount(rows, np.abs(q.prob - m.prob)).max(initial=0.0))
 
 
 # -- report ---------------------------------------------------------------------
@@ -606,7 +525,7 @@ def assemble_report(model, gf, atlas=None, chain=None, n_max=16, gap_tol=1e-6,
                                    hy_exact, h_cls))
         h_total += cls.weight * h_cls
         if checked:
-            marginal = check_marginal_equality(chain, cls, modified)
+            marginal = check_marginal_equality(modified)
 
     if len(classes) == 1:
         c = classes[0]

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .cones import saturate_supports
+from .model import AssumptionError
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10 ** 6
@@ -120,8 +121,7 @@ class HTable:
                                  self.letters.index(c)])
 
 
-def solve_H(model, z=1.0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-            want_derivs=True):
+def solve_H(model, z=1.0, tol=DEFAULT_TOL, want_derivs=True):
     """Least fixed point of the quadratic descent system at the given z.
 
     Monotone iteration from the all-zeros table, Newton-accelerated: each
@@ -171,7 +171,7 @@ def solve_H(model, z=1.0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         # plain monotone sweeps with a geometric progress check
         check_every = 1000
         last_res = residual
-        while iterations < max_iter:
+        while iterations < DEFAULT_MAX_ITER:
             fx = sys_.apply(x, z)
             residual = float(np.max(np.abs(fx - x)))
             x = np.maximum(x, fx)
@@ -375,11 +375,15 @@ class GenFunTables:
             and self.gbar.derivs is not None
 
 
-def solve_all(model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-              want_derivs=True, xi_tol=RECURRENCE_XI_TOL):
+def solve_all(model, tol=DEFAULT_TOL, xi_tol=RECURRENCE_XI_TOL):
     """Full pipeline of tables; downstream tables are skipped when the model
-    is not transient (they would be singular)."""
-    h = solve_H(model, tol=tol, max_iter=max_iter, want_derivs=want_derivs)
+    is not transient (they would be singular).  A model whose reachable
+    words never reach length 2 has no escape probabilities to judge
+    transience by, and raises AssumptionError."""
+    if not model.reachable_suffixes:
+        raise AssumptionError("no reachable word has two letters: the walk "
+                              "has no two-letter suffix to escape from")
+    h = solve_H(model, tol=tol)
     xi = compute_xi(model, h)
     transient = is_transient(xi, tol=xi_tol)
     gf = GenFunTables(h, xi, transient)

@@ -112,6 +112,8 @@ class WalkModel:
         return [(prefix + r.rhs, r.prob) for r in self.row(lhs)]
 
     def validate_rows(self):
+        if "" not in self.rules:
+            raise ModelError("row 'o' is missing: the walk has no first step")
         for lhs, rs in self.rules.items():
             total = sum(r.prob for r in rs)
             if abs(total - 1.0) > ROW_TOL:

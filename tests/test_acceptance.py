@@ -133,7 +133,7 @@ def test_criterion_6_marginal_equality():
         chain = get_chain(name)
         cls = chain.classes[0]
         modified = build_qhat(chain, cls)
-        diff = check_marginal_equality(chain, cls, modified, max_len=3)
+        diff = check_marginal_equality(modified)
         ok = ok and diff < 1e-12
         details.append(f"{name}: {diff:.2e}")
     report(6, ok, "max |Y-block - Z-block| " + "; ".join(details))

@@ -326,6 +326,42 @@ def test_covering_budgets_are_domain_failures(capsys, monkeypatch, tmp_path):
         cones.build_atlas(rlentropy.load_model(fixture_path("fg2")))
 
 
+def _without(name, prefix):
+    """A fixture's text without its rules whose lines start with
+    ``prefix``."""
+    return "".join(line for line in fixture_path(name).read_text()
+                   .splitlines(keepends=True) if not line.startswith(prefix))
+
+
+# A walk with no row for o takes no first step: an input error.  A walk
+# whose words never reach two letters has no escape probabilities to judge
+# transience by: a domain failure.
+EMPTY_WALKS = [
+    (lambda: _without("line", "rule: o -> a"), 2,
+     "input error: row 'o' is missing"),
+    (lambda: _without("fg2", "rule: o ->"), 2,
+     "input error: row 'o' is missing"),
+    (lambda: "alphabet: a b\nrule: o -> a : 1\nrule: a -> o : 1/2\n"
+             "rule: a -> b : 1/2\nrule: b -> a : 1\n", 1,
+     "domain failure: no reachable word has two letters"),
+]
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["analyze"], ["entropy"],
+    ["simulate", "--steps", "10", "--trajectories", "2", "--crosscheck"]])
+@pytest.mark.parametrize("text, code, message", EMPTY_WALKS,
+                         ids=["line-no-o", "fg2-no-o", "no-suffix"])
+def test_walks_without_start_or_suffixes_keep_exit_codes(
+        capsys, tmp_path, command, text, code, message):
+    path = tmp_path / "walk.rw"
+    path.write_text(text())
+    assert cli.main(["--format", "json", command[0], str(path),
+                     *command[1:]]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message), err
+
+
 def test_generating_functions_solved_once_per_command(capsys, monkeypatch):
     solve_all, calls = genfun.solve_all, []
 

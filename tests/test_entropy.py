@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rlentropy as rle
-from rlentropy import entropy, pipeline
+from rlentropy import pipeline
 from rlentropy.entropy import (HiddenChain, build_qhat,
                                check_marginal_equality, continuity_sweep,
                                interpolate_models, sandwich_bounds,
@@ -20,8 +20,7 @@ from conftest import (free_group_text, free_product_text, get_analysis,
 from hidden_oracle import (WState, class_states, hidden_chain, hidden_symbol,
                            lumped, parts_per_key, qhat_rows, row_masses,
                            row_table, word_hidden_step)
-from marginal_oracle import (enumerated_marginal_diff,
-                             per_symbol_marginal_check)
+from marginal_oracle import enumerated_marginal_diff
 from regeneration_oracle import regeneration_mc
 from sandwich_oracle import dict_sandwich
 
@@ -49,22 +48,6 @@ def _chain(name):
         _generated[name] = pipeline.analyze(rle.parse_model(
             GENERATED[name]())).chain
     return _generated[name]
-
-
-def _no_span_test(*args, **kw):
-    raise AssertionError("the span test ran")
-
-
-@pytest.fixture
-def span_calls(monkeypatch):
-    """The calls of the span test, which still runs."""
-    calls, run = [], entropy._span_test
-
-    def spy(*args, **kw):
-        calls.append(args)
-        return run(*args, **kw)
-    monkeypatch.setattr(entropy, "_span_test", spy)
-    return calls
 
 
 def test_hidden_symbol_branches():
@@ -223,8 +206,7 @@ def test_marginal_equality():
     for name, tol in (("ne", 1e-15), ("fg2", 1e-12), ("multi", 1e-12)):
         chain, cls = _single_class(name)
         modified = build_qhat(chain, cls)
-        assert check_marginal_equality(chain, cls, modified, max_len=3) < tol
-        assert check_marginal_equality(chain, cls, modified, max_len=1) < tol
+        assert check_marginal_equality(modified) < tol
 
 
 def test_report_fg2():
@@ -321,7 +303,7 @@ def test_twotype_fold_with_multiword_transport():
     folded = modified.step.tgt[modified.counts > 0]
     assert len({modified.hidden.states[t] for t in folded}) == 4
     assert np.allclose(_row_sums(modified.step), 1.0, rtol=0, atol=1e-12)
-    assert check_marginal_equality(chain, cls, modified, max_len=3) < 1e-12
+    assert check_marginal_equality(modified) < 1e-12
 
 
 def test_twotype_report():
@@ -394,9 +376,8 @@ def test_marginal_check_agrees_with_enumeration():
     for name, tol in (("t3", 1e-12), ("ne", 1e-15), ("twotype", 1e-12)):
         chain, cls = _single_class(name)
         modified = build_qhat(chain, cls)
-        assert check_marginal_equality(chain, cls, modified) < tol, name
-        assert check_marginal_equality(chain, cls, modified, max_len=3) < tol
-        assert enumerated_marginal_diff(chain, cls, modified, 3) < tol, name
+        assert check_marginal_equality(modified) < tol, name
+        assert enumerated_marginal_diff(modified, 3) < tol, name
 
 
 def _moved_mass(modified, src, dst, eps=1e-3):
@@ -424,43 +405,49 @@ def _twotype_targets():
     return chain, cls, modified, by_symbol
 
 
-def test_marginal_check_detects_moved_symbol_mass(span_calls):
+def _certifies(bad, eps, length):
+    """The check on a Q-hat with mass eps moved within one row reports
+    d = 2 eps, and d bounds the enumerated laws: words of length n <=
+    ``length`` differ by at most n d."""
+    d = check_marginal_equality(bad)
+    assert d == pytest.approx(2 * eps, rel=1e-12)
+    for n in range(1, length + 1):
+        assert enumerated_marginal_diff(bad, n) <= n * d
+    return d
+
+
+def test_marginal_check_detects_moved_symbol_mass():
     chain, cls, modified, by_symbol = _twotype_targets()
     (a, *_), (b, *_) = list(by_symbol.values())[:2]
     bad = _moved_mass(modified, a, b)
-    found = check_marginal_equality(chain, cls, bad, max_len=3)
-    oracle = enumerated_marginal_diff(chain, cls, bad, 3)
-    assert 1e-6 < found <= oracle + 1e-15
-    assert len(span_calls) == 1
+    _certifies(bad, 1e-3, 3)
+    assert enumerated_marginal_diff(bad, 1) > 1e-6
 
 
-def test_marginal_check_covers_lengths_beyond_one(span_calls):
+def test_marginal_check_covers_lengths_beyond_one():
     # Moving mass between two entries of one symbol leaves every length-1
     # law intact; the entries enter different table rows, so later symbols
-    # tell them apart.
+    # tell them apart, and d bounds the laws at every length.
     chain, cls, modified, by_symbol = _twotype_targets()
     tgt = modified.step.tgt
     a, b = next((ts[0], e) for ts in by_symbol.values() for e in ts
                 if tgt[e] != tgt[ts[0]])
     assert modified.hidden.states[tgt[a]] != modified.hidden.states[tgt[b]]
     bad = _moved_mass(modified, a, b)
-    assert enumerated_marginal_diff(chain, cls, bad, 1) < 1e-12
-    assert enumerated_marginal_diff(chain, cls, bad, 3) > 1e-6
-    assert check_marginal_equality(chain, cls, bad, max_len=1) < 1e-12
-    assert check_marginal_equality(chain, cls, bad) > 1e-6
-    assert len(span_calls) == 2
+    _certifies(bad, 1e-3, 3)
+    assert enumerated_marginal_diff(bad, 1) < 1e-12
+    assert enumerated_marginal_diff(bad, 3) > 1e-6
 
 
 @pytest.mark.parametrize("name, length", [
     ("t3", 3), ("multi", 3), ("twotype", 3), ("mixed", 3),
     ("fg2", 2), ("fg2_biased", 2)])        # F_2's length-3 laws take 30 s
 @pytest.mark.parametrize("seed", range(2))
-def test_marginal_check_detects_seeded_moved_mass(name, length, seed,
-                                                  span_calls):
+def test_marginal_check_detects_seeded_moved_mass(name, length, seed):
     """Half the mass of one entry of a random Q-hat row moves to another
-    entry of that row.  The span test decides, and it and the per-symbol
-    construction both find that the laws differ; the check's difference up
-    to ``length`` is one of the enumerated differences."""
+    entry of that row.  The check reports d = 2 eps, d bounds the
+    enumerated laws up to ``length``, and the enumeration finds the laws
+    different at that length."""
     chain, cls = _single_class(name)
     modified = build_qhat(chain, cls)
     start = modified.step.start
@@ -468,13 +455,10 @@ def test_marginal_check_detects_seeded_moved_mass(name, length, seed,
     idx = int(rng.choice(np.flatnonzero(np.diff(start) > 1)))
     a, b = start[idx] + rng.choice(start[idx + 1] - start[idx], 2,
                                    replace=False)
-    bad = _moved_mass(modified, a, b, eps=modified.step.prob[a] / 2)
-    found = check_marginal_equality(chain, cls, bad)
-    ref, _ = per_symbol_marginal_check(chain, cls, bad)
-    assert found > 1e-6 and ref > 1e-6
-    assert (check_marginal_equality(chain, cls, bad, max_len=length)
-            <= enumerated_marginal_diff(chain, cls, bad, length) + 1e-15)
-    assert len(span_calls) == 2
+    eps = modified.step.prob[a] / 2
+    bad = _moved_mass(modified, a, b, eps=eps)
+    _certifies(bad, eps, length)
+    assert enumerated_marginal_diff(bad, length) > 1e-6
 
 
 QHAT_MODELS = ["fg2", "fg2_biased", "t3", "glued", "multi", "mixed",
@@ -514,11 +498,11 @@ def test_step_table_numbers_symbols_as_per_entry_reference(name):
     assert step.prob.dtype == np.float64
 
 
-def test_qhat_row_sums_are_exact_on_f5(monkeypatch):
+def test_qhat_row_sums_are_exact_on_f5():
     # Q-hat's row 'AA' on F_5 spreads over all 65 610 target states, one
     # reference entry each; summed per (symbol, target row) it has the
     # hidden chain's entries, 65 610 in all, each holding count + 1 of
-    # them, and the check decides on the tables
+    # them, and the check finds the tables equal
     chain = pipeline.analyze(rle.parse_model(free_group_text(5))).chain
     cls, = chain.classes
     modified = build_qhat(chain, cls)
@@ -531,8 +515,7 @@ def test_qhat_row_sums_are_exact_on_f5(monkeypatch):
     states = class_states(chain, cls)
     assert len(qhat_rows(chain, cls, states, ["AA"])["AA"]) == 65_610
     assert np.sum(counts[step.start[r]:step.start[r + 1]] + 1) == 65_610
-    monkeypatch.setattr(entropy, "_span_test", _no_span_test)
-    assert check_marginal_equality(chain, cls, modified) <= 1e-12
+    assert check_marginal_equality(modified) <= 1e-12
 
 
 # enumerated word length per model: F_2's length-3 laws take 30 s
@@ -541,12 +524,11 @@ ENUMERATED = {"fg2": 2, "fg2_biased": 2, "t3": 3, "ne": 3, "glued": 2,
 
 
 @pytest.mark.parametrize("name", ["ne", *QHAT_MODELS])
-def test_marginal_check_decided_on_the_tables(name, monkeypatch):
-    """On every class the summed Q-hat table agrees with the hidden
-    chain's, so the check ends without the span test and reports the
-    largest L1 difference of a row; on the fixtures, multi and mixed the
-    enumerated laws of short words then agree within 1e-15."""
-    monkeypatch.setattr(entropy, "_span_test", _no_span_test)
+def test_marginal_check_decided_on_the_tables(name):
+    """On every class the check reports the largest L1 difference of a row
+    between the summed Q-hat table and the hidden chain's, at most 1e-12;
+    on the fixtures, multi and mixed the enumerated laws of short words
+    then agree within 1e-15."""
     chain = _chain(name)
     for cls in chain.classes:
         modified = build_qhat(chain, cls)
@@ -555,10 +537,9 @@ def test_marginal_check_decided_on_the_tables(name, monkeypatch):
             _row_entries(modified.step, r).values(),
             _row_entries(hidden.step, r).values()))
             for r in range(len(hidden.states)))
-        assert check_marginal_equality(chain, cls, modified) == l1 <= 1e-12
+        assert check_marginal_equality(modified) == l1 <= 1e-12
         if name in ENUMERATED:
-            diff = enumerated_marginal_diff(chain, cls, modified,
-                                            ENUMERATED[name])
+            diff = enumerated_marginal_diff(modified, ENUMERATED[name])
             assert diff <= 1e-15, (name, cls.index)
 
 
